@@ -30,7 +30,6 @@ from .foliation import (
     DescendantStats,
     FoliationResult,
     LadderReport,
-    build_components,
     classify,
     descendant_stats,
     foliate,

@@ -1,9 +1,11 @@
-"""Uniform cell index for neighbor queries, exact across torus seams.
+"""Batched neighbor queries on whole patterns, exact across torus seams.
 
-Cells partition the domain into an axis-aligned grid.  Ball queries gather
-candidates from every cell the ball can touch (wrapping modularly on a
-torus) and then filter by the true metric, so results are exact; the grid
-only prunes.
+Points are binned into cells at least ``r`` wide, so every point within
+distance ``r`` of a query sits in the 3^d block of cells around the query's
+own cell (taken modulo the bin count on a torus, clipped on a window).  The
+block is visited one (offset, slot-in-cell) step at a time for all queries
+at once; each step yields at most one candidate per query, and distances use
+the metric of ``patterns.distances_to``, so exact ties stay exact.
 """
 
 from __future__ import annotations
@@ -15,95 +17,105 @@ import numpy as np
 from .patterns import TORUS, PointPattern, distances_to
 
 
-class CellIndex:
-    def __init__(self, pattern: PointPattern, cell: float | None = None):
-        self.pattern = pattern
-        self.domain = pattern.domain
-        ext = np.asarray(self.domain.extents)
-        n = max(len(pattern), 1)
-        if cell is None:
-            # aim for about one point per cell
-            cell = float((self.domain.volume / n) ** (1.0 / self.domain.dimension))
-        cell = max(cell, 1e-9)
-        bins = np.maximum(1, np.floor(ext / cell).astype(np.int64))
-        self.bins = bins
-        self.widths = ext / bins
-        if len(pattern):
-            cells = np.minimum(
-                (pattern.coords / self.widths).astype(np.int64), bins - 1
-            )
-            cells = np.maximum(cells, 0)
-            flat = np.ravel_multi_index(tuple(cells.T), tuple(bins))
+def _candidates(pattern: PointPattern, r: float, queries: np.ndarray):
+    """Yield (query positions, candidate ids, distances) over the cell block.
+
+    Positions index ``queries``.  Every candidate within ``r`` of a query is
+    yielded exactly once; farther ones from the block may be too.
+    """
+    coords = pattern.coords
+    ext = np.asarray(pattern.domain.extents)
+    torus = pattern.domain.kind == TORUS
+    # cells strictly wider than r, and at most about 4 cells per point
+    limit = 4 * len(pattern) + 4
+    bins = np.maximum(np.floor(ext / max(r * (1 + 1e-9), float(ext.max()) / limit)), 1)
+    while bins.prod() > limit:
+        bins = np.maximum(np.floor(bins / 2), 1)
+    bins = bins.astype(np.int64)
+    cell = np.clip((coords / (ext / bins)).astype(np.int64), 0, bins - 1)
+    flat = np.ravel_multi_index(tuple(cell.T), tuple(bins))
+    order = np.argsort(flat, kind="stable")
+    flat_sorted = flat[order]
+    qcell = cell[queries]
+    if torus:
+        steps = [np.unique(np.array([-1, 0, 1]) % b) for b in bins]
+    else:
+        steps = [np.array([-1, 0, 1])] * len(bins)
+    for offset in itertools.product(*steps):
+        nb = qcell + np.asarray(offset)
+        if torus:
+            nb %= bins
+            pos = np.arange(len(queries))
         else:
-            flat = np.empty(0, dtype=np.int64)
-        order = np.argsort(flat, kind="stable")
-        self._ids = order
-        self._flat_sorted = flat[order]
-        if self.domain.kind == TORUS:
-            self._max_dist = float(np.sqrt(((ext / 2.0) ** 2).sum()))
-        else:
-            self._max_dist = float(np.sqrt((ext**2).sum()))
+            pos = np.flatnonzero(((nb >= 0) & (nb < bins)).all(axis=1))
+            nb = nb[pos]
+        key = np.ravel_multi_index(tuple(nb.T), tuple(bins))
+        start = np.searchsorted(flat_sorted, key, side="left")
+        count = np.searchsorted(flat_sorted, key, side="right") - start
+        for slot in range(int(count.max(initial=0))):
+            live = count > slot
+            pos, start, count = pos[live], start[live], count[live]
+            cand = order[start + slot]
+            yield pos, cand, distances_to(coords[cand], coords[queries[pos]], pattern.domain)
 
-    def _cell_points(self, flat: int) -> np.ndarray:
-        lo = np.searchsorted(self._flat_sorted, flat, side="left")
-        hi = np.searchsorted(self._flat_sorted, flat, side="right")
-        return self._ids[lo:hi]
 
-    def _axis_cells(self, lo: int, hi: int, axis: int) -> list[int]:
-        nb = int(self.bins[axis])
-        span = hi - lo + 1
-        if self.domain.kind == TORUS:
-            if span >= nb:
-                return list(range(nb))
-            return [(lo + k) % nb for k in range(span)]
-        return list(range(max(lo, 0), min(hi, nb - 1) + 1))
+def nearest(
+    pattern: PointPattern, ids: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest other point of each queried point (all points by default).
 
-    def query_ball(
-        self, x: np.ndarray, r: float, exclude: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Ids and distances of all points within closed distance ``r`` of x."""
-        x = np.asarray(x, dtype=float)
-        los = np.floor((x - r) / self.widths).astype(np.int64)
-        his = np.floor((x + r) / self.widths).astype(np.int64)
-        ranges = [
-            self._axis_cells(int(lo), int(hi), j)
-            for j, (lo, hi) in enumerate(zip(los, his))
-        ]
-        chunks = []
-        for cell in itertools.product(*ranges):
-            ids = self._cell_points(int(np.ravel_multi_index(cell, tuple(self.bins))))
-            if ids.size:
-                chunks.append(ids)
-        if not chunks:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        ids = np.concatenate(chunks)
-        if exclude is not None:
-            ids = ids[ids != exclude]
-        d = distances_to(self.pattern.coords[ids], x, self.domain)
-        keep = d <= r
-        return ids[keep], d[keep]
+    Returns (nn, dist, tied): on an exact distance tie ``tied`` is set and
+    ``nn`` is the smallest tied id.  With no other point, nn is -1 and the
+    distance infinite.
+    """
+    n = len(pattern)
+    queries = np.arange(n) if ids is None else np.asarray(ids, dtype=np.int64)
+    m = len(queries)
+    nn = np.full(m, -1, dtype=np.int64)
+    dist = np.full(m, np.inf)
+    ties = np.zeros(m, dtype=np.int64)
+    if n < 2:
+        return nn, dist, ties > 1
+    dom = pattern.domain
+    half = np.asarray(dom.extents) / (2.0 if dom.kind == TORUS else 1.0)
+    max_dist = float(np.sqrt((half**2).sum()))
+    r = min(float((dom.volume / n) ** (1.0 / dom.dimension)), max_dist)
+    todo = np.arange(m)
+    while todo.size:
+        best = np.full(todo.size, np.inf)
+        arg = np.full(todo.size, -1, dtype=np.int64)
+        cnt = np.zeros(todo.size, dtype=np.int64)
+        q = queries[todo]
+        for pos, cand, d in _candidates(pattern, r, q):
+            other = cand != q[pos]
+            pos, cand, d = pos[other], cand[other], d[other]
+            b = best[pos]
+            lt = d < b
+            eq = d == b
+            best[pos[lt]] = d[lt]
+            arg[pos[lt]] = cand[lt]
+            cnt[pos[lt]] = 1
+            arg[pos[eq]] = np.minimum(arg[pos[eq]], cand[eq])
+            cnt[pos[eq]] += 1
+        # every point within r was a candidate, and at max_dist all points are
+        done = (best <= r) | (r >= max_dist)
+        nn[todo[done]] = arg[done]
+        dist[todo[done]] = best[done]
+        ties[todo[done]] = cnt[done]
+        todo = todo[~done]
+        r = min(2.0 * r, max_dist)
+    return nn, dist, ties > 1
 
-    def count_ball(self, x: np.ndarray, r: float) -> int:
-        ids, _ = self.query_ball(x, r)
-        return int(ids.size)
 
-    def nearest(self, i: int) -> tuple[np.ndarray, float]:
-        """All nearest neighbors of point ``i`` and the minimal distance.
-
-        Returns more than one id only on an exact distance tie.
-        """
-        if len(self.pattern) < 2:
-            return np.empty(0, dtype=np.int64), np.inf
-        x = self.pattern.coords[i]
-        r = float(self.widths.min())
-        while True:
-            r = min(r, self._max_dist)
-            ids, d = self.query_ball(x, r, exclude=i)
-            if ids.size:
-                dmin = float(d.min())
-                ids2, d2 = self.query_ball(x, dmin, exclude=i)
-                best = d2 == d2.min()
-                return ids2[best], float(d2.min())
-            if r >= self._max_dist:
-                return np.empty(0, dtype=np.int64), np.inf
-            r *= 2.0
+def ball(pattern: PointPattern, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-ball neighbors: per-point counts of the points within distance
+    ``r`` (the point itself included), and the (center, member) id pairs,
+    sorted by center and then member."""
+    n = len(pattern)
+    chunks = []
+    for pos, cand, d in _candidates(pattern, r, np.arange(n)):
+        inside = d <= r
+        chunks.append(np.stack([pos[inside], cand[inside]], axis=1))
+    pairs = np.concatenate(chunks) if chunks else np.zeros((0, 2), dtype=np.int64)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return np.bincount(pairs[:, 0], minlength=n), pairs

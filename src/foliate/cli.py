@@ -10,6 +10,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +32,7 @@ from .palm import (
     reports_json,
     verify_identities,
 )
-from .patterns import TORUS, WINDOW, ConfigError, PointPattern
+from .patterns import TORUS, WINDOW, ConfigError, PatternError, PointPattern
 from .shifts import SHIFT_NAMES, ShiftKind, evaluate
 
 EXIT_OK = 0
@@ -273,10 +274,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_pattern(path: str) -> PointPattern:
+    """Read a pattern file; an unreadable or invalid one is a config error."""
+    try:
+        return PointPattern.from_json(Path(path).read_text())
+    except (PatternError, OSError, json.JSONDecodeError, KeyError) as exc:
+        raise ConfigError(f"cannot load pattern {path}: {exc}") from exc
+
+
 def cmd_foliate(args: argparse.Namespace) -> int:
     from .stable import build_stable_maps, stable_to_json
 
-    pattern = PointPattern.from_json(Path(args.pattern).read_text())
+    pattern = _load_pattern(args.pattern)
     kind = _shift_kind(args)
     shift_map = evaluate(pattern, kind)
     fol = foliate(pattern, shift_map)
@@ -292,7 +301,7 @@ def cmd_foliate(args: argparse.Namespace) -> int:
 
 def _verify_realizations(args: argparse.Namespace) -> tuple[list[Realization], ExperimentSpec | None]:
     if getattr(args, "pattern", None):
-        pattern = PointPattern.from_json(Path(args.pattern).read_text())
+        pattern = _load_pattern(args.pattern)
         return [Realization.build(pattern, _shift_kind(args))], None
     spec = _experiment_spec(args)
     return realizations_for(spec), spec

@@ -28,53 +28,6 @@ CLASS_II = "II_diagnostic"
 CLASS_UNKNOWN = "Unknown"
 
 
-class UnionFind:
-    """Array-based disjoint sets with path compression and union by rank."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-
-
-def build_components(shift_map: ShiftMap) -> np.ndarray:
-    """Component label per point via union-find over the edges (x, F(x)).
-
-    Censored points contribute no edge; labels are normalized by first
-    appearance so the output is deterministic.
-    """
-    n = len(shift_map)
-    uf = UnionFind(n)
-    for x in range(n):
-        if not shift_map.censored[x]:
-            uf.union(x, int(shift_map.image[x]))
-    labels = np.empty(n, dtype=np.int64)
-    seen: dict[int, int] = {}
-    for x in range(n):
-        r = uf.find(x)
-        if r not in seen:
-            seen[r] = len(seen)
-        labels[x] = seen[r]
-    return labels
-
-
 def _walk_structure(image: np.ndarray):
     """Label components by pointer chasing.
 

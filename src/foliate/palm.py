@@ -18,10 +18,18 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .cellindex import ball, nearest
 from .foliation import FoliationResult, descendant_stats, DescendantStats, foliate
 from .generators import GenSpec, generate
-from .patterns import TORUS, ConfigError, PointPattern, distances_to, translate
-from .shifts import ShiftKind, ShiftMap, evaluate
+from .patterns import (
+    TORUS,
+    ConfigError,
+    PointPattern,
+    distances_to,
+    lattice_coords,
+    translate,
+)
+from .shifts import ShiftKind, ShiftMap, condenser_marks, evaluate
 from .stable import StableMaps, build_stable_maps, delta
 
 EXACT_TOL = 1e-12
@@ -312,35 +320,24 @@ class CallableKernel:
         self.radius = float(radius)
         self.name = name
 
-    def _pairs(self, r: Realization):
-        from .cellindex import CellIndex
-
-        index = CellIndex(r.pattern, cell=self.radius)
-        for i in range(r.n_points):
-            ids, _ = index.query_ball(r.pattern.coords[i], self.radius)
-            yield i, ids
+    def _row_sums(self, r: Realization, incoming: bool) -> np.ndarray:
+        """Per point x, the fsum of w(x, y) over its ball (w(y, x) if incoming)."""
+        counts, pairs = ball(r.pattern, self.radius)
+        if incoming:
+            pairs = pairs[:, ::-1]
+        weights = [float(self.fn(r.pattern, int(i), int(j))) for i, j in pairs]
+        if any(w < 0 for w in weights):
+            raise ConfigError("transport kernel must be nonnegative")
+        stops = np.cumsum(counts)
+        return np.array(
+            [math.fsum(weights[a:b]) for a, b in zip(stops - counts, stops)], dtype=float
+        )
 
     def plus(self, r: Realization) -> np.ndarray:
-        out = np.zeros(r.n_points)
-        for i, ids in self._pairs(r):
-            for j in ids:
-                w = float(self.fn(r.pattern, int(i), int(j)))
-                if w < 0:
-                    raise ConfigError("transport kernel must be nonnegative")
-                out[i] += w
-        return out
+        return self._row_sums(r, incoming=False)
 
     def minus(self, r: Realization) -> np.ndarray:
-        out = np.zeros(r.n_points)
-        for j, ids in self._pairs(r):
-            vals = []
-            for i in ids:
-                w = float(self.fn(r.pattern, int(i), int(j)))
-                if w < 0:
-                    raise ConfigError("transport kernel must be nonnegative")
-                vals.append(w)
-            out[j] = math.fsum(vals)
-        return out
+        return self._row_sums(r, incoming=True)
 
 
 def check_mass_transport(
@@ -598,8 +595,6 @@ def reroot_invariance_check(
     agree identically (same foil), so only the distance summary carries
     information; this does not test full distributional equality.
     """
-    from .cellindex import CellIndex
-
     reals = _as_list(realizations)
     diffs = []
     dropped = 0
@@ -609,36 +604,23 @@ def reroot_invariance_check(
             dropped += 1
             continue
         y = int(r.stable().f_perp[x])
-        index = CellIndex(r.pattern)
-        diffs.append(index.nearest(x)[1] - index.nearest(y)[1])
+        _, dist, _ = nearest(r.pattern, [x, y])
+        diffs.append(float(dist[0] - dist[1]))
     return make_report(name, diffs, dropped=dropped)
 
 
 def column_index_mark(pattern: PointPattern) -> np.ndarray:
     """Lattice column index of grid points; not translation invariant."""
-    if "grid_shift" not in pattern.metadata:
+    lattice = lattice_coords(pattern)
+    if lattice is None:
         raise ConfigError("column mark needs a grid pattern")
-    u = np.asarray(pattern.metadata["grid_shift"], dtype=float)
-    return np.rint(pattern.coords[:, 0] - u[0]).astype(np.int64)
+    return lattice[:, 0]
 
 
 def ball_count_mark(ball_radius: float = 1.0) -> Callable[[PointPattern], np.ndarray]:
     """Closed-ball point count mark (the condenser mark), any domain."""
-    from .shifts import condenser_marks
 
     def fn(pattern: PointPattern) -> np.ndarray:
-        if pattern.dimension == 1 and pattern.domain.kind == TORUS:
-            # wrap-aware count without the window fast path
-            from .cellindex import CellIndex
-
-            index = CellIndex(pattern, cell=ball_radius)
-            return np.array(
-                [
-                    index.count_ball(pattern.coords[i], ball_radius)
-                    for i in range(len(pattern))
-                ],
-                dtype=np.int64,
-            )
         return condenser_marks(pattern, ball_radius)[0]
 
     return fn

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -181,13 +181,6 @@ class PointPattern:
 
     def point(self, i: int) -> Point:
         return Point(tuple(float(v) for v in self.coords[i]), int(i))
-
-    def points(self) -> Iterator[Point]:
-        for i in range(len(self)):
-            yield self.point(i)
-
-    def censored_mask(self) -> np.ndarray:
-        return face_distances(self.coords, self.domain) < self.domain.buffer
 
     def to_json(self) -> str:
         dom = {

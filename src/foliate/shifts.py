@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cellindex import CellIndex
+from .cellindex import ball, nearest
 from .patterns import (
     TORUS,
     WINDOW,
@@ -23,6 +23,7 @@ from .patterns import (
     Domain,
     PointPattern,
     face_distances,
+    lattice_coords,
 )
 
 SHIFT_NAMES = ("strip", "mnn", "next_row", "condenser", "multitype_strip")
@@ -131,21 +132,14 @@ def eval_mnn(pattern: PointPattern) -> ShiftMap:
         if pattern.domain.kind == WINDOW:
             return ShiftMap("mnn", np.full(1, -1, np.int64), np.ones(1, bool))
         return ShiftMap("mnn", image, censored)
-    index = CellIndex(pattern)
-    nn = np.empty(n, dtype=np.int64)
-    nn_dist = np.empty(n)
-    tied = np.zeros(n, dtype=bool)
-    for i in range(n):
-        ids, d = index.nearest(i)
-        nn[i] = ids[0]
-        nn_dist[i] = d
-        tied[i] = ids.size > 1
+    nn, nn_dist, tied = nearest(pattern)
     mutual = (~tied) & (~tied[nn]) & (nn[nn] == np.arange(n))
     image = np.where(mutual, nn, np.arange(n))
     if pattern.domain.kind == WINDOW:
         face = face_distances(pattern.coords, pattern.domain)
         unsafe = face < np.maximum(pattern.domain.buffer, nn_dist)
-        censored = unsafe | unsafe[nn]
+        # a tied point whose own ball is observed is a certain fixed point
+        censored = unsafe | (~tied & unsafe[nn])
         image = np.where(censored, -1, image)
     return ShiftMap("mnn", image, censored)
 
@@ -250,14 +244,6 @@ def eval_multitype_strip(pattern: PointPattern) -> ShiftMap:
     return ShiftMap("multitype_strip", image, censored)
 
 
-def _lattice_coords(pattern: PointPattern) -> np.ndarray:
-    meta = pattern.metadata
-    if "grid_shift" not in meta:
-        raise ConfigError("next row shift needs a grid pattern (grid_shift metadata)")
-    u = np.asarray(meta["grid_shift"], dtype=float)
-    return np.rint(pattern.coords - u).astype(np.int64)
-
-
 def eval_next_row(pattern: PointPattern) -> ShiftMap:
     """Next-row shift on a Bernoulli grid.
 
@@ -268,7 +254,9 @@ def eval_next_row(pattern: PointPattern) -> ShiftMap:
     """
     if pattern.dimension < 2:
         raise ConfigError("next row shift needs dimension >= 2")
-    lattice = _lattice_coords(pattern)
+    lattice = lattice_coords(pattern)
+    if lattice is None:
+        raise ConfigError("next row shift needs a grid pattern (grid_shift metadata)")
     n = len(pattern)
     image = np.full(n, -1, dtype=np.int64)
     censored = np.zeros(n, dtype=bool)
@@ -314,22 +302,9 @@ def condenser_marks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-ball point counts (the point itself included) and a flag for
     marks whose counting ball reaches past the window boundary."""
-    n = len(pattern)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
-    if pattern.dimension == 1 and pattern.domain.kind == WINDOW:
-        x = pattern.coords[:, 0]
-        s = np.sort(x)
-        marks = np.searchsorted(s, x + ball_radius, side="right") - np.searchsorted(
-            s, x - ball_radius, side="left"
-        )
-    else:
-        index = CellIndex(pattern, cell=ball_radius)
-        marks = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            marks[i] = index.count_ball(pattern.coords[i], ball_radius)
+    marks, _ = ball(pattern, ball_radius)
     marks_censored = face_distances(pattern.coords, pattern.domain) < ball_radius
-    return marks.astype(np.int64), marks_censored
+    return marks, marks_censored
 
 
 def eval_condenser(

@@ -7,6 +7,8 @@ package implementations it validates.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from foliate.patterns import Domain, PointPattern, distance
@@ -97,20 +99,38 @@ def brute_descendants(image: list[int], n: int) -> list[int]:
     return out
 
 
-def brute_nn(pattern: PointPattern) -> tuple[list[int], list[float]]:
-    """Nearest neighbor per point by full quadratic scan."""
+def _plain_distance(a, b, dom: Domain) -> float:
+    """Distance by scalar float arithmetic, summing squares in axis order
+    (the rounding of the package metric in two dimensions, so exact ties
+    agree)."""
+    total = 0.0
+    for x, y, e in zip(a, b, dom.extents):
+        t = abs(float(x) - float(y))
+        if dom.kind == "torus":
+            t = min(t % e, e - t % e)
+        total += t * t
+    return math.sqrt(total)
+
+
+def brute_nn(pattern: PointPattern) -> tuple[list[int], list[float], list[bool]]:
+    """Nearest neighbor per point by full quadratic scan: the smallest id at
+    the minimal distance, that distance, and whether another id ties it."""
     n = len(pattern)
     ids = [-1] * n
     dists = [float("inf")] * n
+    tied = [False] * n
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            d = distance(pattern.coords[i], pattern.coords[j], pattern.domain)
+            d = _plain_distance(pattern.coords[i], pattern.coords[j], pattern.domain)
             if d < dists[i]:
                 dists[i] = d
                 ids[i] = j
-    return ids, dists
+                tied[i] = False
+            elif d == dists[i]:
+                tied[i] = True
+    return ids, dists, tied
 
 
 def brute_strip_image(pattern: PointPattern, i: int) -> int | None:

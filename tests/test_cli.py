@@ -360,3 +360,29 @@ def test_experiment_spec_validation():
         ExperimentSpec(gen=gen, shift=ShiftKind("mnn"), n_realizations=0)
     with pytest.raises(ConfigError):
         ExperimentSpec(gen=gen, shift=ShiftKind("mnn"), fractions=(0.5, 0.25))
+
+
+def test_verify_on_pattern_with_duplicates_is_config_error(tmp_path, capsys):
+    pattern_file = tmp_path / "dup.json"
+    pattern_file.write_text(
+        json.dumps(
+            {
+                "dimension": 2,
+                "domain": {"kind": "torus", "extents": [10.0, 10.0], "buffer": 0.0},
+                "points": [[1.0, 1.0], [1.0, 1.0]],
+            }
+        )
+    )
+    code = main(["verify", "--pattern", str(pattern_file), "--shift", "mnn"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "duplicate" in err and len(err.strip().splitlines()) == 1
+
+
+def test_foliate_on_missing_pattern_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    code = main(
+        ["foliate", "--pattern", str(missing), "--shift", "mnn", "--out", str(tmp_path)]
+    )
+    assert code == EXIT_CONFIG
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1

@@ -15,7 +15,6 @@ from foliate.foliation import (
     CLASS_IF,
     CLASS_II,
     CLASS_UNKNOWN,
-    build_components,
     classify,
     descendant_stats,
     foliate,
@@ -56,19 +55,25 @@ def component_sets(labels):
     return frozenset(frozenset(s) for s in out.values())
 
 
+def fol_components(image):
+    _, fol = make_fol(image)
+    return component_sets(fol.component_id)
+
+
 def test_build_components_example():
-    labels = build_components(make_map(EX_IMAGE))
-    assert component_sets(labels) == frozenset({frozenset({0, 1, 2, 3})})
+    assert fol_components(EX_IMAGE) == brute_components(EX_IMAGE)
+    assert fol_components(EX_IMAGE) == frozenset({frozenset({0, 1, 2, 3})})
 
 
 def test_build_components_two_cycles():
-    labels = build_components(make_map([1, 0, 3, 2]))
-    assert component_sets(labels) == frozenset({frozenset({0, 1}), frozenset({2, 3})})
+    image = [1, 0, 3, 2]
+    assert fol_components(image) == brute_components(image)
+    assert fol_components(image) == frozenset({frozenset({0, 1}), frozenset({2, 3})})
 
 
 def test_build_components_identity():
-    labels = build_components(make_map([0, 1, 2]))
-    assert len(set(labels.tolist())) == 3
+    assert fol_components([0, 1, 2]) == brute_components([0, 1, 2])
+    assert len(fol_components([0, 1, 2])) == 3
 
 
 def test_find_cycles_example():

@@ -94,16 +94,29 @@ def test_mnn_non_mutual_fixed():
     assert sm.image[1] == 2 and sm.image[2] == 1
 
 
-def test_mnn_involution_and_mutual_minimality():
-    pat = generate(GenSpec("poisson", Domain.torus(20, 20), seed=32, intensity=1.0))
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GenSpec("poisson", Domain.torus(20, 20), seed=32, intensity=1.0),
+        GenSpec("bernoulli_grid", Domain.torus(12, 12), seed=32, p=0.5),
+    ],
+    ids=["poisson", "grid_ties"],
+)
+def test_mnn_involution_and_mutual_minimality(spec):
+    pat = generate(spec)
     sm = eval_mnn(pat)
     idx = np.arange(len(pat))
     assert np.array_equal(sm.image[sm.image], idx)
-    nn_ids, nn_d = brute_nn(pat)
+    nn_ids, nn_d, tied = brute_nn(pat)
+    if spec.model == "bernoulli_grid":
+        assert any(tied)
     for i in idx:
         j = sm.image[i]
+        if tied[i]:
+            assert j == i
         if j != i:
             assert nn_ids[i] == j and nn_ids[j] == i
+            assert not tied[i] and not tied[j]
 
 
 def test_mnn_distance_tie_makes_fixed_points():
@@ -111,6 +124,17 @@ def test_mnn_distance_tie_makes_fixed_points():
     pat = window_pattern([[2.0, 5.0], [3.0, 5.0], [4.0, 5.0]])
     sm = eval_mnn(pat)
     assert sm.image[1] == 1
+
+
+@pytest.mark.parametrize(
+    "points", [[[2.0, 5.0], [1.0, 5.0], [3.0, 5.0]], [[2.0, 5.0], [3.0, 5.0], [1.0, 5.0]]]
+)
+def test_mnn_tied_point_with_observed_ball_is_fixed(points):
+    # (2, 5) ties between its neighbors; its own unit ball is observed, so it
+    # is a certain fixed point even though (1, 5) sits in the buffer
+    pat = window_pattern(points, buffer=1.5)
+    sm = eval_mnn(pat)
+    assert not sm.censored[0] and sm.image[0] == 0
 
 
 def test_mnn_singleton():
@@ -193,10 +217,18 @@ def test_condenser_isolated_mark():
     assert marks.tolist() == [1, 1]
 
 
-def test_condenser_marks_match_brute_force():
-    pat = generate(
-        GenSpec("poisson", Domain.window(20, 20, buffer=2.0), seed=33, intensity=0.8)
-    )
+@pytest.mark.parametrize(
+    "domain",
+    [
+        Domain.window(20, 20, buffer=2.0),
+        Domain.window(60.0, buffer=2.0),
+        Domain.torus(60.0),
+        Domain.torus(20, 20),
+    ],
+    ids=["window_2d", "window_1d", "torus_1d", "torus_2d"],
+)
+def test_condenser_marks_match_brute_force(domain):
+    pat = generate(GenSpec("poisson", domain, seed=33, intensity=0.8))
     marks, _ = condenser_marks(pat, 1.0)
     assert marks.tolist() == brute_condenser_marks(pat, 1.0)
 
