@@ -27,6 +27,7 @@ from .palm import (
     StatReport,
     check_mass_transport,
     evaporation_profile,
+    fold_reports,
     relative_intensity_report,
     reports_csv,
     reports_json,
@@ -78,17 +79,66 @@ def build_realization(spec: ExperimentSpec, index: int) -> Realization:
     return Realization.from_spec(gen, spec.shift)
 
 
-def _build_indexed(args: tuple[ExperimentSpec, int]) -> Realization:
-    return build_realization(*args)
+@dataclass(frozen=True)
+class RealizationReports:
+    """What a run keeps of one realization: its single-realization reports,
+    plus the components CSV and pattern JSON when they are to be written."""
+
+    exact_setting: bool
+    verify: list[StatReport] | None = None
+    stats: list[StatReport] | None = None
+    components_csv: str | None = None
+    pattern_json: str | None = None
 
 
-def realizations_for(spec: ExperimentSpec) -> list[Realization]:
-    """All realizations, in index order regardless of the worker count."""
-    indices = list(range(spec.n_realizations))
+def reduce_realization(
+    r: Realization,
+    n_max: int,
+    *,
+    verify: bool,
+    stats: bool,
+    components: bool = False,
+    pattern: bool = False,
+) -> RealizationReports:
+    return RealizationReports(
+        exact_setting=r.is_exact_setting,
+        verify=verify_reports([r], n_max) if verify else None,
+        stats=stats_reports([r], n_max) if stats else None,
+        components_csv=r.foliation.components_csv() if components else None,
+        pattern_json=r.pattern.to_json() if pattern else None,
+    )
+
+
+def _reduce_indexed(task: tuple[ExperimentSpec, int, bool, bool]) -> RealizationReports:
+    spec, index, verify, stats = task
+    return reduce_realization(
+        build_realization(spec, index),
+        spec.n_max,
+        verify=verify,
+        stats=stats,
+        components=index == 0,
+        pattern=spec.save_patterns,
+    )
+
+
+def realizations_for(
+    spec: ExperimentSpec, *, verify: bool = True, stats: bool = True
+) -> list[RealizationReports]:
+    """Every realization's reports, in index order regardless of the worker
+    count.  Each realization is built, reduced to its reports and dropped
+    in the process that builds it, so one is alive per process at a time."""
+    tasks = [(spec, i, verify, stats) for i in range(spec.n_realizations)]
     if spec.jobs == 1 or spec.n_realizations == 1:
-        return [build_realization(spec, i) for i in indices]
+        return [_reduce_indexed(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-        return list(pool.map(_build_indexed, [(spec, i) for i in indices]))
+        return list(pool.map(_reduce_indexed, tasks))
+
+
+def fold(rows: list[RealizationReports], part: str) -> list[StatReport]:
+    """The whole-run ``verify`` or ``stats`` reports of the reduced rows."""
+    return fold_reports(
+        [getattr(row, part) for row in rows], all(row.exact_setting for row in rows)
+    )
 
 
 def verify_reports(
@@ -188,11 +238,25 @@ def write_report_files(out: Path, stem: str, reports: list[StatReport]) -> None:
     _write(out / f"{stem}.json", reports_json(reports))
 
 
-def _shift_kind(args: argparse.Namespace) -> ShiftKind:
+def _read_conf(args: argparse.Namespace) -> dict:
+    """The ``--config`` file's keys (empty without one)."""
+    if getattr(args, "config", None):
+        return read_config(args.config)
+    return {}
+
+
+def _shift_kind(args: argparse.Namespace, conf: dict) -> ShiftKind:
+    """The shift from the flags, falling back to the config file."""
+    shift = getattr(args, "shift", None) or conf.get("shift")
+    if shift is None:
+        raise ConfigError("a shift is required (--shift)")
     return ShiftKind(
-        args.shift,
-        ball_radius=getattr(args, "ball_radius", None) or 1.0,
-        condenser_metric=getattr(args, "condenser_metric", None) or "euclidean",
+        str(shift),
+        ball_radius=float(getattr(args, "ball_radius", None) or conf.get("ball_radius", 1.0)),
+        condenser_metric=str(
+            getattr(args, "condenser_metric", None)
+            or conf.get("condenser_metric", "euclidean")
+        ),
     )
 
 
@@ -207,10 +271,8 @@ def _resolve_seed(args: argparse.Namespace, conf: dict) -> int:
     return 0
 
 
-def _gen_spec(args: argparse.Namespace) -> GenSpec:
-    conf: dict = {}
-    if getattr(args, "config", None):
-        conf = read_config(args.config)
+def _gen_spec(args: argparse.Namespace, conf: dict) -> GenSpec:
+    conf = dict(conf)
     if getattr(args, "model", None):
         conf["model"] = args.model
     if getattr(args, "torus", None):
@@ -232,21 +294,9 @@ def _gen_spec(args: argparse.Namespace) -> GenSpec:
 
 
 def _experiment_spec(args: argparse.Namespace) -> ExperimentSpec:
-    conf: dict = {}
-    if getattr(args, "config", None):
-        conf = read_config(args.config)
-    gen = _gen_spec(args)
-    shift = getattr(args, "shift", None) or conf.get("shift")
-    if shift is None:
-        raise ConfigError("a shift is required (--shift)")
-    kind = ShiftKind(
-        str(shift),
-        ball_radius=float(getattr(args, "ball_radius", None) or conf.get("ball_radius", 1.0)),
-        condenser_metric=str(
-            getattr(args, "condenser_metric", None)
-            or conf.get("condenser_metric", "euclidean")
-        ),
-    )
+    conf = _read_conf(args)
+    gen = _gen_spec(args, conf)
+    kind = _shift_kind(args, conf)
     fractions = getattr(args, "fractions", None) or conf.get("fractions")
     if isinstance(fractions, str):
         fractions = tuple(float(f) for f in fractions.split(","))
@@ -265,7 +315,7 @@ def _experiment_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    pattern = generate(_gen_spec(args))
+    pattern = generate(_gen_spec(args, _read_conf(args)))
     text = pattern.to_json()
     if args.out:
         _write(Path(args.out), text)
@@ -286,8 +336,7 @@ def cmd_foliate(args: argparse.Namespace) -> int:
     from .stable import build_stable_maps, stable_to_json
 
     pattern = _load_pattern(args.pattern)
-    kind = _shift_kind(args)
-    shift_map = evaluate(pattern, kind)
+    shift_map = evaluate(pattern, _shift_kind(args, {}))
     fol = foliate(pattern, shift_map)
     out = Path(args.out)
     _write(out / "shiftmap.json", shift_map.to_json())
@@ -299,21 +348,20 @@ def cmd_foliate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_realizations(args: argparse.Namespace) -> tuple[list[Realization], ExperimentSpec | None]:
-    if getattr(args, "pattern", None):
-        pattern = _load_pattern(args.pattern)
-        return [Realization.build(pattern, _shift_kind(args))], None
-    spec = _experiment_spec(args)
-    return realizations_for(spec), spec
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    reals, spec = _verify_realizations(args)
-    n_max = int(args.n_max or (spec.n_max if spec else 3))
-    reports = verify_reports(reals, n_max)
-    expect_exact = all(r.is_exact_setting for r in reals)
-    failures = exact_failures(reports, expect_exact)
-    out = args.out or (spec.out if spec else None)
+    if args.pattern:
+        conf = _read_conf(args)
+        real = Realization.build(_load_pattern(args.pattern), _shift_kind(args, conf))
+        n_max = int(args.n_max or conf.get("n_max", 3))
+        rows = [reduce_realization(real, n_max, verify=True, stats=False)]
+        del real  # only the reports outlive the reduction, as in realizations_for
+        out = args.out or conf.get("out")
+    else:
+        spec = _experiment_spec(args)
+        rows = realizations_for(spec, stats=False)
+        out = spec.out
+    reports = fold(rows, "verify")
+    failures = exact_failures(reports, all(row.exact_setting for row in rows))
     if out:
         write_report_files(Path(out), "verify", reports)
     else:
@@ -325,8 +373,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     spec = _experiment_spec(args)
-    reals = realizations_for(spec)
-    reports = stats_reports(reals, spec.n_max)
+    reports = fold(realizations_for(spec, verify=False), "stats")
     if spec.out:
         write_report_files(Path(spec.out), "stats", reports)
     else:
@@ -353,18 +400,17 @@ def run(spec: ExperimentSpec) -> int:
 
     Writes the same files the staged subcommands would; returns the exit
     status (0 unless an exact identity fails on exact-setting data)."""
-    reals = realizations_for(spec)
-    reports = verify_reports(reals, spec.n_max)
-    expect_exact = all(r.is_exact_setting for r in reals)
-    failures = exact_failures(reports, expect_exact)
     out = Path(spec.out) if spec.out else None
+    rows = realizations_for(spec, stats=out is not None)
+    reports = fold(rows, "verify")
+    failures = exact_failures(reports, all(row.exact_setting for row in rows))
     if out is not None:
         write_report_files(out, "verify", reports)
-        write_report_files(out, "stats", stats_reports(reals, spec.n_max))
-        _write(out / "components.csv", reals[0].foliation.components_csv())
+        write_report_files(out, "stats", fold(rows, "stats"))
+        _write(out / "components.csv", rows[0].components_csv)
         if spec.save_patterns:
-            for i, r in enumerate(reals):
-                _write(out / f"pattern_{i:04d}.json", r.pattern.to_json())
+            for i, row in enumerate(rows):
+                _write(out / f"pattern_{i:04d}.json", row.pattern_json)
         if spec.fractions:
             pattern = generate(spec.gen)
             _write(

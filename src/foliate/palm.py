@@ -49,6 +49,9 @@ class StatReport:
     n: int | None = None
     target: float | None = None
     dropped: int = 0
+    # censoring fractions of the realizations the statistic averaged over,
+    # kept so that per-realization reports fold exactly (see fold_reports)
+    censoring_values: list[float] = field(default_factory=list)
 
     @property
     def realizations(self) -> int:
@@ -63,11 +66,14 @@ def make_report(
     exactable: bool = True,
     n: int | None = None,
     points: int = 0,
-    censoring: float = 0.0,
+    censoring: Sequence[float] = (),
     dropped: int = 0,
     tol: float = EXACT_TOL,
 ) -> StatReport:
+    """``censoring`` lists the censoring fraction of each realization the
+    statistic averages over; the report carries their mean."""
     vals = [float(v) for v in values]
+    cens = [float(c) for c in censoring]
     if vals:
         mean = math.fsum(vals) / len(vals)
         if len(vals) >= 2:
@@ -91,11 +97,40 @@ def make_report(
         stderr=stderr,
         exact=exact,
         n_points_used=points,
-        censoring_fraction=censoring,
+        censoring_fraction=(sum(cens) / len(cens) if cens else 0.0),
         n=n,
         target=target,
         dropped=dropped,
+        censoring_values=cens,
     )
+
+
+def fold_reports(
+    rows: Sequence[Sequence[StatReport]], exactable: bool
+) -> list[StatReport]:
+    """Merge per-realization report lists into whole-run reports.
+
+    ``rows`` holds one list per realization, in index order, each with the
+    same report names in the same order, as made by the list-level functions
+    called on that realization alone.  The result equals what those
+    functions give on all realizations at once: values are concatenated,
+    points and drops summed, censoring averaged over the realizations each
+    statistic used, and exactness recomputed with ``exactable`` (all
+    realizations in the exact setting).
+    """
+    return [
+        make_report(
+            reps[0].name,
+            [v for rep in reps for v in rep.per_realization],
+            target=reps[0].target,
+            exactable=exactable,
+            n=reps[0].n,
+            points=sum(rep.n_points_used for rep in reps),
+            censoring=[c for rep in reps for c in rep.censoring_values],
+            dropped=sum(rep.dropped for rep in reps),
+        )
+        for reps in zip(*rows)
+    ]
 
 
 @dataclass
@@ -177,7 +212,7 @@ def palm_mean(
         name,
         values,
         points=points,
-        censoring=(sum(cens) / len(cens) if cens else 0.0),
+        censoring=cens,
         dropped=dropped,
     )
 
@@ -194,10 +229,13 @@ def _identity_values(r: Realization, n: int) -> dict[str, float]:
     mean_d = float(d.sum()) / N
     inv_l = math.fsum(1.0 / l[ok]) / N
     image_frac = float(np.unique(ds.images[n][ok]).size) / N
+    # sum(l^2) and sum(d^3) are at most N^3, so int64 is exact below 2^21
+    # points; larger patterns sum in Python integers
+    wide = np.int64 if N < 2**21 else object
     sum_l = int(l[ok].sum())
     sum_d2 = int((d * d).sum())
-    sum_l2 = int((l[ok].astype(object) ** 2).sum())
-    sum_d3 = int((d.astype(object) ** 3).sum())
+    sum_l2 = int((l[ok].astype(wide) ** 2).sum())
+    sum_d3 = int((d.astype(wide) ** 3).sum())
     n_pos = int((d > 0).sum())
     cond = (float(d.sum()) / n_pos) * inv_l if n_pos else float("nan")
     return {
@@ -231,9 +269,7 @@ def verify_identities(
     reals = _as_list(realizations)
     exactable = all(r.is_exact_setting for r in reals)
     points = sum(r.n_points for r in reals)
-    cens = (
-        sum(r.censoring_fraction for r in reals) / len(reals) if reals else 0.0
-    )
+    cens = [r.censoring_fraction for r in reals]
     reports = []
     for n in range(1, n_max + 1):
         collected: dict[str, list[float]] = {k: [] for k in _IDENTITY_TARGETS}
@@ -366,9 +402,7 @@ def check_mass_transport(
         target=0.0,
         exactable=exactable,
         points=points,
-        censoring=(
-            sum(r.censoring_fraction for r in reals) / len(reals) if reals else 0.0
-        ),
+        censoring=[r.censoring_fraction for r in reals],
     )
 
 
@@ -503,9 +537,7 @@ def relative_intensity_report(
         name,
         values,
         points=sum(r.n_points for r in reals),
-        censoring=(
-            sum(r.censoring_fraction for r in reals) / len(reals) if reals else 0.0
-        ),
+        censoring=[r.censoring_fraction for r in reals],
         dropped=dropped,
     )
 

@@ -90,7 +90,8 @@ def distance(p: Any, q: Any, dom: Domain) -> float:
         ext = np.asarray(dom.extents)
         d = d % ext
         d = np.minimum(d, ext - d)
-    return float(np.sqrt(np.dot(d, d)))
+    # the same expression as distances_to, so exact ties agree bit for bit
+    return float(np.sqrt((d * d).sum()))
 
 
 def distances_to(coords: np.ndarray, x: np.ndarray, dom: Domain) -> np.ndarray:

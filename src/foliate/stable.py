@@ -20,11 +20,12 @@ from .patterns import TORUS, ConfigError, PointPattern, lattice_coords
 from .shifts import ShiftMap
 
 
-def _rel_order(ids: np.ndarray, ref: int, pattern: PointPattern) -> np.ndarray:
-    """ids sorted lexicographically by coordinates relative to point ref.
+def _relative_coords(pattern: PointPattern, ids: np.ndarray, ref) -> np.ndarray:
+    """Coordinates of points ``ids`` relative to ``ref`` (one node, or one
+    node per id), taken modulo the extents on a torus.
 
-    Grid patterns sort in exact integer lattice coordinates; equal
-    displacements would otherwise carry position-dependent float noise.
+    Grid patterns use exact integer lattice coordinates; equal displacements
+    would otherwise carry position-dependent float noise.
     """
     lattice = lattice_coords(pattern)
     if lattice is not None:
@@ -35,19 +36,43 @@ def _rel_order(ids: np.ndarray, ref: int, pattern: PointPattern) -> np.ndarray:
         rel = pattern.coords[ids] - pattern.coords[ref]
         if pattern.domain.kind == TORUS:
             rel = rel % np.asarray(pattern.domain.extents)
-    return ids[np.lexsort(tuple(rel.T[::-1]))]
+    return rel
 
 
-def _preimage_lists(image: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays (indptr, ids) of preimages per target id."""
-    ok = image >= 0
-    targets = image[ok]
-    sources = np.flatnonzero(ok)
-    order = np.argsort(targets, kind="stable")
-    counts = np.bincount(targets, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, sources[order]
+def _lex_keys(rel: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``np.lexsort`` keys ordering the rows of ``rel`` lexicographically."""
+    return tuple(rel.T[::-1])
+
+
+def _ordered_sons(
+    pattern: PointPattern, image: np.ndarray, sons: np.ndarray
+) -> tuple[list[int], list[int]]:
+    """CSR (indptr, sons) of the reversed map restricted to ``sons``: every
+    node's sons in lex order of their coordinates relative to it."""
+    fathers = image[sons]
+    rel = _relative_coords(pattern, sons, fathers)
+    sons = sons[np.lexsort(_lex_keys(rel) + (fathers,))]
+    indptr = np.zeros(len(image) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(fathers, minlength=len(image)), out=indptr[1:])
+    return indptr.tolist(), sons.tolist()
+
+
+def _preorder(roots: list[int], indptr: list[int], sons: list[int]) -> list[int]:
+    """DFS preorder of the trees below ``roots``, taken in the given order.
+
+    Meeting a node twice means a cycle lies below a root: a hard error.
+    """
+    seen = bytearray(len(indptr) - 1)
+    out: list[int] = []
+    stack = roots[::-1]
+    while stack:
+        v = stack.pop()
+        if seen[v]:
+            raise ConfigError("cycle reachable below root")
+        seen[v] = 1
+        out.append(v)
+        stack.extend(reversed(sons[indptr[v] : indptr[v + 1]]))
+    return out
 
 
 def dfs_preorder(pattern: PointPattern, shift_map: ShiftMap, root: int) -> list[int]:
@@ -59,21 +84,9 @@ def dfs_preorder(pattern: PointPattern, shift_map: ShiftMap, root: int) -> list[
     n = len(shift_map)
     if not 0 <= root < n:
         raise ConfigError("root out of range")
-    indptr, pre = _preimage_lists(shift_map.image, n)
-    seen = np.zeros(n, dtype=bool)
-    out: list[int] = []
-    stack = [int(root)]
-    while stack:
-        v = stack.pop()
-        if seen[v]:
-            raise ConfigError("cycle reachable below root")
-        seen[v] = True
-        out.append(v)
-        kids = pre[indptr[v] : indptr[v + 1]]
-        if kids.size:
-            ordered = _rel_order(kids, v, pattern)
-            stack.extend(int(k) for k in ordered[::-1])
-    return out
+    image = shift_map.image
+    indptr, sons = _ordered_sons(pattern, image, np.flatnonzero(image >= 0))
+    return _preorder([int(root)], indptr, sons)
 
 
 @dataclass(frozen=True)
@@ -90,42 +103,19 @@ class RlsOrder:
 def build_rls_order(
     pattern: PointPattern, shift_map: ShiftMap, foliation: FoliationResult
 ) -> RlsOrder:
-    n = len(shift_map)
-    indptr, pre = _preimage_lists(shift_map.image, n)
-    rank = np.full(n, -1, dtype=np.int64)
-
-    def tree_dfs(start_children: np.ndarray, father: int, counter: int) -> int:
-        stack: list[int] = []
-        if start_children.size:
-            ordered = _rel_order(start_children, father, pattern)
-            stack.extend(int(k) for k in ordered[::-1])
-        while stack:
-            v = stack.pop()
-            rank[v] = counter
-            counter += 1
-            kids = pre[indptr[v] : indptr[v + 1]]
-            if kids.size:
-                ordered = _rel_order(kids, v, pattern)
-                stack.extend(int(k) for k in ordered[::-1])
-        return counter
-
-    for comp in foliation.components:
-        counter = 0
-        if comp.cycle:
-            cyc = comp.cycle
-            L = len(cyc)
-            pred = {cyc[k]: cyc[k - 1] for k in range(L)}
-            for v in cyc:
-                rank[v] = counter
-                counter += 1
-                kids = pre[indptr[v] : indptr[v + 1]]
-                kids = kids[(kids != pred[v]) & (kids != v)]
-                counter = tree_dfs(kids, v, counter)
-        else:
-            root = comp.root
-            rank[root] = 0
-            kids = pre[indptr[root] : indptr[root + 1]]
-            counter = tree_dfs(kids[kids != root], root, 1)
+    # depth 0 marks the cycle nodes and the dead-end roots: they are the DFS
+    # roots, in (component, cycle position) order, and never anyone's sons
+    depth = foliation.depth_to_cycle
+    comp = foliation.component_id
+    indptr, sons = _ordered_sons(pattern, shift_map.image, np.flatnonzero(depth > 0))
+    tops = np.flatnonzero(depth == 0)
+    tops = tops[np.lexsort((foliation.entry_position[tops], comp[tops]))]
+    pre = np.asarray(_preorder(tops.tolist(), indptr, sons), dtype=np.int64)
+    # the preorder runs through the components in id order
+    sizes = np.bincount(comp, minlength=len(foliation.components))
+    first = np.cumsum(sizes) - sizes
+    rank = np.empty(len(comp), dtype=np.int64)
+    rank[pre] = np.arange(len(pre)) - first[comp[pre]]
     return RlsOrder(rank=rank)
 
 
@@ -138,9 +128,30 @@ class StableMaps:
     rls: RlsOrder
 
 
-def _foil_reference(foliation: FoliationResult, comp_id: int) -> int:
-    comp = foliation.components[comp_id]
-    return comp.cycle[0] if comp.cycle else comp.root
+def _component_reference(foliation: FoliationResult) -> np.ndarray:
+    """Per component, its reference node: the cycle anchor, or the root of a
+    dead-end tree (the one node at depth 0 and cycle position 0)."""
+    top = np.flatnonzero(
+        (foliation.depth_to_cycle == 0) & (foliation.entry_position == 0)
+    )
+    ref = np.empty(len(foliation.components), dtype=np.int64)
+    ref[foliation.component_id[top]] = top
+    return ref
+
+
+def _cyclic_successor(order: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Map sending each entry of ``order`` to the next one of its group and
+    the last of a group to its first; ``group`` is sorted along ``order``."""
+    n = len(order)
+    succ = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return succ
+    first = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    last = np.r_[first[1:], n] - 1
+    nxt = np.roll(order, -1)
+    nxt[last] = order[first]
+    succ[order] = nxt
+    return succ
 
 
 def foil_order(
@@ -156,8 +167,8 @@ def foil_order(
         return members
     if use_rls and rls is not None:
         return members[np.argsort(rls.rank[members], kind="stable")]
-    ref = _foil_reference(foliation, int(foliation.foil_component[f]))
-    return _rel_order(members, ref, pattern)
+    ref = _component_reference(foliation)[foliation.foil_component[f]]
+    return members[np.lexsort(_lex_keys(_relative_coords(pattern, members, ref)))]
 
 
 def build_f_perp(
@@ -171,25 +182,26 @@ def build_f_perp(
     Finite-class foils cycle through their members in (relative) lex order;
     components diagnosed as infinite-foil use the royal-line order instead.
     """
-    f = np.arange(foliation.n_points, dtype=np.int64)
-    for fid in range(foliation.n_foils):
-        use_rls = int(foliation.foil_component[fid]) in rls_components
-        order = foil_order(pattern, foliation, fid, rls, use_rls)
-        if len(order) > 1:
-            f[order] = np.roll(order, -1)
-    return f
+    comp = foliation.component_id
+    foil = foliation.foil_id
+    rel = _relative_coords(
+        pattern, np.arange(len(comp)), _component_reference(foliation)[comp]
+    )
+    rank_key: tuple[np.ndarray, ...] = ()
+    if rls is not None and rls_components:
+        by_rank = np.isin(comp, list(rls_components))
+        rel[by_rank] = 0
+        rank_key = (np.where(by_rank, rls.rank, 0),)
+    order = np.lexsort(_lex_keys(rel) + rank_key + (foil,))
+    return _cyclic_successor(order, foil[order])
 
 
 def build_h_dense(foliation: FoliationResult, rls: RlsOrder) -> np.ndarray:
     """Bijection whose orbits are exactly the components: the cyclic
     successor in royal-line rank."""
-    h = np.arange(foliation.n_points, dtype=np.int64)
-    for comp in foliation.components:
-        members = foliation.component_members(comp.id)
-        if len(members) > 1:
-            order = members[np.argsort(rls.rank[members], kind="stable")]
-            h[order] = np.roll(order, -1)
-    return h
+    comp = foliation.component_id
+    order = np.lexsort((rls.rank, comp))
+    return _cyclic_successor(order, comp[order])
 
 
 def build_stable_maps(
@@ -233,15 +245,22 @@ def stable_to_json(table: np.ndarray, role: str) -> str:
     return json.dumps(rows)
 
 
-def orbit(table: np.ndarray, start: int) -> list[int]:
-    """Cycle of ``table`` through ``start``; the table must be a permutation."""
+def orbit(table: np.ndarray, start: int, expect: int | None = None) -> list[int]:
+    """Cycle of ``table`` through ``start``; the table must be a permutation.
+
+    With ``expect`` the cycle must have exactly that many points (the foil or
+    component it is meant to cover).
+    """
+    limit = len(table) if expect is None else expect
     out = [int(start)]
     z = int(table[start])
     while z != start:
+        if len(out) >= limit:
+            raise ConfigError(f"orbit of {start} does not close within {limit} points")
         out.append(z)
         z = int(table[z])
-        if len(out) > len(table):
-            raise ConfigError("orbit exceeds table size; not a permutation")
+    if expect is not None and len(out) != expect:
+        raise ConfigError(f"orbit of {start} has {len(out)} points, expected {expect}")
     return out
 
 
@@ -268,10 +287,10 @@ def foil_windings(
         if np.any(shift_map.censored[members]):
             continue
         start = int(members[0])
-        seq = orbit_restricted(stable.f_perp, start, len(members))
+        seq = orbit(stable.f_perp, start, len(members))
         images = [int(shift_map.image[z]) for z in seq]
         senior_members = foliation.foil_members(senior)
-        sorder = orbit_restricted(stable.f_perp, int(senior_members[0]), len(senior_members))
+        sorder = orbit(stable.f_perp, int(senior_members[0]), len(senior_members))
         pos = {z: i for i, z in enumerate(sorder)}
         m_plus = len(sorder)
         total = 0
@@ -279,17 +298,6 @@ def foil_windings(
             total += (pos[b] - pos[a]) % m_plus
         out.append((fid, total // m_plus if m_plus else 0, m_plus))
     return out
-
-
-def orbit_restricted(table: np.ndarray, start: int, expect: int) -> list[int]:
-    seq = [int(start)]
-    z = int(table[start])
-    while z != start and len(seq) <= expect:
-        seq.append(z)
-        z = int(table[z])
-    if len(seq) != expect:
-        raise ConfigError("orbit does not cover its foil")
-    return seq
 
 
 def check_order_preservation(

@@ -99,6 +99,115 @@ def brute_descendants(image: list[int], n: int) -> list[int]:
     return out
 
 
+def _relative(pattern: PointPattern, x: int, ref: int) -> tuple:
+    """Coordinates of x relative to ref as a tuple: lattice ints on a grid
+    pattern, floats otherwise, reduced modulo the extents on a torus."""
+    u = pattern.metadata.get("grid_shift")
+    out = []
+    for axis, e in enumerate(pattern.domain.extents):
+        a = float(pattern.coords[x][axis])
+        b = float(pattern.coords[ref][axis])
+        if u is None:
+            t = a - b
+            out.append(t % e if pattern.domain.kind == "torus" else t)
+        else:
+            t = round(a - u[axis]) - round(b - u[axis])
+            out.append(t % round(e) if pattern.domain.kind == "torus" else t)
+    return tuple(out)
+
+
+def _cycle_anchor(pattern: PointPattern, cycle: list[int]) -> int:
+    """Canonical first node of a cycle: the lex-least node on a window; on a
+    torus the rotation whose sequence of step displacements is least, then
+    the smallest id."""
+    if pattern.domain.kind != "torus":
+        return min(cycle, key=lambda v: tuple(float(c) for c in pattern.coords[v]))
+    L = len(cycle)
+    steps = [_relative(pattern, cycle[(i + 1) % L], cycle[i]) for i in range(L)]
+    best = min(range(L), key=lambda i: (steps[i:] + steps[:i], cycle[i]))
+    return cycle[best]
+
+
+def _components_with_tops(
+    pattern: PointPattern, image: list[int]
+) -> list[tuple[list[int], list[int]]]:
+    """Per component: its members, and its cycle from the canonical anchor
+    (or [root] of a tree whose walks die)."""
+    out = []
+    for comp in brute_components(image):
+        members = sorted(comp)
+        cycle = brute_cycle(image, members[0])
+        if cycle:
+            a = cycle.index(_cycle_anchor(pattern, cycle))
+            out.append((members, cycle[a:] + cycle[:a]))
+        else:
+            out.append((members, [next(v for v in members if image[v] < 0)]))
+    return out
+
+
+def brute_rls_rank(pattern: PointPattern, image: list[int]) -> list[int]:
+    """Royal-line rank per point: per component, the cycle nodes from the
+    anchor (or the dead-end root), each followed by a depth-first walk of
+    the trees hanging off it, sons in lex order relative to their father."""
+    n = len(image)
+    sons: list[list[int]] = [[] for _ in range(n)]
+    for u, v in enumerate(image):
+        if v >= 0:
+            sons[v].append(u)
+    rank = [-1] * n
+    for _, top in _components_with_tops(pattern, image):
+        on_top = set(top)
+        counter = 0
+        stack = top[::-1]
+        while stack:
+            v = stack.pop()
+            rank[v] = counter
+            counter += 1
+            kids = [u for u in sons[v] if u not in on_top]
+            kids.sort(key=lambda u: (_relative(pattern, u, v), u))
+            stack.extend(kids[::-1])
+    return rank
+
+
+def brute_f_perp(
+    pattern: PointPattern,
+    image: list[int],
+    by_rank: frozenset[int] = frozenset(),
+    rank: list[int] | None = None,
+) -> list[int]:
+    """Foil successor: each foil cycles through its members in lex order of
+    their coordinates relative to the component's anchor or root, or in
+    ``rank`` order for the foils of points in ``by_rank``.
+
+    Two points of a cyclic component share a foil when their N-fold
+    iterates agree; in a tree whose walks die, when they are equally deep."""
+    n = len(image)
+    succ = list(range(n))
+    for members, top in _components_with_tops(pattern, image):
+        ref = top[0]
+        foils: dict[int, list[int]] = {}
+        for v in members:
+            key = iterate(image, v, n) if image[ref] >= 0 else _depth(image, v)
+            foils.setdefault(key, []).append(v)
+        for foil in foils.values():
+            if foil[0] in by_rank:
+                foil.sort(key=lambda v: rank[v])
+            else:
+                foil.sort(key=lambda v: (_relative(pattern, v, ref), v))
+            for a, b in zip(foil, foil[1:] + foil[:1]):
+                succ[a] = b
+    return succ
+
+
+def _depth(image: list[int], v: int) -> int:
+    """Steps from v until its walk dies."""
+    d = 0
+    while image[v] >= 0:
+        v = image[v]
+        d += 1
+    return d
+
+
 def _plain_distance(a, b, dom: Domain) -> float:
     """Distance by scalar float arithmetic, summing squares in axis order
     (the rounding of the package metric in two dimensions, so exact ties

@@ -33,7 +33,7 @@ from foliate.palm import (
 )
 from foliate.patterns import Domain
 from foliate.shifts import ShiftMap, condenser_marks
-from foliate.stable import check_order_preservation, delta, orbit_restricted
+from foliate.stable import check_order_preservation, delta, orbit
 
 EXACT = 1e-12
 
@@ -292,7 +292,7 @@ def test_criterion_7_stable_map_properties(mnn_realizations, next_row_realizatio
             # orbits cover foils and components exactly
             for f in range(fol.n_foils):
                 members = fol.foil_members(f)
-                seq = orbit_restricted(st.f_perp, int(members[0]), len(members))
+                seq = orbit(st.f_perp, int(members[0]), len(members))
                 if set(seq) != {int(v) for v in members}:
                     ok = False
                 if len(members) <= 50:
@@ -311,7 +311,7 @@ def test_criterion_7_stable_map_properties(mnn_realizations, next_row_realizatio
                                 ok = False
             for comp in fol.components:
                 members = fol.component_members(comp.id)
-                seq = orbit_restricted(st.h_dense, int(members[0]), len(members))
+                seq = orbit(st.h_dense, int(members[0]), len(members))
                 if set(seq) != {int(v) for v in members}:
                     ok = False
             if not check_order_preservation(r.pattern, r.shift_map, fol, st):

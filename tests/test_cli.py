@@ -245,25 +245,29 @@ def test_run_is_byte_deterministic(tmp_path):
 
 
 def test_jobs_do_not_change_results(tmp_path):
+    common = [
+        "run", "--model", "poisson", "--intensity", "1", "--window", "30x30",
+        "--buffer", "3", "--shift", "strip", "--seed", "8", "--realizations", "4",
+        "--n-max", "2",
+    ]
+    for jobs in ("1", "2"):
+        assert main(common + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == EXIT_OK
+    for name in ("verify.csv", "verify.json", "stats.csv", "stats.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_realizations_for_keeps_reports_only():
     spec = ExperimentSpec(
         gen=GenSpec("poisson", Domain.torus(20, 20), seed=8, intensity=1.0),
         shift=ShiftKind("mnn"),
-        n_realizations=4,
+        n_realizations=3,
         n_max=2,
     )
-    serial = realizations_for(spec)
-    parallel = realizations_for(
-        ExperimentSpec(
-            gen=spec.gen,
-            shift=spec.shift,
-            n_realizations=4,
-            n_max=2,
-            jobs=2,
-        )
-    )
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.pattern.coords, b.pattern.coords)
-        assert np.array_equal(a.shift_map.image, b.shift_map.image)
+    rows = realizations_for(spec, stats=False)
+    assert [row.components_csv is not None for row in rows] == [True, False, False]
+    for row in rows:
+        assert row.exact_setting and row.stats is None
+        assert all(rep.realizations == 1 for rep in row.verify)
 
 
 def test_ladder_subcommand(tmp_path):
@@ -352,6 +356,21 @@ def test_config_file_driving(tmp_path):
     code = main(["verify", "--config", str(cfg), "--out", str(out)])
     assert code == EXIT_OK
     assert (out / "verify.csv").exists()
+
+
+def test_verify_pattern_takes_shift_from_config(tmp_path):
+    pattern = tmp_path / "p.json"
+    gen = ["generate", "--model", "poisson", "--intensity", "1", "--torus", "15x15"]
+    assert main(gen + ["--seed", "5", "--out", str(pattern)]) == EXIT_OK
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("shift = mnn\n")
+    by_config = tmp_path / "config"
+    by_flag = tmp_path / "flag"
+    code = main(["verify", "--pattern", str(pattern), "--config", str(cfg), "--out", str(by_config)])
+    assert code == EXIT_OK
+    code = main(["verify", "--pattern", str(pattern), "--shift", "mnn", "--out", str(by_flag)])
+    assert code == EXIT_OK
+    assert (by_config / "verify.csv").read_bytes() == (by_flag / "verify.csv").read_bytes()
 
 
 def test_experiment_spec_validation():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from foliate.palm import (
     check_mass_transport,
     column_index_mark,
     evaporation_profile,
+    fold_reports,
     make_report,
     markability_diagnostic,
     palm_mean,
@@ -252,3 +254,53 @@ def test_report_csv_and_json_shape():
     obj = json.loads(reports_json([rep]))
     assert obj["schema_version"] == 1
     assert obj["reports"][0]["name"] == "thing"
+
+
+LIST_LEVEL = {
+    "verify": lambda reals: verify_identities(reals, 3),
+    "transport": lambda reals: [check_mass_transport(ShiftIterateKernel(2), reals)],
+    "palm_mean": lambda reals: [
+        palm_mean(lambda r: r.dstats(2).d[2], reals, name="d2"),
+        palm_mean(
+            lambda r: np.where(r.dstats(1).defined[1], r.dstats(1).l[1], np.nan),
+            reals,
+            name="l1",
+        ),
+    ],
+    "evaporation": lambda reals: evaporation_profile(reals, [1, 2]),
+    "relative_intensity": lambda reals: [relative_intensity_report(reals)],
+}
+
+
+def _window_realizations():
+    """Two strip windows around one whose points are all censored."""
+    strip = [
+        Realization.from_spec(
+            GenSpec("poisson", Domain.window(30, 30, buffer=3.0), seed=s, intensity=1.0),
+            "strip",
+        )
+        for s in (81, 82)
+    ]
+    pat = generate(GenSpec("poisson", Domain.window(10, 10, buffer=1.0), seed=83, intensity=0.5))
+    n = len(pat)
+    sm = ShiftMap("strip", np.full(n, -1, np.int64), np.ones(n, bool))
+    return [strip[0], Realization(pat, sm, foliate(pat, sm)), strip[1]]
+
+
+def test_fold_of_single_reports_equals_list_level(mnn_realizations):
+    for reals in (mnn_realizations[:3], _window_realizations()):
+        exactable = all(r.is_exact_setting for r in reals)
+        for kind, fn in LIST_LEVEL.items():
+            whole = fn(reals)
+            folded = fold_reports([fn([r]) for r in reals], exactable)
+            assert len(folded) == len(whole)
+            for a, b in zip(folded, whole):
+                for f in dataclasses.fields(a):
+                    assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), (
+                        kind,
+                        a.name,
+                        f.name,
+                    )
+    windows = _window_realizations()
+    assert LIST_LEVEL["palm_mean"](windows)[0].dropped == 1
+    assert LIST_LEVEL["relative_intensity"](windows)[0].dropped >= 1

@@ -12,6 +12,7 @@ from foliate.patterns import (
     PointPattern,
     crop,
     distance,
+    distances_to,
     is_censored,
     lex_compare,
     translate,
@@ -21,6 +22,17 @@ from foliate.patterns import (
 def test_distance_identity():
     for dom in (Domain.torus(10, 10), Domain.window(10, 10)):
         assert distance((0.0, 0.0), (0.0, 0.0), dom) == 0.0
+
+
+def test_distance_agrees_with_distances_to_on_grid_pairs():
+    # exact ties must not depend on which metric function is asked
+    from foliate.generators import GenSpec, generate
+
+    pat = generate(GenSpec("bernoulli_grid", Domain.torus(20, 20), seed=0, p=0.5))
+    coords = pat.coords
+    for j in range(len(pat)):
+        row = distances_to(coords, coords[j], pat.domain)
+        assert [distance(c, coords[j], pat.domain) for c in coords] == row.tolist()
 
 
 def test_distance_torus_wraps():

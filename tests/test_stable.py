@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_map_pattern
+from oracles import brute_f_perp, brute_rls_rank, random_map_pattern
 
 from foliate.foliation import foliate
 from foliate.generators import GenSpec, generate
@@ -20,6 +20,42 @@ from foliate.stable import (
     orbit,
     stable_to_json,
 )
+
+ORACLE_CASES = {
+    "grid_torus_next_row": (
+        GenSpec("bernoulli_grid", Domain.torus(24, 30), seed=71, p=0.5),
+        "next_row",
+    ),
+    "window_strip": (
+        GenSpec("poisson", Domain.window(30, 30, buffer=3.0), seed=72, intensity=1.0),
+        "strip",
+    ),
+    "window_condenser": (
+        GenSpec("poisson", Domain.window(1200.0, buffer=2.0), seed=73, intensity=0.5),
+        "condenser",
+    ),
+    "torus_mnn": (
+        GenSpec("poisson", Domain.torus(25, 25), seed=74, intensity=1.0),
+        "mnn",
+    ),
+    # mnn foils are singletons; a random map on a Poisson torus exercises
+    # float coordinates taken modulo the extents
+    "torus_random_map": (
+        GenSpec("poisson", Domain.torus(15, 15), seed=75, intensity=1.0),
+        None,
+    ),
+}
+
+
+def oracle_case(case):
+    spec, shift = ORACLE_CASES[case]
+    pat = generate(spec)
+    if shift is None:
+        image = np.random.default_rng(75).integers(0, len(pat), len(pat))
+        sm = ShiftMap("mnn", image, np.zeros(len(pat), bool))
+    else:
+        sm = evaluate(pat, shift)
+    return pat, sm
 
 EX_IMAGE = [1, 2, 1, 1]  # a -> b, b -> c, c -> b, d -> b with lex a < b < c < d
 
@@ -197,6 +233,29 @@ def test_f_perp_delta_identity(image):
             for _ in range(k):
                 z = int(st_maps.f_perp[z])
             assert z == int(y)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_stable_maps_match_brute_force(case):
+    pat, sm = oracle_case(case)
+    fol = foliate(pat, sm)
+    image = sm.image.tolist()
+    st_maps = build_stable_maps(pat, sm, fol)
+    rank = brute_rls_rank(pat, image)
+    assert st_maps.rls.rank.tolist() == rank
+    assert st_maps.f_perp.tolist() == brute_f_perp(pat, image)
+    h = list(range(len(image)))
+    for comp in fol.components:
+        members = sorted(fol.component_members(comp.id).tolist(), key=rank.__getitem__)
+        for a, b in zip(members, members[1:] + members[:1]):
+            h[a] = b
+    assert st_maps.h_dense.tolist() == h
+    # foils of every other component keyed by royal-line rank instead
+    by_rank = {c.id for c in fol.components if c.id % 2 == 0}
+    points = frozenset(np.flatnonzero(np.isin(fol.component_id, list(by_rank))).tolist())
+    assert build_f_perp(pat, fol, st_maps.rls, by_rank).tolist() == brute_f_perp(
+        pat, image, points, rank
+    )
 
 
 def test_rls_f_perp_mode_on_censored_tree():
