@@ -109,25 +109,33 @@ def reduce_realization(
     )
 
 
-def _reduce_indexed(task: tuple[ExperimentSpec, int, bool, bool]) -> RealizationReports:
-    spec, index, verify, stats = task
+def _reduce_indexed(
+    task: tuple[ExperimentSpec, int, bool, bool, bool]
+) -> RealizationReports:
+    spec, index, verify, stats, files = task
     return reduce_realization(
         build_realization(spec, index),
         spec.n_max,
         verify=verify,
         stats=stats,
-        components=index == 0,
-        pattern=spec.save_patterns,
+        components=files and index == 0,
+        pattern=files and spec.save_patterns,
     )
 
 
 def realizations_for(
-    spec: ExperimentSpec, *, verify: bool = True, stats: bool = True
+    spec: ExperimentSpec,
+    *,
+    verify: bool = True,
+    stats: bool = True,
+    files: bool = False,
 ) -> list[RealizationReports]:
     """Every realization's reports, in index order regardless of the worker
     count.  Each realization is built, reduced to its reports and dropped
-    in the process that builds it, so one is alive per process at a time."""
-    tasks = [(spec, i, verify, stats) for i in range(spec.n_realizations)]
+    in the process that builds it, so one is alive per process at a time.
+    With ``files`` the rows also carry the text of ``run``'s components CSV
+    (realization 0) and pattern files (under ``save_patterns``)."""
+    tasks = [(spec, i, verify, stats, files) for i in range(spec.n_realizations)]
     if spec.jobs == 1 or spec.n_realizations == 1:
         return [_reduce_indexed(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
@@ -401,7 +409,7 @@ def run(spec: ExperimentSpec) -> int:
     Writes the same files the staged subcommands would; returns the exit
     status (0 unless an exact identity fails on exact-setting data)."""
     out = Path(spec.out) if spec.out else None
-    rows = realizations_for(spec, stats=out is not None)
+    rows = realizations_for(spec, stats=out is not None, files=out is not None)
     reports = fold(rows, "verify")
     failures = exact_failures(reports, all(row.exact_setting for row in rows))
     if out is not None:

@@ -229,13 +229,10 @@ def _identity_values(r: Realization, n: int) -> dict[str, float]:
     mean_d = float(d.sum()) / N
     inv_l = math.fsum(1.0 / l[ok]) / N
     image_frac = float(np.unique(ds.images[n][ok]).size) / N
-    # sum(l^2) and sum(d^3) are at most N^3, so int64 is exact below 2^21
-    # points; larger patterns sum in Python integers
-    wide = np.int64 if N < 2**21 else object
     sum_l = int(l[ok].sum())
     sum_d2 = int((d * d).sum())
-    sum_l2 = int((l[ok].astype(wide) ** 2).sum())
-    sum_d3 = int((d.astype(wide) ** 3).sum())
+    sum_l2 = int((l[ok].astype(object) ** 2).sum())
+    sum_d3 = int((d.astype(object) ** 3).sum())
     n_pos = int((d > 0).sum())
     cond = (float(d.sum()) / n_pos) * inv_l if n_pos else float("nan")
     return {

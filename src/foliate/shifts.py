@@ -81,21 +81,14 @@ class ShiftMap:
         return float(self.censored.sum() / n) if n else 0.0
 
     def iterate(self, n: int) -> np.ndarray:
-        """n-fold composition; -1 wherever the walk hits a censored point.
-
-        Pointer doubling: O(N log n).  The tables carry a trailing -1 entry,
-        so indexing with -1 stays at -1.
-        """
-        result = np.append(np.arange(len(self), dtype=np.int64), -1)
-        power = np.append(self.image, -1)
-        k = max(int(n), 0)
-        while k:
-            if k & 1:
-                result = power[result]
-            k >>= 1
-            if k:
-                power = power[power]
-        return result[:-1]
+        """n-fold composition; -1 wherever the walk hits a censored point."""
+        fn = np.arange(len(self), dtype=np.int64)
+        for _ in range(n):
+            ok = fn >= 0
+            nxt = np.full_like(fn, -1)
+            nxt[ok] = self.image[fn[ok]]
+            fn = nxt
+        return fn
 
     def to_json(self) -> str:
         rows = [

@@ -154,6 +154,25 @@ def _cyclic_successor(order: np.ndarray, group: np.ndarray) -> np.ndarray:
     return succ
 
 
+def _foil_keys(
+    pattern: PointPattern,
+    foliation: FoliationResult,
+    ids: np.ndarray,
+    rls: RlsOrder | None = None,
+    rls_components: frozenset[int] | set[int] = frozenset(),
+) -> tuple[np.ndarray, ...]:
+    """``np.lexsort`` keys of the cyclic order of points ``ids`` inside their
+    foils: coordinates relative to the component reference (the cycle anchor
+    or the root), or royal-line rank on the components in ``rls_components``."""
+    comp = foliation.component_id[ids]
+    rel = _relative_coords(pattern, ids, _component_reference(foliation)[comp])
+    if rls is None or not rls_components:
+        return _lex_keys(rel)
+    by_rank = np.isin(comp, list(rls_components))
+    rel[by_rank] = 0
+    return _lex_keys(rel) + (np.where(by_rank, rls.rank[ids], 0),)
+
+
 def foil_order(
     pattern: PointPattern,
     foliation: FoliationResult,
@@ -165,10 +184,8 @@ def foil_order(
     members = foliation.foil_members(f)
     if len(members) <= 1:
         return members
-    if use_rls and rls is not None:
-        return members[np.argsort(rls.rank[members], kind="stable")]
-    ref = _component_reference(foliation)[foliation.foil_component[f]]
-    return members[np.lexsort(_lex_keys(_relative_coords(pattern, members, ref)))]
+    comps = {int(foliation.foil_component[f])} if use_rls else frozenset()
+    return members[np.lexsort(_foil_keys(pattern, foliation, members, rls, comps))]
 
 
 def build_f_perp(
@@ -182,17 +199,9 @@ def build_f_perp(
     Finite-class foils cycle through their members in (relative) lex order;
     components diagnosed as infinite-foil use the royal-line order instead.
     """
-    comp = foliation.component_id
     foil = foliation.foil_id
-    rel = _relative_coords(
-        pattern, np.arange(len(comp)), _component_reference(foliation)[comp]
-    )
-    rank_key: tuple[np.ndarray, ...] = ()
-    if rls is not None and rls_components:
-        by_rank = np.isin(comp, list(rls_components))
-        rel[by_rank] = 0
-        rank_key = (np.where(by_rank, rls.rank, 0),)
-    order = np.lexsort(_lex_keys(rel) + rank_key + (foil,))
+    keys = _foil_keys(pattern, foliation, np.arange(len(foil)), rls, rls_components)
+    order = np.lexsort(keys + (foil,))
     return _cyclic_successor(order, foil[order])
 
 

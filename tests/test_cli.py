@@ -264,10 +264,13 @@ def test_realizations_for_keeps_reports_only():
         n_max=2,
     )
     rows = realizations_for(spec, stats=False)
-    assert [row.components_csv is not None for row in rows] == [True, False, False]
     for row in rows:
         assert row.exact_setting and row.stats is None
+        assert row.components_csv is None and row.pattern_json is None
         assert all(rep.realizations == 1 for rep in row.verify)
+    rows = realizations_for(spec, verify=False, files=True)
+    assert [row.components_csv is not None for row in rows] == [True, False, False]
+    assert all(row.verify is None and row.pattern_json is None for row in rows)
 
 
 def test_ladder_subcommand(tmp_path):

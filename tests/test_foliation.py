@@ -7,7 +7,6 @@ from oracles import (
     brute_cycle,
     brute_descendants,
     brute_foils,
-    iterate,
     random_map_pattern,
 )
 
@@ -163,23 +162,6 @@ def test_primeval_censored_uses_iterates():
     ps = primeval_set(make_map([1, 2, -1, 1]), n_max=2)
     assert ps.order_used == 2
     assert ps.ids.tolist() == [2]
-
-
-@st.composite
-def partial_maps(draw):
-    n = draw(st.integers(min_value=1, max_value=12))
-    return [draw(st.integers(min_value=-1, max_value=n - 1)) for _ in range(n)]
-
-
-@given(partial_maps(), st.integers(min_value=0, max_value=40))
-@settings(max_examples=300, deadline=None)
-def test_iterate_by_doubling_matches_naive(image, k):
-    sm = make_map(image)
-    naive = [iterate(image, x, k) for x in range(len(image))]
-    assert sm.iterate(k).tolist() == naive
-    if not sm.is_total:
-        ps = primeval_set(sm, n_max=k)
-        assert ps.ids.tolist() == sorted({z for z in naive if z >= 0})
 
 
 @st.composite

@@ -258,6 +258,20 @@ def test_stable_maps_match_brute_force(case):
     )
 
 
+@pytest.mark.parametrize("case", ["grid_torus_next_row", "window_strip"])
+def test_foil_order_follows_f_perp(case):
+    pat, sm = oracle_case(case)
+    fol = foliate(pat, sm)
+    st_maps = build_stable_maps(pat, sm, fol)
+    by_rank = {c.id for c in fol.components if c.id % 2 == 0}
+    rank_perp = build_f_perp(pat, fol, st_maps.rls, by_rank)
+    for f in range(fol.n_foils):
+        use_rls = int(fol.foil_component[f]) in by_rank
+        for table, rls in ((st_maps.f_perp, None), (rank_perp, st_maps.rls)):
+            members = foil_order(pat, fol, f, rls, use_rls).tolist()
+            assert orbit(table, members[0], len(members)) == members
+
+
 def test_rls_f_perp_mode_on_censored_tree():
     # condenser-style tree rooted at a dead end; RLS-mode foil successor
     image = [2, 2, 4, 4, -1, 4]
