@@ -16,11 +16,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
-from .foliation import foliate, ladder_diagnostic
-from .generators import GenSpec, generate, read_config, spec_from_config
+from .foliation import check_fractions, foliate, ladder_diagnostic
+from .generators import GenSpec, convert, generate, read_config, spec_from_config
 from .palm import (
     Realization,
     ShiftIterateKernel,
@@ -62,12 +63,7 @@ class ExperimentSpec:
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.fractions is not None:
-            fr = tuple(float(f) for f in self.fractions)
-            if any(b <= a for a, b in zip(fr, fr[1:])) or not all(
-                0 < f <= 1 for f in fr
-            ):
-                raise ConfigError("fractions must be strictly increasing in (0, 1]")
-            object.__setattr__(self, "fractions", fr)
+            object.__setattr__(self, "fractions", check_fractions(self.fractions))
 
 
 def seed_for(spec: ExperimentSpec, index: int) -> int:
@@ -253,71 +249,71 @@ def _read_conf(args: argparse.Namespace) -> dict:
     return {}
 
 
+def _setting(
+    args: argparse.Namespace,
+    conf: dict,
+    key: str,
+    default: Any = None,
+    to: Callable[[Any], Any] | None = None,
+) -> Any:
+    """A setting from its flag, else the config file, else ``default``.
+
+    Only ``None`` counts as unset, so an explicit 0 is kept.  ``to``
+    converts the value; one that does not convert is a config error.
+    """
+    val = getattr(args, key, None)
+    if val is None:
+        val = conf.get(key, default)
+    return val if to is None or val is None else convert(val, to, key)
+
+
 def _shift_kind(args: argparse.Namespace, conf: dict) -> ShiftKind:
     """The shift from the flags, falling back to the config file."""
-    shift = getattr(args, "shift", None) or conf.get("shift")
+    shift = _setting(args, conf, "shift", to=str)
     if shift is None:
         raise ConfigError("a shift is required (--shift)")
     return ShiftKind(
-        str(shift),
-        ball_radius=float(getattr(args, "ball_radius", None) or conf.get("ball_radius", 1.0)),
-        condenser_metric=str(
-            getattr(args, "condenser_metric", None)
-            or conf.get("condenser_metric", "euclidean")
-        ),
+        shift,
+        ball_radius=_setting(args, conf, "ball_radius", 1.0, float),
+        condenser_metric=_setting(args, conf, "condenser_metric", "euclidean", str),
     )
 
 
 def _resolve_seed(args: argparse.Namespace, conf: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    if "seed" in conf:
-        return int(conf["seed"])
-    env = os.environ.get("FOLIATE_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    return _setting(args, conf, "seed", os.environ.get("FOLIATE_SEED", 0), int)
 
 
 def _gen_spec(args: argparse.Namespace, conf: dict) -> GenSpec:
     conf = dict(conf)
-    if getattr(args, "model", None):
-        conf["model"] = args.model
     if getattr(args, "torus", None):
         conf["domain"] = TORUS
         conf["extents"] = args.torus
     if getattr(args, "window", None):
         conf["domain"] = WINDOW
         conf["extents"] = args.window
-    if getattr(args, "buffer", None) is not None:
-        conf["buffer"] = args.buffer
-    for key in ("intensity", "p", "parent_intensity", "mark_intensity"):
+    for key in ("model", "buffer", "intensity", "p", "parent_intensity", "mark_intensity",
+                "mark_circle_radius"):
         val = getattr(args, key, None)
         if val is not None:
             conf[key] = val
-    if getattr(args, "mark_radius", None) is not None:
-        conf["mark_circle_radius"] = args.mark_radius
     conf["seed"] = _resolve_seed(args, conf)
     return spec_from_config(conf)
 
 
+def _fractions(text: str) -> tuple[float, ...]:
+    return tuple(float(f) for f in str(text).split(","))
+
+
 def _experiment_spec(args: argparse.Namespace) -> ExperimentSpec:
     conf = _read_conf(args)
-    gen = _gen_spec(args, conf)
-    kind = _shift_kind(args, conf)
-    fractions = getattr(args, "fractions", None) or conf.get("fractions")
-    if isinstance(fractions, str):
-        fractions = tuple(float(f) for f in fractions.split(","))
     return ExperimentSpec(
-        gen=gen,
-        shift=kind,
-        n_realizations=int(
-            getattr(args, "realizations", None) or conf.get("realizations", 1)
-        ),
-        n_max=int(getattr(args, "n_max", None) or conf.get("n_max", 3)),
-        fractions=fractions,
-        out=getattr(args, "out", None) or conf.get("out"),
-        jobs=int(getattr(args, "jobs", None) or conf.get("jobs", 1)),
+        gen=_gen_spec(args, conf),
+        shift=_shift_kind(args, conf),
+        n_realizations=_setting(args, conf, "realizations", 1, int),
+        n_max=_setting(args, conf, "n_max", 3, int),
+        fractions=_setting(args, conf, "fractions", to=_fractions),
+        out=_setting(args, conf, "out"),
+        jobs=_setting(args, conf, "jobs", 1, int),
         save_patterns=bool(getattr(args, "save_patterns", False)),
     )
 
@@ -360,10 +356,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.pattern:
         conf = _read_conf(args)
         real = Realization.build(_load_pattern(args.pattern), _shift_kind(args, conf))
-        n_max = int(args.n_max or conf.get("n_max", 3))
+        n_max = _setting(args, conf, "n_max", 3, int)
+        if n_max < 1:
+            raise ConfigError("n_max must be >= 1")
         rows = [reduce_realization(real, n_max, verify=True, stats=False)]
         del real  # only the reports outlive the reduction, as in realizations_for
-        out = args.out or conf.get("out")
+        out = _setting(args, conf, "out")
     else:
         spec = _experiment_spec(args)
         rows = realizations_for(spec, stats=False)
@@ -444,7 +442,7 @@ def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=float)
     p.add_argument("--parent-intensity", dest="parent_intensity", type=float)
     p.add_argument("--mark-intensity", dest="mark_intensity", type=float)
-    p.add_argument("--mark-radius", dest="mark_radius", type=float)
+    p.add_argument("--mark-radius", dest="mark_circle_radius", type=float)
     p.add_argument("--seed", type=int, help="base seed (FOLIATE_SEED as fallback)")
 
 

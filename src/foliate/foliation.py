@@ -8,6 +8,14 @@ their iterated images coincide, which reduces to an arithmetic key
 walks die at a censored point are trees hanging off that dead end; there
 the key degenerates to the distance to the root and the foliation is
 flagged non-authoritative.
+
+The structure comes from one whole-array pass of pointer jumping (Wyllie's
+list ranking) in which a dead end is a fixed point, so trees and cyclic
+components go through the same code.  Squaring the successor map finds the
+cycle nodes; jumping with the cycle nodes as terminals gives each point's
+depth and entry node; jumping round the cycles labels each by its least id;
+and jumping to the cycle anchors gives the positions round each cycle.  No
+Python loop runs over points, cycles or foils.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import TORUS, ConfigError, PointPattern, crop
+from .patterns import TORUS, ConfigError, PointPattern, crop, lattice_coords
 from .shifts import ShiftKind, ShiftMap, evaluate
 
 CLASS_FF = "FF"
@@ -28,116 +36,76 @@ CLASS_II = "II_diagnostic"
 CLASS_UNKNOWN = "Unknown"
 
 
-def _walk_structure(image: np.ndarray):
-    """Label components by pointer chasing.
+def _jump(ptr: np.ndarray, val: np.ndarray, op, rounds: int):
+    """Pointer jumping (Wyllie's list ranking), ``rounds`` doublings.
 
-    Returns (comp, depth, entry, cycles, roots): per-point arrays plus, per
-    component, its directed cycle (possibly empty) and its dead-end root
-    (-1 when the component is cyclic).
-    """
+    Afterwards ``ptr[x]`` is the 2**rounds-th successor of x, or the terminal
+    (``ptr[t] == t``) its walk stops at, and ``val[x]`` folds ``op`` over the
+    values on the way (neutral at terminals)."""
+    for _ in range(rounds):
+        val = op(val, val[ptr])
+        ptr = ptr[ptr]
+    return ptr, val
+
+
+def _trees(image: np.ndarray):
+    """(succ, on_cycle, depth, entry) of a partial map: the successor map
+    with dead ends as fixed points, whether each point lies on a cycle (a
+    dead end is one), its steps to that cycle, and the node where it enters.
+
+    The cycle nodes are the image of succ^(2^r) for 2^r > N."""
     n = len(image)
-    comp = np.full(n, -1, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
-    entry = np.zeros(n, dtype=np.int64)
-    state = np.zeros(n, dtype=np.int8)  # 0 new, 1 on path, 2 done
-    pathpos = np.full(n, -1, dtype=np.int64)
-    cycles: list[tuple[int, ...]] = []
-    roots: list[int] = []
-
-    for s in range(n):
-        if state[s] != 0:
-            continue
-        path: list[int] = []
-        x = s
-        while True:
-            if state[x] == 0:
-                state[x] = 1
-                pathpos[x] = len(path)
-                path.append(x)
-                nxt = int(image[x])
-                if nxt < 0:
-                    c = len(cycles)
-                    cycles.append(())
-                    roots.append(x)
-                    last = len(path) - 1
-                    for j, y in enumerate(path):
-                        comp[y] = c
-                        depth[y] = last - j
-                        entry[y] = 0
-                        state[y] = 2
-                    break
-                x = nxt
-            elif state[x] == 1:
-                i = int(pathpos[x])
-                c = len(cycles)
-                cycles.append(tuple(path[i:]))
-                roots.append(-1)
-                for k, y in enumerate(path[i:]):
-                    comp[y] = c
-                    depth[y] = 0
-                    entry[y] = k
-                    state[y] = 2
-                for j in range(i - 1, -1, -1):
-                    y = path[j]
-                    comp[y] = c
-                    depth[y] = i - j
-                    entry[y] = 0
-                    state[y] = 2
-                break
-            else:
-                c = int(comp[x])
-                bd = int(depth[x])
-                be = int(entry[x])
-                m = len(path)
-                for j, y in enumerate(path):
-                    comp[y] = c
-                    depth[y] = bd + (m - j)
-                    entry[y] = be
-                    state[y] = 2
-                break
-    return comp, depth, entry, cycles, roots
+    ids = np.arange(n, dtype=np.int64)
+    succ = np.where(image < 0, ids, image)
+    far = succ
+    for _ in range(n.bit_length()):
+        far = far[far]
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[far] = True
+    del far
+    terminal = np.where(on_cycle, ids, succ)
+    entry, depth = _jump(terminal, (~on_cycle).astype(np.int64), np.add, n.bit_length())
+    return succ, on_cycle, depth, entry
 
 
-def _canonical_cycle_anchor(cycle: tuple[int, ...], pattern: PointPattern) -> int:
-    """Index within the cycle list to rotate to the front.
+def _step_rank(pattern: PointPattern, cyc: np.ndarray, succ: np.ndarray) -> np.ndarray:
+    """Rank, in tuple order, of the row each cycle node is anchored by.
 
-    On a window: the lexicographically least node.  On a torus absolute
-    coordinates wrap under translation, so the anchor is chosen from the
-    rotation-minimal sequence of step displacements, which is translation
-    covariant; grid patterns use exact integer lattice displacements, and
-    fully symmetric cycles (astronomically unlikely off hand-built inputs)
-    fall back to the smallest id.
+    On a window the row is the node's coordinates.  On a torus absolute
+    coordinates wrap under translation, so it is the step displacement to
+    the node's image: translation covariant, in exact lattice ints on grids.
     """
-    from .patterns import lattice_coords
-
-    L = len(cycle)
-    if L <= 1:
-        return 0
-    coords = pattern.coords
     if pattern.domain.kind != TORUS:
-        rows = coords[list(cycle)]
-        return int(np.lexsort(tuple(rows.T[::-1]))[0])
-    lattice = lattice_coords(pattern)
-    if lattice is not None:
-        ext_i = np.asarray(pattern.domain.extents, dtype=np.int64)
-        disp = [
-            tuple((lattice[cycle[(i + 1) % L]] - lattice[cycle[i]]) % ext_i)
-            for i in range(L)
-        ]
+        rows = pattern.coords[cyc]
     else:
-        ext = np.asarray(pattern.domain.extents)
-        disp = [
-            tuple((coords[cycle[(i + 1) % L]] - coords[cycle[i]]) % ext)
-            for i in range(L)
-        ]
-    candidates = list(range(L))
-    for offset in range(L):
-        vals = [disp[(c + offset) % L] for c in candidates]
-        best = min(vals)
-        candidates = [c for c, v in zip(candidates, vals) if v == best]
-        if len(candidates) == 1:
-            return candidates[0]
-    return min(candidates, key=lambda c: cycle[c])
+        lattice = lattice_coords(pattern)
+        p = pattern.coords if lattice is None else lattice
+        rows = (p[succ[cyc]] - p[cyc]) % np.asarray(pattern.domain.extents, dtype=p.dtype)
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def _anchors(rank: np.ndarray, csucc: np.ndarray, group: np.ndarray, rounds: int):
+    """Per cycle (``group``), the node whose sequence of ranks along ``csucc``
+    is least, or the least-id one on a fully symmetric cycle.
+
+    Each round keeps, per cycle, the candidates whose rank at the current
+    offset is least and advances them one step; ``rounds`` is the longest
+    cycle's length."""
+    cand = cur = np.argsort(group, kind="stable")
+    for _ in range(rounds):
+        start = np.flatnonzero(_run_starts(group[cand]))
+        if len(start) == len(cand):
+            break
+        val = rank[cur]
+        best = np.repeat(np.minimum.reduceat(val, start), np.diff(np.r_[start, len(cand)]))
+        keep = val == best
+        cand, cur = cand[keep], csucc[cur[keep]]
+    return cand[_run_starts(group[cand])]
+
+
+def _run_starts(g: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in ``g``."""
+    return np.r_[True, g[1:] != g[:-1]][: len(g)]
 
 
 @dataclass(frozen=True)
@@ -177,30 +145,20 @@ class FoliationResult:
         return len(self.foil_size)
 
     def foil_members(self, f: int) -> np.ndarray:
-        order = self._foil_order()
-        lo = np.searchsorted(self.foil_id[order], f, side="left")
-        hi = np.searchsorted(self.foil_id[order], f, side="right")
-        return order[lo:hi]
+        return self._members("_foil_slices", self.foil_id, self.n_foils, f)
 
     def component_members(self, c: int) -> np.ndarray:
-        order = self._comp_order()
-        lo = np.searchsorted(self.component_id[order], c, side="left")
-        hi = np.searchsorted(self.component_id[order], c, side="right")
-        return order[lo:hi]
+        return self._members("_comp_slices", self.component_id, len(self.components), c)
 
-    def _foil_order(self) -> np.ndarray:
-        if not hasattr(self, "_foil_order_cache"):
-            object.__setattr__(
-                self, "_foil_order_cache", np.argsort(self.foil_id, kind="stable")
-            )
-        return self._foil_order_cache
-
-    def _comp_order(self) -> np.ndarray:
-        if not hasattr(self, "_comp_order_cache"):
-            object.__setattr__(
-                self, "_comp_order_cache", np.argsort(self.component_id, kind="stable")
-            )
-        return self._comp_order_cache
+    def _members(self, cache: str, labels: np.ndarray, n_labels: int, i: int) -> np.ndarray:
+        """Points labelled ``i``, in id order: a slice of the stable order of
+        ``labels``, cached with the label offsets on first use."""
+        if not hasattr(self, cache):
+            bounds = np.zeros(n_labels + 1, dtype=np.int64)
+            np.cumsum(np.bincount(labels, minlength=n_labels), out=bounds[1:])
+            object.__setattr__(self, cache, (np.argsort(labels, kind="stable"), bounds))
+        order, bounds = getattr(self, cache)
+        return order[bounds[i] : bounds[i + 1]]
 
     def classes(self, ladder: "LadderReport | None" = None) -> tuple[str, ...]:
         return classify(self, ladder)
@@ -244,64 +202,65 @@ def foliate(pattern: PointPattern, shift_map: ShiftMap) -> FoliationResult:
     if len(pattern) != len(shift_map):
         raise ConfigError("pattern and shift map sizes differ")
     n = len(shift_map)
-    comp, depth, entry, cycles, roots = _walk_structure(shift_map.image)
+    image = shift_map.image
+    succ, on_cycle, depth, entry = _trees(image)
+
+    # the cycle nodes (dead ends included) get local indices 0..m-1; each
+    # cycle is labelled by its least id, and the components, found by the
+    # cycle their points enter, are numbered by their least member
+    cyc = np.flatnonzero(on_cycle)
+    m = len(cyc)
+    local = np.empty(n, dtype=np.int64)
+    local[cyc] = np.arange(m)
+    csucc = local[succ[cyc]]
+    _, label = _jump(csucc, cyc, np.minimum, m.bit_length())
+    _, first, comp = np.unique(label[local[entry]], return_index=True, return_inverse=True)
+    comp = np.argsort(np.argsort(first))[comp.reshape(-1)]
+    n_comp = len(first)
+    ccomp = comp[cyc]
+    dead = image[cyc] < 0
+    lengths = np.bincount(ccomp[~dead], minlength=n_comp)
+    roots = np.full(n_comp, -1, dtype=np.int64)
+    roots[ccomp[dead]] = cyc[dead]
 
     # rotate every cycle to its canonical anchor so entry positions are
-    # deterministic and, on a torus, translation covariant
-    shifts = np.zeros(len(cycles), dtype=np.int64)
-    lengths = np.zeros(len(cycles), dtype=np.int64)
-    rotated: list[tuple[int, ...]] = []
-    for c, cyc in enumerate(cycles):
-        lengths[c] = len(cyc)
-        if len(cyc) > 1:
-            a = _canonical_cycle_anchor(cyc, pattern)
-            shifts[c] = a
-            rotated.append(cyc[a:] + cyc[:a])
-        else:
-            rotated.append(cyc)
-    cyclic = lengths[comp] > 0
-    if n:
-        adj = np.zeros(n, dtype=np.int64)
-        adj[cyclic] = (entry[cyclic] - shifts[comp[cyclic]]) % lengths[comp[cyclic]]
-        entry = np.where(cyclic, adj, entry)
+    # deterministic and, on a torus, translation covariant: a cycle node's
+    # position is its number of steps from the anchor
+    anchor = np.zeros(m, dtype=bool)
+    rank = _step_rank(pattern, cyc, succ)
+    anchor[_anchors(rank, csucc, ccomp, int(lengths.max(initial=0)))] = True
+    terminal = np.where(anchor, np.arange(m), csucc)
+    _, to_anchor = _jump(terminal, (~anchor).astype(np.int64), np.add, m.bit_length())
+    clen = np.maximum(lengths[ccomp], 1)
+    cpos = (clen - to_anchor) % clen
+    entry = cpos[local[entry]]
 
-    key = np.where(
-        cyclic,
-        (entry - depth) % np.maximum(lengths[comp], 1),
-        depth,
-    )
-
+    plen = lengths[comp]
+    key = np.where(plen > 0, (entry - depth) % np.maximum(plen, 1), depth)
     pairs = comp * (n + 1) + key  # key < n+1 always
     uniq, foil_id = np.unique(pairs, return_inverse=True)
     foil_component = (uniq // (n + 1)).astype(np.int64)
     foil_key = (uniq % (n + 1)).astype(np.int64)
     foil_size = np.bincount(foil_id, minlength=len(uniq)).astype(np.int64)
 
-    lookup = {(int(c), int(k)): f for f, (c, k) in enumerate(zip(foil_component, foil_key))}
-    senior = np.full(len(uniq), -1, dtype=np.int64)
-    for f in range(len(uniq)):
-        c = int(foil_component[f])
-        k = int(foil_key[f])
-        if lengths[c] > 0:
-            senior[f] = lookup[(c, (k + 1) % int(lengths[c]))]
-        elif k > 0:
-            senior[f] = lookup[(c, k - 1)]
+    # the senior foil holds the images: the next key round a cycle, one
+    # step nearer the root in a dead-end tree
+    flen = lengths[foil_component]
+    target = np.where(flen > 0, (foil_key + 1) % np.maximum(flen, 1), foil_key - 1)
+    code = np.searchsorted(uniq, foil_component * (n + 1) + target)
+    senior = np.where((flen > 0) | (foil_key > 0), code, -1)
 
-    comp_sizes = np.bincount(comp, minlength=len(cycles)) if n else np.zeros(0, int)
-    comp_censored = np.zeros(len(cycles), dtype=bool)
-    if n:
-        np.logical_or.at(comp_censored, comp[shift_map.censored], True)
-    foil_counts = np.bincount(foil_component, minlength=len(cycles))
+    cycles = cyc[~dead][np.lexsort((cpos[~dead], ccomp[~dead]))].tolist()
+    columns = zip(
+        np.bincount(comp, minlength=n_comp).tolist(),
+        np.cumsum(lengths).tolist(),
+        lengths.tolist(),
+        roots.tolist(),
+        np.bincount(foil_component, minlength=n_comp).tolist(),
+    )
     components = tuple(
-        ComponentInfo(
-            id=c,
-            size=int(comp_sizes[c]),
-            cycle=rotated[c],
-            root=int(roots[c]),
-            censored=bool(comp_censored[c]),
-            n_foils=int(foil_counts[c]),
-        )
-        for c in range(len(cycles))
+        ComponentInfo(c, size, tuple(cycles[end - length : end]), root, root >= 0, foils)
+        for c, (size, end, length, root, foils) in enumerate(columns)
     )
     return FoliationResult(
         component_id=comp,
@@ -371,9 +330,8 @@ def primeval_set(shift_map: ShiftMap, n_max: int | None = None) -> PrimevalSet:
     used.
     """
     if shift_map.is_total:
-        _, _, _, cycles, _ = _walk_structure(shift_map.image)
-        ids = np.array(sorted(x for cyc in cycles for x in cyc), dtype=np.int64)
-        return PrimevalSet(ids=ids, order_used=None)
+        on_cycle = _trees(shift_map.image)[1]
+        return PrimevalSet(ids=np.flatnonzero(on_cycle).astype(np.int64), order_used=None)
     if n_max is None:
         n_max = len(shift_map)
     imgs = shift_map.iterate(n_max)
@@ -387,15 +345,8 @@ def classify(
     """Class per component: finite non-censored components are exactly FF;
     censored components take the ladder diagnosis when one is supplied and
     are Unknown otherwise."""
-    out = []
-    for comp in foliation.components:
-        if not comp.censored:
-            out.append(CLASS_FF)
-        elif ladder is not None:
-            out.append(ladder.class_)
-        else:
-            out.append(CLASS_UNKNOWN)
-    return tuple(out)
+    censored = CLASS_UNKNOWN if ladder is None else ladder.class_
+    return tuple(censored if comp.censored else CLASS_FF for comp in foliation.components)
 
 
 @dataclass(frozen=True)
@@ -455,6 +406,19 @@ class LadderReport:
         return out.getvalue()
 
 
+def check_fractions(fractions) -> tuple[float, ...]:
+    """The nested-core fractions as floats: at least two, strictly
+    increasing, each in (0, 1]."""
+    fr = tuple(float(f) for f in fractions)
+    if (
+        len(fr) < 2
+        or any(b <= a for a, b in zip(fr, fr[1:]))
+        or not all(0.0 < f <= 1.0 for f in fr)
+    ):
+        raise ConfigError("fractions must be >= 2 strictly increasing values in (0, 1]")
+    return fr
+
+
 def ladder_diagnostic(
     pattern: PointPattern,
     kind: ShiftKind | str,
@@ -463,11 +427,7 @@ def ladder_diagnostic(
     foil_threshold: float = 0.1,
 ) -> LadderReport:
     """Analyze the same realization on nested centered cores and fit growth."""
-    fr = tuple(float(f) for f in fractions)
-    if len(fr) < 2 or any(b <= a for a, b in zip(fr, fr[1:])):
-        raise ConfigError("fractions must be strictly increasing")
-    if not all(0.0 < f <= 1.0 for f in fr):
-        raise ConfigError("fractions must lie in (0, 1]")
+    fr = check_fractions(fractions)
     rungs = []
     for f in fr:
         sub = crop(pattern, f)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -215,6 +215,14 @@ def parse_extents(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad extents {text!r}") from exc
 
 
+def convert(value: Any, to: Callable[[Any], Any], key: str) -> Any:
+    """``to(value)``; a value that does not convert is a config error."""
+    try:
+        return to(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key}: {value!r}") from exc
+
+
 def spec_from_config(conf: Mapping[str, Any], **overrides: Any) -> GenSpec:
     """Build a GenSpec from a flat config mapping.
 
@@ -224,6 +232,10 @@ def spec_from_config(conf: Mapping[str, Any], **overrides: Any) -> GenSpec:
     """
     data = {str(k): v for k, v in conf.items()}
     data.update({k: v for k, v in overrides.items() if v is not None})
+
+    def get(key: str, to: Callable[[Any], Any], default: Any) -> Any:
+        return convert(data.get(key, default), to, key)
+
     try:
         model = str(data["model"])
         kind = str(data.get("domain", TORUS))
@@ -232,14 +244,14 @@ def spec_from_config(conf: Mapping[str, Any], **overrides: Any) -> GenSpec:
         raise ConfigError(f"missing config key: {exc.args[0]}") from exc
     if kind not in (TORUS, WINDOW):
         raise ConfigError(f"unknown domain kind {kind!r}")
-    domain = Domain(kind, extents, float(data.get("buffer", 0.0)))
+    domain = Domain(kind, extents, get("buffer", float, 0.0))
     return GenSpec(
         model=model,
         domain=domain,
-        seed=int(data.get("seed", 0)),
-        intensity=float(data.get("intensity", 1.0)),
-        p=float(data.get("p", 0.5)),
-        parent_intensity=float(data.get("parent_intensity", 1.0)),
-        mark_circle_radius=float(data.get("mark_circle_radius", 1.0)),
-        mark_intensity=float(data.get("mark_intensity", 1.0)),
+        seed=get("seed", int, 0),
+        intensity=get("intensity", float, 1.0),
+        p=get("p", float, 0.5),
+        parent_intensity=get("parent_intensity", float, 1.0),
+        mark_circle_radius=get("mark_circle_radius", float, 1.0),
+        mark_intensity=get("mark_intensity", float, 1.0),
     )

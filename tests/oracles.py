@@ -128,6 +128,44 @@ def _cycle_anchor(pattern: PointPattern, cycle: list[int]) -> int:
     return cycle[best]
 
 
+def brute_structure(pattern: PointPattern, image: list[int]) -> dict:
+    """The foliation's structure by definition, one walk per point.
+
+    Per point: ``component`` (components numbered by least member),
+    ``depth`` (steps to the cycle, or to the dead end), ``entry`` (position,
+    from the canonical anchor, of the cycle node the walk enters; 0 in a
+    tree whose walks die) and ``key`` (the position of F^(mL)(x) for a
+    multiple mL >= N of the cycle length, or the depth in a dead-end tree).
+    Per component: ``cycles`` (from the anchor) and ``roots`` (the dead end,
+    or -1).  ``senior`` maps each foil (component, key) to the foil holding
+    its members' images, or None at a root.
+    """
+    n = len(image)
+    out: dict = {name: [0] * n for name in ("component", "depth", "entry", "key")}
+    out.update(cycles=[], roots=[], senior={})
+    for c, members in enumerate(sorted(brute_components(image), key=min)):
+        cycle = brute_cycle(image, min(members))
+        if cycle:
+            a = cycle.index(_cycle_anchor(pattern, cycle))
+            cycle = cycle[a:] + cycle[:a]
+        out["cycles"].append(tuple(cycle))
+        out["roots"].append(-1 if cycle else next(v for v in members if image[v] < 0))
+        pos = {v: k for k, v in enumerate(cycle)}
+        L = len(cycle)
+        for v in members:
+            x, d = v, 0
+            while x not in pos and image[x] >= 0:
+                x, d = image[x], d + 1
+            out["component"][v] = c
+            out["depth"][v] = d
+            out["entry"][v] = pos.get(x, 0)
+            out["key"][v] = pos[iterate(image, v, L * -(-n // L))] if L else d
+        for v in members:
+            foil = (c, out["key"][v])
+            out["senior"][foil] = None if image[v] < 0 else (c, out["key"][image[v]])
+    return out
+
+
 def _components_with_tops(
     pattern: PointPattern, image: list[int]
 ) -> list[tuple[list[int], list[int]]]:

@@ -408,3 +408,58 @@ def test_foliate_on_missing_pattern_is_config_error(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+SMALL_RUN = ["run", "--model", "poisson", "--intensity", "1", "--torus", "10x10"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--realizations", "0"], ["--n-max", "0"], ["--jobs", "0"], ["--ball-radius", "0"]],
+)
+def test_explicit_zero_is_config_error(tmp_path, flags, capsys):
+    code = main(SMALL_RUN + ["--shift", "mnn", "--out", str(tmp_path / "out")] + flags)
+    assert code == EXIT_CONFIG
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_unparseable_env_seed_is_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("FOLIATE_SEED", "abc")
+    assert main(SMALL_RUN + ["--shift", "mnn"]) == EXIT_CONFIG
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["realizations = two", "seed = x", "intensity = lots"])
+def test_unparseable_config_value_is_config_error(tmp_path, line, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "model = poisson\ndomain = torus\nextents = 10x10\nshift = mnn\n" + line + "\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert line.split()[0] in capsys.readouterr().err
+
+
+def test_single_fraction_fails_before_any_file_is_written(tmp_path):
+    out = tmp_path / "out"
+    code = main(
+        [
+            "run",
+            "--model",
+            "poisson",
+            "--window",
+            "30x30",
+            "--buffer",
+            "2",
+            "--shift",
+            "strip",
+            "--realizations",
+            "2",
+            "--fractions",
+            "0.5",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert not out.exists()

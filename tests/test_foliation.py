@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +8,7 @@ from oracles import (
     brute_cycle,
     brute_descendants,
     brute_foils,
+    brute_structure,
     random_map_pattern,
 )
 
@@ -181,6 +183,64 @@ def test_foils_match_brute_force(image):
         assert set(comp.cycle) == set(brute_cycle(image, comp.cycle[0]))
 
 
+def assert_structure_matches_brute(pattern, image):
+    fol = foliate(pattern, make_map(image))
+    want = brute_structure(pattern, list(image))
+    assert fol.component_id.tolist() == want["component"]
+    assert fol.depth_to_cycle.tolist() == want["depth"]
+    assert fol.entry_position.tolist() == want["entry"]
+    assert [c.cycle for c in fol.components] == want["cycles"]
+    assert [c.root for c in fol.components] == want["roots"]
+    assert [c.censored for c in fol.components] == [r >= 0 for r in want["roots"]]
+    assert fol.foil_key[fol.foil_id].tolist() == want["key"]
+    foils = list(zip(fol.foil_component.tolist(), fol.foil_key.tolist()))
+    assert sorted(foils) == sorted(want["senior"])
+    senior = [None if s < 0 else foils[s] for s in fol.senior_foil.tolist()]
+    assert senior == [want["senior"][f] for f in foils]
+    return fol
+
+
+@st.composite
+def partial_maps(draw):
+    n = draw(st.integers(min_value=0, max_value=14))
+    return [draw(st.integers(min_value=-1, max_value=n - 1)) for _ in range(n)]
+
+
+@given(partial_maps())
+@settings(max_examples=300, deadline=None)
+def test_structure_matches_brute_force_on_partial_maps(image):
+    pat = random_map_pattern(np.random.default_rng(0), len(image))
+    assert_structure_matches_brute(pat, image)
+
+
+@pytest.mark.parametrize("image", [[], [0], [-1], [-1] * 5, [1, 2, 0, -1, 3]])
+def test_structure_matches_brute_force_on_edge_maps(image):
+    pat = random_map_pattern(np.random.default_rng(0), len(image))
+    assert_structure_matches_brute(pat, image)
+
+
+def test_structure_matches_brute_force_on_poisson_torus_maps():
+    # float step displacements; permutations give long cycles, and some
+    # maps carry censored points
+    rng = np.random.default_rng(7)
+    for seed in range(40):
+        pat = generate(GenSpec("poisson", Domain.torus(6, 6), seed=seed, intensity=1.0))
+        n = len(pat)
+        image = rng.permutation(n) if seed % 2 else rng.integers(0, n, size=n)
+        if seed % 3 == 0:
+            image[rng.random(n) < 0.2] = -1
+        assert_structure_matches_brute(pat, image.tolist())
+
+
+def test_structure_matches_brute_force_on_full_grid_next_row():
+    # every cycle of next_row on a full grid torus is symmetric under
+    # rotation, so the least id is the anchor
+    pat = generate(GenSpec("bernoulli_grid", Domain.torus(30, 20), seed=3, p=1.0))
+    fol = assert_structure_matches_brute(pat, evaluate(pat, "next_row").image.tolist())
+    assert all(c.cycle_length > 1 for c in fol.components)
+    assert all(c.cycle[0] == min(c.cycle) for c in fol.components)
+
+
 @given(functional_maps())
 @settings(max_examples=200, deadline=None)
 def test_counting_identities_random_total_maps(image):
@@ -299,3 +359,15 @@ def test_foliation_json_and_csv():
     csv_text = fol.components_csv()
     assert csv_text.splitlines()[0] == "id,size,cycle_length,n_foils,class"
     assert "FF" in csv_text
+
+
+def test_members_are_the_labelled_points_in_id_order():
+    pat = generate(
+        GenSpec("poisson", Domain.window(40, 40, buffer=3.0), seed=9, intensity=1.0)
+    )
+    fol = foliate(pat, evaluate(pat, "strip"))
+    for f in range(fol.n_foils):
+        assert fol.foil_members(f).tolist() == np.flatnonzero(fol.foil_id == f).tolist()
+    for c in range(len(fol.components)):
+        members = np.flatnonzero(fol.component_id == c)
+        assert fol.component_members(c).tolist() == members.tolist()
