@@ -6,12 +6,9 @@ from .patterns import (
     ConfigError,
     Domain,
     PatternError,
-    Point,
     PointPattern,
     crop,
     distance,
-    is_censored,
-    lex_compare,
     translate,
 )
 from .generators import GenSpec, gen_bernoulli_grid, gen_poisson, gen_poisson_cluster, generate
@@ -51,7 +48,6 @@ from .palm import (
     StatReport,
     check_mass_transport,
     evaporation_profile,
-    markability_diagnostic,
     palm_mean,
     relative_intensity,
     verify_identities,

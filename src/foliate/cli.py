@@ -165,9 +165,9 @@ def mark_class_representative(r: Realization, k: int, ball_radius: float = 1.0):
     from .shifts import condenser_marks
 
     marks, _ = condenser_marks(r.pattern, ball_radius)
-    big = max(r.foliation.components, key=lambda c: c.size)
+    big = int(np.argmax(r.foliation.component_size))
     members = np.flatnonzero(
-        (r.foliation.component_id == big.id)
+        (r.foliation.component_id == big)
         & (marks == k)
         & ~r.shift_map.censored
     )

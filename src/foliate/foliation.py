@@ -21,6 +21,7 @@ Python loop runs over points, cycles or foils.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -124,13 +125,23 @@ class ComponentInfo:
 
 @dataclass(frozen=True)
 class FoliationResult:
-    """Components, foils and per-point walk data for one realization."""
+    """Components, foils and per-point walk data for one realization.
+
+    Components are held as columns indexed by component id.  ``cycle_nodes``
+    lists every component's cycle from its anchor, in component order, with
+    ``cycle_offsets`` bounding each; a tree whose walks die has its dead end
+    there instead (a fixed point of the successor map) and cycle length 0.
+    """
 
     component_id: np.ndarray
     foil_id: np.ndarray
     depth_to_cycle: np.ndarray
     entry_position: np.ndarray
-    components: tuple[ComponentInfo, ...]
+    component_size: np.ndarray
+    component_root: np.ndarray  # the dead end of a tree, -1 on a cycle
+    component_foils: np.ndarray
+    cycle_nodes: np.ndarray
+    cycle_offsets: np.ndarray
     foil_component: np.ndarray
     foil_key: np.ndarray
     foil_size: np.ndarray
@@ -141,14 +152,44 @@ class FoliationResult:
         return len(self.component_id)
 
     @property
+    def n_components(self) -> int:
+        return len(self.component_size)
+
+    @property
     def n_foils(self) -> int:
         return len(self.foil_size)
+
+    @property
+    def cycle_length(self) -> np.ndarray:
+        return np.where(self.component_root >= 0, 0, np.diff(self.cycle_offsets))
+
+    def _rows(self):
+        """(id, size, cycle, root, foil count) per component, from the
+        columns; a tree's cycle is empty."""
+        nodes = self.cycle_nodes.tolist()
+        bounds = zip(self.cycle_offsets[:-1].tolist(), self.cycle_length.tolist())
+        cycles = [nodes[start : start + length] for start, length in bounds]
+        return zip(
+            range(self.n_components),
+            self.component_size.tolist(),
+            cycles,
+            self.component_root.tolist(),
+            self.component_foils.tolist(),
+        )
+
+    @functools.cached_property
+    def components(self) -> tuple[ComponentInfo, ...]:
+        """One record per component, built on first use."""
+        return tuple(
+            ComponentInfo(c, size, tuple(cycle), root, root >= 0, foils)
+            for c, size, cycle, root, foils in self._rows()
+        )
 
     def foil_members(self, f: int) -> np.ndarray:
         return self._members("_foil_slices", self.foil_id, self.n_foils, f)
 
     def component_members(self, c: int) -> np.ndarray:
-        return self._members("_comp_slices", self.component_id, len(self.components), c)
+        return self._members("_comp_slices", self.component_id, self.n_components, c)
 
     def _members(self, cache: str, labels: np.ndarray, n_labels: int, i: int) -> np.ndarray:
         """Points labelled ``i``, in id order: a slice of the stable order of
@@ -174,16 +215,16 @@ class FoliationResult:
             },
             "components": [
                 {
-                    "id": c.id,
-                    "size": c.size,
-                    "cycle": list(c.cycle),
-                    "cycle_length": c.cycle_length,
-                    "root": c.root,
-                    "censored": c.censored,
-                    "n_foils": c.n_foils,
+                    "id": c,
+                    "size": size,
+                    "cycle": cycle,
+                    "cycle_length": len(cycle),
+                    "root": root,
+                    "censored": root >= 0,
+                    "n_foils": foils,
                     "class": cls,
                 }
-                for c, cls in zip(self.components, self.classes())
+                for (c, size, cycle, root, foils), cls in zip(self._rows(), self.classes())
             ],
         }
         return json.dumps(obj)
@@ -192,8 +233,15 @@ class FoliationResult:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["id", "size", "cycle_length", "n_foils", "class"])
-        for comp, cls in zip(self.components, self.classes(ladder)):
-            writer.writerow([comp.id, comp.size, comp.cycle_length, comp.n_foils, cls])
+        writer.writerows(
+            zip(
+                range(self.n_components),
+                self.component_size.tolist(),
+                self.cycle_length.tolist(),
+                self.component_foils.tolist(),
+                self.classes(ladder),
+            )
+        )
         return out.getvalue()
 
 
@@ -250,24 +298,16 @@ def foliate(pattern: PointPattern, shift_map: ShiftMap) -> FoliationResult:
     code = np.searchsorted(uniq, foil_component * (n + 1) + target)
     senior = np.where((flen > 0) | (foil_key > 0), code, -1)
 
-    cycles = cyc[~dead][np.lexsort((cpos[~dead], ccomp[~dead]))].tolist()
-    columns = zip(
-        np.bincount(comp, minlength=n_comp).tolist(),
-        np.cumsum(lengths).tolist(),
-        lengths.tolist(),
-        roots.tolist(),
-        np.bincount(foil_component, minlength=n_comp).tolist(),
-    )
-    components = tuple(
-        ComponentInfo(c, size, tuple(cycles[end - length : end]), root, root >= 0, foils)
-        for c, (size, end, length, root, foils) in enumerate(columns)
-    )
     return FoliationResult(
         component_id=comp,
         foil_id=foil_id.astype(np.int64),
         depth_to_cycle=depth,
         entry_position=entry,
-        components=components,
+        component_size=np.bincount(comp, minlength=n_comp),
+        component_root=roots,
+        component_foils=np.bincount(foil_component, minlength=n_comp),
+        cycle_nodes=cyc[np.lexsort((cpos, ccomp))],
+        cycle_offsets=np.r_[0, np.cumsum(np.bincount(ccomp, minlength=n_comp))],
         foil_component=foil_component,
         foil_key=foil_key,
         foil_size=foil_size,
@@ -346,7 +386,7 @@ def classify(
     censored components take the ladder diagnosis when one is supplied and
     are Unknown otherwise."""
     censored = CLASS_UNKNOWN if ladder is None else ladder.class_
-    return tuple(censored if comp.censored else CLASS_FF for comp in foliation.components)
+    return tuple(np.where(foliation.component_root >= 0, censored, CLASS_FF).tolist())
 
 
 @dataclass(frozen=True)
@@ -435,14 +475,13 @@ def ladder_diagnostic(
         if fol.n_points == 0:
             rungs.append(LadderRung(f, 0, 0, 0, 0.0, 0))
             continue
-        sizes = np.array([c.size for c in fol.components])
         typical = float(np.mean(fol.foil_size[fol.foil_id]))
         rungs.append(
             LadderRung(
                 fraction=f,
                 n_points=fol.n_points,
-                n_components=len(fol.components),
-                largest_component=int(sizes.max()),
+                n_components=fol.n_components,
+                largest_component=int(fol.component_size.max()),
                 typical_foil_size=typical,
                 n_foils=fol.n_foils,
             )

@@ -1,5 +1,5 @@
-"""Palm estimators, exact counting identities, mass transport checks,
-relative intensities, and markability diagnostics.
+"""Palm estimators, exact counting identities, mass transport checks and
+relative intensities.
 
 On a torus with a total map the generation-counting identities are finite
 combinatorial facts, so they are checked at tolerance 1e-12 and flagged
@@ -18,19 +18,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cellindex import ball, nearest
 from .foliation import FoliationResult, descendant_stats, DescendantStats, foliate
 from .generators import GenSpec, generate
-from .patterns import (
-    TORUS,
-    ConfigError,
-    PointPattern,
-    distances_to,
-    lattice_coords,
-    translate,
-)
-from .shifts import ShiftKind, ShiftMap, condenser_marks, evaluate
-from .stable import StableMaps, build_stable_maps, delta
+from .patterns import TORUS, ConfigError, PointPattern, distances_to
+from .shifts import ShiftKind, ShiftMap, evaluate
+from .stable import StableMaps, build_stable_maps, delta, senior_steps
 
 EXACT_TOL = 1e-12
 
@@ -314,63 +306,39 @@ class ShiftIterateKernel:
 
 class SeniorIntervalKernel:
     """Transport sending unit mass from x to each senior-foil point lying
-    between the image of x and the image of its foil successor."""
+    between the image of x and the image of its foil successor.
+
+    Out of x go delta(F(x), F(f_perp(x))) units.  Into z come the intervals
+    covering it: each is a run of positions in the senior foil's cycle, so
+    they are marked on a difference array over all foils' positions (split
+    in two where a run wraps past its foil's end) and summed by one cumsum.
+    """
 
     name = "senior_interval"
 
-    def _delta_plus(self, r: Realization, x: int) -> int:
-        st = r.stable()
-        u = int(r.shift_map.image[x])
-        v = int(r.shift_map.image[st.f_perp[x]])
-        return delta(st.f_perp, r.foliation, u, v)
-
     def plus(self, r: Realization) -> np.ndarray:
-        out = np.zeros(r.n_points)
-        for x in range(r.n_points):
-            if not r.shift_map.censored[x]:
-                out[x] = float(self._delta_plus(r, x))
-        return out
+        return senior_steps(r.shift_map, r.foliation, r.stable()).astype(float)
 
     def minus(self, r: Realization) -> np.ndarray:
         st = r.stable()
-        out = np.zeros(r.n_points)
-        for x in range(r.n_points):
-            if r.shift_map.censored[x]:
-                continue
-            z = int(r.shift_map.image[x])
-            stop = int(r.shift_map.image[st.f_perp[x]])
-            while z != stop:
-                out[z] += 1.0
-                z = int(st.f_perp[z])
-        return out
+        fol = r.foliation
+        n = r.n_points
+        first = np.cumsum(fol.foil_size) - fol.foil_size
+        slot = first[fol.foil_id] + st.foil_pos  # place in all foils' cycles
+        x = np.flatnonzero(~r.shift_map.censored)
+        u = r.shift_map.image[x]
+        foil = fol.foil_id[u]
+        start, end = first[foil], first[foil] + fol.foil_size[foil]
+        lo = slot[u]
+        hi = lo + senior_steps(r.shift_map, fol, st)[x]
+        wrap = hi > end
 
+        def marks(at: np.ndarray) -> np.ndarray:
+            return np.bincount(at, minlength=n + 1)
 
-class CallableKernel:
-    """Generic nonnegative kernel w(pattern, x, y) with a locality radius."""
-
-    def __init__(self, fn, radius: float, name: str = "callable_kernel"):
-        self.fn = fn
-        self.radius = float(radius)
-        self.name = name
-
-    def _row_sums(self, r: Realization, incoming: bool) -> np.ndarray:
-        """Per point x, the fsum of w(x, y) over its ball (w(y, x) if incoming)."""
-        counts, pairs = ball(r.pattern, self.radius)
-        if incoming:
-            pairs = pairs[:, ::-1]
-        weights = [float(self.fn(r.pattern, int(i), int(j))) for i, j in pairs]
-        if any(w < 0 for w in weights):
-            raise ConfigError("transport kernel must be nonnegative")
-        stops = np.cumsum(counts)
-        return np.array(
-            [math.fsum(weights[a:b]) for a, b in zip(stops - counts, stops)], dtype=float
-        )
-
-    def plus(self, r: Realization) -> np.ndarray:
-        return self._row_sums(r, incoming=False)
-
-    def minus(self, r: Realization) -> np.ndarray:
-        return self._row_sums(r, incoming=True)
+        diff = marks(lo) - marks(np.minimum(hi, end))
+        diff += marks(start[wrap]) - marks((start + hi - end)[wrap])
+        return np.cumsum(diff)[slot].astype(float)
 
 
 def check_mass_transport(
@@ -465,12 +433,11 @@ def relative_intensity(
     """Relative intensity of the senior foil seen from x's foil.
 
     ``mode="ratio"`` returns the finite-class value, the senior/junior foil
-    size ratio.  ``mode="walk"`` walks n foil steps from x accumulating the
-    senior-foil step count between consecutive images, the finite form of
-    the limit estimator; a walk cut short by censoring uses the steps it
-    completed, and None is returned when no step is feasible.  ``auto``
-    takes the ratio on finite-class (non-censored) components and the walk
-    on censored ones.
+    size ratio.  ``mode="walk"`` walks n foil steps from x (at most once
+    round the foil) averaging the senior-foil step count between
+    consecutive images, the finite form of the limit estimator; None is
+    returned when no step is taken.  ``auto`` takes the ratio on
+    finite-class (non-censored) components and the walk on censored ones.
     """
     if mode not in ("auto", "ratio", "walk"):
         raise ConfigError("mode is auto, ratio or walk")
@@ -484,28 +451,21 @@ def relative_intensity(
     if senior < 0:
         return None
     if mode == "auto":
-        comp = fol.components[int(fol.foil_component[fid])]
-        mode = "ratio" if not comp.censored else "walk"
+        mode = "walk" if fol.component_root[fol.foil_component[fid]] >= 0 else "ratio"
     if mode == "ratio":
         return float(fol.foil_size[senior]) / float(fol.foil_size[fid])
     m = int(fol.foil_size[fid])
     steps = m if n is None else min(int(n), m)
-    st = r.stable()
-    total = 0
-    done = 0
-    z = int(x)
-    for _ in range(steps):
-        z2 = int(st.f_perp[z])
-        u = int(r.shift_map.image[z]) if not r.shift_map.censored[z] else -1
-        v = int(r.shift_map.image[z2]) if not r.shift_map.censored[z2] else -1
-        if u < 0 or v < 0:
-            break
-        total += delta(st.f_perp, fol, u, v)
-        done += 1
-        z = z2
-    if done == 0:
+    if steps <= 0:
         return None
-    return total / done
+    # x has a senior foil, so no point of its foil is censored (a dead end
+    # is alone in its foil) and every step of the walk is feasible
+    st = r.stable()
+    members = np.flatnonzero(fol.foil_id == fid)
+    walk = members[np.argsort((st.foil_pos[members] - st.foil_pos[x]) % m)[:steps]]
+    image = r.shift_map.image
+    total = int(delta(st, fol, image[walk], image[st.f_perp[walk]]).sum())
+    return total / steps
 
 
 def relative_intensity_report(
@@ -537,122 +497,6 @@ def relative_intensity_report(
         censoring=[r.censoring_fraction for r in reals],
         dropped=dropped,
     )
-
-
-@dataclass
-class MarkabilityReport:
-    report: StatReport
-    flow_adapted: bool
-    verdict: str  # witness | rejected_not_flow_adapted | inconclusive
-
-
-def markability_diagnostic(
-    realizations: Realization | Iterable[Realization],
-    mark_fn: Callable[[PointPattern], np.ndarray],
-    gate_patterns: Sequence[PointPattern] = (),
-    gate_seed: int = 0,
-) -> MarkabilityReport:
-    """Positive markability witness: a flow-adapted mark constant on foils.
-
-    The constancy scan runs over the non-censored members of every foil;
-    translation invariance of the mark (the flow-adaptedness gate) is
-    checked on torus patterns, either those analyzed or the extra
-    ``gate_patterns``.  A failed gate rejects the candidate; a passed gate
-    with full constancy is a witness; anything else is inconclusive, never
-    a refutation.
-    """
-    reals = _as_list(realizations)
-    values = []
-    points = 0
-    for r in reals:
-        marks = np.asarray(mark_fn(r.pattern))
-        fol = r.foliation
-        usable = ~r.shift_map.censored
-        n_foils = 0
-        n_const = 0
-        for fid in range(fol.n_foils):
-            members = fol.foil_members(fid)
-            members = members[usable[members]]
-            if members.size == 0:
-                continue
-            n_foils += 1
-            if np.all(marks[members] == marks[members[0]]):
-                n_const += 1
-        if n_foils:
-            values.append(n_const / n_foils)
-            points += int(usable.sum())
-    rng = np.random.Generator(np.random.PCG64(gate_seed))
-    gates = [p for p in gate_patterns]
-    gates.extend(r.pattern for r in reals if r.pattern.domain.kind == TORUS)
-    flow_adapted = bool(gates)
-    for pat in gates:
-        base = np.asarray(mark_fn(pat))
-        for _ in range(3):
-            t = rng.random(pat.dimension) * np.asarray(pat.domain.extents)
-            moved = np.asarray(mark_fn(translate(pat, t)))
-            if base.shape != moved.shape or not np.allclose(
-                base, moved, rtol=0.0, atol=1e-9
-            ):
-                flow_adapted = False
-                break
-        if not flow_adapted:
-            break
-    report = make_report(
-        "mark_constant_on_foils",
-        values,
-        target=1.0,
-        points=points,
-    )
-    if not flow_adapted:
-        verdict = "rejected_not_flow_adapted"
-    elif report.exact:
-        verdict = "witness"
-    else:
-        verdict = "inconclusive"
-    return MarkabilityReport(report=report, flow_adapted=flow_adapted, verdict=verdict)
-
-
-def reroot_invariance_check(
-    realizations: Realization | Iterable[Realization],
-    name: str = "reroot_nn_distance_shift",
-) -> StatReport:
-    """Weak check that re-rooting along the foil bijection is invisible.
-
-    The nearest-neighbor distance seen from the typical point is paired
-    with the one seen from its foil successor; across realizations the mean
-    difference should sit at zero within Monte-Carlo error.  Foil sizes
-    agree identically (same foil), so only the distance summary carries
-    information; this does not test full distributional equality.
-    """
-    reals = _as_list(realizations)
-    diffs = []
-    dropped = 0
-    for r in reals:
-        x = typical_point(r)
-        if x is None or r.n_points < 2:
-            dropped += 1
-            continue
-        y = int(r.stable().f_perp[x])
-        _, dist, _ = nearest(r.pattern, [x, y])
-        diffs.append(float(dist[0] - dist[1]))
-    return make_report(name, diffs, dropped=dropped)
-
-
-def column_index_mark(pattern: PointPattern) -> np.ndarray:
-    """Lattice column index of grid points; not translation invariant."""
-    lattice = lattice_coords(pattern)
-    if lattice is None:
-        raise ConfigError("column mark needs a grid pattern")
-    return lattice[:, 0]
-
-
-def ball_count_mark(ball_radius: float = 1.0) -> Callable[[PointPattern], np.ndarray]:
-    """Closed-ball point count mark (the condenser mark), any domain."""
-
-    def fn(pattern: PointPattern) -> np.ndarray:
-        return condenser_marks(pattern, ball_radius)[0]
-
-    return fn
 
 
 def reports_csv(reports: Sequence[StatReport]) -> str:

@@ -1,4 +1,4 @@
-"""Domains, points, and finite point patterns.
+"""Domains and finite point patterns.
 
 Coordinates are plain model units.  A torus identifies opposite faces and
 carries the quotient metric; a window is a closed axis-aligned box with an
@@ -66,23 +66,11 @@ class Domain:
         return float(np.prod(self.extents))
 
 
-@dataclass(frozen=True)
-class Point:
-    """One point of a pattern: its coordinates and dense index."""
-
-    coords: tuple[float, ...]
-    id: int
-
-
-def _coords_of(p: Any) -> np.ndarray:
-    return np.asarray(getattr(p, "coords", p), dtype=float)
-
-
 def distance(p: Any, q: Any, dom: Domain) -> float:
     """Metric distance between two points: quotient metric on a torus,
     Euclidean on a window."""
-    a = _coords_of(p)
-    b = _coords_of(q)
+    a = np.asarray(p, dtype=float)
+    b = np.asarray(q, dtype=float)
     if a.shape != (dom.dimension,) or b.shape != (dom.dimension,):
         raise ConfigError("dimension mismatch")
     d = np.abs(a - b)
@@ -104,35 +92,12 @@ def distances_to(coords: np.ndarray, x: np.ndarray, dom: Domain) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=1))
 
 
-def lex_compare(p: Any, q: Any) -> int:
-    """Coordinatewise lexicographic comparison: -1, 0 or +1."""
-    a = _coords_of(p)
-    b = _coords_of(q)
-    if a.shape != b.shape:
-        raise ConfigError("dimension mismatch")
-    for u, v in zip(a, b):
-        if u < v:
-            return -1
-        if u > v:
-            return 1
-    return 0
-
-
 def face_distances(coords: np.ndarray, dom: Domain) -> np.ndarray:
     """Distance of each point to the nearest domain face (inf on a torus)."""
     if dom.kind == TORUS:
         return np.full(len(coords), np.inf)
     ext = np.asarray(dom.extents)
     return np.minimum(coords, ext - coords).min(axis=1)
-
-
-def is_censored(p: Any, dom: Domain) -> bool:
-    """True when a window point sits inside the censoring margin."""
-    if dom.kind == TORUS:
-        return False
-    x = _coords_of(p)
-    ext = np.asarray(dom.extents)
-    return bool(np.minimum(x, ext - x).min() < dom.buffer)
 
 
 @dataclass(frozen=True)
@@ -179,9 +144,6 @@ class PointPattern:
     @property
     def dimension(self) -> int:
         return self.domain.dimension
-
-    def point(self, i: int) -> Point:
-        return Point(tuple(float(v) for v in self.coords[i]), int(i))
 
     def to_json(self) -> str:
         dom = {

@@ -1,7 +1,9 @@
 """Order machinery on top of a foliation: DFS preorder, the royal-line
 total order per component, and the two canonical foliation-preserving
-bijections (the foil-cyclic successor and the component-cyclic successor)
-together with the signed step count between foil mates.
+bijections (the foil-cyclic successor and the component-cyclic successor).
+Each point keeps its position in its foil's cycle, so the step count
+between foil mates, and every sum of step counts over a foil, is whole-array
+position arithmetic modulo the foil size.
 
 All tie-breaking is lexicographic in coordinates taken relative to a
 reference node of the component, so on a torus the constructions commute
@@ -103,17 +105,14 @@ class RlsOrder:
 def build_rls_order(
     pattern: PointPattern, shift_map: ShiftMap, foliation: FoliationResult
 ) -> RlsOrder:
-    # depth 0 marks the cycle nodes and the dead-end roots: they are the DFS
-    # roots, in (component, cycle position) order, and never anyone's sons
-    depth = foliation.depth_to_cycle
+    # the cycle nodes and dead ends are the DFS roots, in (component, cycle
+    # position) order, and never anyone's sons
     comp = foliation.component_id
-    indptr, sons = _ordered_sons(pattern, shift_map.image, np.flatnonzero(depth > 0))
-    tops = np.flatnonzero(depth == 0)
-    tops = tops[np.lexsort((foliation.entry_position[tops], comp[tops]))]
-    pre = np.asarray(_preorder(tops.tolist(), indptr, sons), dtype=np.int64)
+    sons = np.flatnonzero(foliation.depth_to_cycle > 0)
+    indptr, sons = _ordered_sons(pattern, shift_map.image, sons)
+    pre = np.asarray(_preorder(foliation.cycle_nodes.tolist(), indptr, sons), dtype=np.int64)
     # the preorder runs through the components in id order
-    sizes = np.bincount(comp, minlength=len(foliation.components))
-    first = np.cumsum(sizes) - sizes
+    first = np.cumsum(foliation.component_size) - foliation.component_size
     rank = np.empty(len(comp), dtype=np.int64)
     rank[pre] = np.arange(len(pre)) - first[comp[pre]]
     return RlsOrder(rank=rank)
@@ -121,37 +120,33 @@ def build_rls_order(
 
 @dataclass(frozen=True)
 class StableMaps:
-    """The two canonical dense bijections of one foliation."""
+    """The two canonical dense bijections of one foliation, with each
+    point's position in its foil's cycle (``f_perp`` steps from the foil's
+    first member) and in its component's (the royal-line rank)."""
 
     f_perp: np.ndarray
     h_dense: np.ndarray
     rls: RlsOrder
+    foil_pos: np.ndarray
 
 
-def _component_reference(foliation: FoliationResult) -> np.ndarray:
-    """Per component, its reference node: the cycle anchor, or the root of a
-    dead-end tree (the one node at depth 0 and cycle position 0)."""
-    top = np.flatnonzero(
-        (foliation.depth_to_cycle == 0) & (foliation.entry_position == 0)
-    )
-    ref = np.empty(len(foliation.components), dtype=np.int64)
-    ref[foliation.component_id[top]] = top
-    return ref
-
-
-def _cyclic_successor(order: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """Map sending each entry of ``order`` to the next one of its group and
-    the last of a group to its first; ``group`` is sorted along ``order``."""
+def _cycles_through(order: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(successor, position) of the cyclic orders that ``order`` lists group
+    by group (``group`` is sorted along ``order``): each entry goes to the
+    next of its group and the last to the first, and sits at its offset from
+    the group's first entry."""
     n = len(order)
     succ = np.empty(n, dtype=np.int64)
+    pos = np.empty(n, dtype=np.int64)
     if n == 0:
-        return succ
+        return succ, pos
     first = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
     last = np.r_[first[1:], n] - 1
     nxt = np.roll(order, -1)
     nxt[last] = order[first]
     succ[order] = nxt
-    return succ
+    pos[order] = np.arange(n) - np.repeat(first, last - first + 1)
+    return succ, pos
 
 
 def _foil_keys(
@@ -163,9 +158,11 @@ def _foil_keys(
 ) -> tuple[np.ndarray, ...]:
     """``np.lexsort`` keys of the cyclic order of points ``ids`` inside their
     foils: coordinates relative to the component reference (the cycle anchor
-    or the root), or royal-line rank on the components in ``rls_components``."""
+    or the dead end), or royal-line rank on the components in
+    ``rls_components``."""
     comp = foliation.component_id[ids]
-    rel = _relative_coords(pattern, ids, _component_reference(foliation)[comp])
+    reference = foliation.cycle_nodes[foliation.cycle_offsets[:-1]]
+    rel = _relative_coords(pattern, ids, reference[comp])
     if rls is None or not rls_components:
         return _lex_keys(rel)
     by_rank = np.isin(comp, list(rls_components))
@@ -173,19 +170,17 @@ def _foil_keys(
     return _lex_keys(rel) + (np.where(by_rank, rls.rank[ids], 0),)
 
 
-def foil_order(
+def _foil_cycles(
     pattern: PointPattern,
     foliation: FoliationResult,
-    f: int,
-    rls: RlsOrder | None = None,
-    use_rls: bool = False,
-) -> np.ndarray:
-    """Members of foil ``f`` in their cyclic order."""
-    members = foliation.foil_members(f)
-    if len(members) <= 1:
-        return members
-    comps = {int(foliation.foil_component[f])} if use_rls else frozenset()
-    return members[np.lexsort(_foil_keys(pattern, foliation, members, rls, comps))]
+    rls: RlsOrder | None,
+    rls_components: frozenset[int] | set[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(f_perp, foil_pos) from one sort of all points by (foil, foil keys)."""
+    foil = foliation.foil_id
+    keys = _foil_keys(pattern, foliation, np.arange(len(foil)), rls, rls_components)
+    order = np.lexsort(keys + (foil,))
+    return _cycles_through(order, foil[order])
 
 
 def build_f_perp(
@@ -199,10 +194,7 @@ def build_f_perp(
     Finite-class foils cycle through their members in (relative) lex order;
     components diagnosed as infinite-foil use the royal-line order instead.
     """
-    foil = foliation.foil_id
-    keys = _foil_keys(pattern, foliation, np.arange(len(foil)), rls, rls_components)
-    order = np.lexsort(keys + (foil,))
-    return _cyclic_successor(order, foil[order])
+    return _foil_cycles(pattern, foliation, rls, rls_components)[0]
 
 
 def build_h_dense(foliation: FoliationResult, rls: RlsOrder) -> np.ndarray:
@@ -210,7 +202,7 @@ def build_h_dense(foliation: FoliationResult, rls: RlsOrder) -> np.ndarray:
     successor in royal-line rank."""
     comp = foliation.component_id
     order = np.lexsort((rls.rank, comp))
-    return _cyclic_successor(order, comp[order])
+    return _cycles_through(order, comp[order])[0]
 
 
 def build_stable_maps(
@@ -220,30 +212,37 @@ def build_stable_maps(
     rls_components: frozenset[int] | set[int] = frozenset(),
 ) -> StableMaps:
     rls = build_rls_order(pattern, shift_map, foliation)
+    f_perp, foil_pos = _foil_cycles(pattern, foliation, rls, rls_components)
     return StableMaps(
-        f_perp=build_f_perp(pattern, foliation, rls, rls_components),
-        h_dense=build_h_dense(foliation, rls),
-        rls=rls,
+        f_perp=f_perp, h_dense=build_h_dense(foliation, rls), rls=rls, foil_pos=foil_pos
     )
 
 
-def delta(
-    f_perp: np.ndarray, foliation: FoliationResult, x: int, y: int
-) -> int:
-    """Number of f_perp steps from x to y inside their common foil.
+def delta(stable: StableMaps, foliation: FoliationResult, x, y):
+    """Number of f_perp steps from x to y inside their common foil, for
+    scalar or array ids.
 
     Nonnegative, taken in the step direction; delta(x, y) and -delta(y, x)
     agree modulo the foil size.
     """
-    if foliation.foil_id[x] != foliation.foil_id[y]:
+    foil = foliation.foil_id[x]
+    if np.any(foil != foliation.foil_id[y]):
         raise ConfigError("points lie in different foils")
-    limit = int(foliation.foil_size[foliation.foil_id[x]])
-    z = int(x)
-    for k in range(limit):
-        if z == int(y):
-            return k
-        z = int(f_perp[z])
-    raise ConfigError("f_perp orbit does not reach the target")
+    return (stable.foil_pos[y] - stable.foil_pos[x]) % foliation.foil_size[foil]
+
+
+def senior_steps(
+    shift_map: ShiftMap, foliation: FoliationResult, stable: StableMaps
+) -> np.ndarray:
+    """Per point x, delta(F(x), F(f_perp(x))): the senior-foil steps from
+    the image of x to the image of its foil successor; 0 where x is
+    censored.  A censored point is a dead end, alone in its foil, so every
+    other point's foil successor has an image too."""
+    x = np.flatnonzero(~shift_map.censored)
+    image = shift_map.image
+    out = np.zeros(len(image), dtype=np.int64)
+    out[x] = delta(stable, foliation, image[x], image[stable.f_perp[x]])
+    return out
 
 
 def stable_to_json(table: np.ndarray, role: str) -> str:
@@ -274,12 +273,9 @@ def orbit(table: np.ndarray, start: int, expect: int | None = None) -> list[int]
 
 
 def foil_windings(
-    pattern: PointPattern,
-    shift_map: ShiftMap,
-    foliation: FoliationResult,
-    stable: StableMaps,
-) -> list[tuple[int, int, int]]:
-    """Per foil: (foil id, winding, senior size) of the image sequence.
+    shift_map: ShiftMap, foliation: FoliationResult, stable: StableMaps
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(foil ids, windings, senior sizes) of the foils with a senior foil.
 
     Walking a foil once along f_perp, the images advance through the senior
     foil's f_perp order; summing the forward step counts must wind exactly
@@ -287,26 +283,11 @@ def foil_windings(
     This is the finite form of the order-preservation property: any
     backtracking inflates the winding beyond one lap.
     """
-    out: list[tuple[int, int, int]] = []
-    for fid in range(foliation.n_foils):
-        members = foliation.foil_members(fid)
-        senior = int(foliation.senior_foil[fid])
-        if senior < 0:
-            continue
-        if np.any(shift_map.censored[members]):
-            continue
-        start = int(members[0])
-        seq = orbit(stable.f_perp, start, len(members))
-        images = [int(shift_map.image[z]) for z in seq]
-        senior_members = foliation.foil_members(senior)
-        sorder = orbit(stable.f_perp, int(senior_members[0]), len(senior_members))
-        pos = {z: i for i, z in enumerate(sorder)}
-        m_plus = len(sorder)
-        total = 0
-        for a, b in zip(images, images[1:] + images[:1]):
-            total += (pos[b] - pos[a]) % m_plus
-        out.append((fid, total // m_plus if m_plus else 0, m_plus))
-    return out
+    steps = senior_steps(shift_map, foliation, stable)
+    total = np.bincount(foliation.foil_id, weights=steps, minlength=foliation.n_foils)
+    fids = np.flatnonzero(foliation.senior_foil >= 0)
+    m_plus = foliation.foil_size[foliation.senior_foil[fids]]
+    return fids, total[fids].astype(np.int64) // m_plus, m_plus
 
 
 def check_order_preservation(
@@ -316,5 +297,4 @@ def check_order_preservation(
     stable: StableMaps,
 ) -> bool:
     """True when no foil's image walk backtracks (winding 0 or 1 per foil)."""
-    windings = foil_windings(pattern, shift_map, foliation, stable)
-    return all(w in (0, 1) for _, w, _ in windings)
+    return bool(np.all(foil_windings(shift_map, foliation, stable)[1] <= 1))

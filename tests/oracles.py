@@ -237,6 +237,52 @@ def brute_f_perp(
     return succ
 
 
+def brute_senior_interval(pattern: PointPattern, image: list[int]) -> dict:
+    """The senior-interval transport by walking each foil along
+    ``brute_f_perp``.
+
+    ``pos`` is each point's step count from the first member met when its
+    foil's cycle is walked (so x to y takes ``(pos[y] - pos[x]) % size``
+    steps), ``size`` its foil's size.  ``plus[x]`` counts the steps from
+    x's image to its foil successor's image, and ``minus[z]`` the points x
+    whose walk from image to image passes z (z counted, the last image
+    not); both are 0 at censored x.  ``winding`` maps the least member of
+    each foil whose images are defined to (its plus total // the image
+    foil's size, that size).
+    """
+    n = len(image)
+    succ = brute_f_perp(pattern, image)
+    cycles = []
+    pos = [-1] * n
+    size = [0] * n
+    for s in range(n):
+        if pos[s] >= 0:
+            continue
+        cycle = [s]
+        while succ[cycle[-1]] != s:
+            cycle.append(succ[cycle[-1]])
+        cycles.append(cycle)
+        for k, z in enumerate(cycle):
+            pos[z] = k
+            size[z] = len(cycle)
+    plus = [0] * n
+    minus = [0] * n
+    for x in range(n):
+        if image[x] < 0:
+            continue
+        z, stop = image[x], image[succ[x]]
+        while z != stop:
+            minus[z] += 1
+            plus[x] += 1
+            z = succ[z]
+    winding = {}
+    for cycle in cycles:
+        if all(image[z] >= 0 for z in cycle):
+            m = size[image[cycle[0]]]
+            winding[min(cycle)] = (sum(plus[z] for z in cycle) // m, m)
+    return {"pos": pos, "size": size, "plus": plus, "minus": minus, "winding": winding}
+
+
 def _depth(image: list[int], v: int) -> int:
     """Steps from v until its walk dies."""
     d = 0

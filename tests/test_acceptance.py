@@ -306,7 +306,7 @@ def test_criterion_7_stable_map_properties(mnn_realizations, next_row_realizatio
                     # the public step counter agrees on sampled pairs
                     for x in seq[:: max(1, m // 4)]:
                         for y in seq[:: max(1, m // 3)]:
-                            k = delta(st.f_perp, fol, x, y)
+                            k = delta(st, fol, x, y)
                             if (pos[x] + k) % m != pos[y]:
                                 ok = False
             for comp in fol.components:

@@ -2,8 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from foliate.patterns import (
     ConfigError,
@@ -13,8 +11,6 @@ from foliate.patterns import (
     crop,
     distance,
     distances_to,
-    is_censored,
-    lex_compare,
     translate,
 )
 
@@ -46,20 +42,6 @@ def test_distance_window_euclidean():
 def test_distance_dimension_mismatch():
     with pytest.raises(ConfigError):
         distance((0.0, 0.0), (1.0,), Domain.torus(10, 10))
-
-
-def test_lex_compare_examples():
-    assert lex_compare((0.0, 1.0), (0.0, 2.0)) == -1
-    assert lex_compare((1.0, 0.0), (0.0, 9.0)) == 1
-    assert lex_compare((2.0, 5.0), (2.0, 5.0)) == 0
-
-
-def test_is_censored():
-    t = Domain.torus(10, 10)
-    w = Domain.window(10, 10, buffer=2.0)
-    assert not is_censored((1.0, 5.0), t)
-    assert is_censored((1.0, 5.0), w)
-    assert not is_censored((5.0, 5.0), w)
 
 
 def test_domain_validation():
@@ -107,32 +89,6 @@ def test_torus_distance_invariant_under_extent_shifts():
         assert abs(np.sqrt((d * d).sum()) - base) < 1e-9
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=999),
-            st.integers(min_value=0, max_value=999),
-        ),
-        min_size=2,
-        max_size=12,
-        unique=True,
-    )
-)
-@settings(max_examples=200, deadline=None)
-def test_lex_compare_is_strict_total_order(ipoints):
-    pts = [(float(a) / 10.0, float(b) / 10.0) for a, b in ipoints]
-    for p in pts:
-        assert lex_compare(p, p) == 0
-    for p in pts:
-        for q in pts:
-            assert lex_compare(p, q) == -lex_compare(q, p)
-    for p in pts:
-        for q in pts:
-            for r in pts:
-                if lex_compare(p, q) <= 0 and lex_compare(q, r) <= 0:
-                    assert lex_compare(p, r) <= 0
-
-
 def test_pattern_rejects_duplicates():
     with pytest.raises(PatternError):
         PointPattern(Domain.window(5, 5), [[1.0, 1.0], [1.0, 1.0]])
@@ -148,9 +104,6 @@ def test_pattern_rejects_out_of_domain():
 def test_pattern_point_accessors():
     pat = PointPattern(Domain.window(5, 5), [[1.0, 2.0], [3.0, 4.0]])
     assert pat.size == 2
-    p = pat.point(1)
-    assert p.coords == (3.0, 4.0)
-    assert p.id == 1
 
 
 GOLDEN = (

@@ -1,0 +1,54 @@
+"""Smoke runs of the experiment scripts at small sizes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+RUNS = {
+    "next_row_intensity.py": (
+        ["--columns", "10", "--rows", "20", "--realizations", "4"],
+        ["realizations,mean,stderr"],
+    ),
+    "strip_ladder.py": (
+        ["--side", "40", "--buffer", "2"],
+        [
+            "# strip on a thinned grid",
+            "fraction,n_points,n_components,largest_component,typical_foil_size,n_foils",
+            "# strip on poisson",
+            "# survival profile (poisson)",
+            "n,survival_fraction",
+        ],
+    ),
+    "condenser_marks.py": (
+        ["--length", "500", "--realizations", "4"],
+        [
+            "k,observed_fraction,predicted_fraction",
+            "k,walk_mean,walk_stderr,count_ratio_mean,target",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("script", sorted(RUNS))
+def test_script_runs(script):
+    args, headers = RUNS[script]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for header in headers:
+        assert header in lines

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_f_perp, brute_rls_rank, random_map_pattern
+from oracles import brute_f_perp, brute_rls_rank, brute_senior_interval, random_map_pattern
 
 from foliate.foliation import foliate
 from foliate.generators import GenSpec, generate
+from foliate.palm import Realization, SeniorIntervalKernel, relative_intensity
 from foliate.patterns import ConfigError, Domain, translate
 from foliate.shifts import ShiftMap, evaluate
 from foliate.stable import (
@@ -16,7 +17,7 @@ from foliate.stable import (
     check_order_preservation,
     delta,
     dfs_preorder,
-    foil_order,
+    foil_windings,
     orbit,
     stable_to_json,
 )
@@ -167,11 +168,11 @@ def test_f_perp_cycles_through_foil_in_lex_order():
 def test_delta_examples():
     pat, sm, fol = make_case(EX_IMAGE)
     st_maps = build_stable_maps(pat, sm, fol)
-    assert delta(st_maps.f_perp, fol, 0, 0) == 0
-    assert delta(st_maps.f_perp, fol, 0, 3) == 2
-    assert delta(st_maps.f_perp, fol, 3, 0) == 1
+    assert delta(st_maps, fol, 0, 0) == 0
+    assert delta(st_maps, fol, 0, 3) == 2
+    assert delta(st_maps, fol, 3, 0) == 1
     with pytest.raises(ConfigError):
-        delta(st_maps.f_perp, fol, 0, 1)
+        delta(st_maps, fol, 0, 1)
 
 
 def test_delta_sign_consistency_exhaustive():
@@ -182,8 +183,8 @@ def test_delta_sign_consistency_exhaustive():
         m = len(members)
         for x in members:
             for y in members:
-                dxy = delta(st_maps.f_perp, fol, int(x), int(y))
-                dyx = delta(st_maps.f_perp, fol, int(y), int(x))
+                dxy = delta(st_maps, fol, int(x), int(y))
+                dyx = delta(st_maps, fol, int(y), int(x))
                 assert (dxy + dyx) % m == 0
 
 
@@ -228,7 +229,7 @@ def test_f_perp_delta_identity(image):
     st_maps = build_stable_maps(pat, sm, fol)
     for x in range(len(image)):
         for y in fol.foil_members(fol.foil_id[x]):
-            k = delta(st_maps.f_perp, fol, x, int(y))
+            k = delta(st_maps, fol, x, int(y))
             z = x
             for _ in range(k):
                 z = int(st_maps.f_perp[z])
@@ -262,14 +263,69 @@ def test_stable_maps_match_brute_force(case):
 def test_foil_order_follows_f_perp(case):
     pat, sm = oracle_case(case)
     fol = foliate(pat, sm)
-    st_maps = build_stable_maps(pat, sm, fol)
-    by_rank = {c.id for c in fol.components if c.id % 2 == 0}
-    rank_perp = build_f_perp(pat, fol, st_maps.rls, by_rank)
+    by_rank = {c for c in range(fol.n_components) if c % 2 == 0}
+    for keyed in (frozenset(), by_rank):
+        st_maps = build_stable_maps(pat, sm, fol, keyed)
+        for f in range(fol.n_foils):
+            members = fol.foil_members(f)
+            pos = st_maps.foil_pos[members]
+            assert sorted(pos.tolist()) == list(range(len(members)))
+            ordered = members[np.argsort(pos)].tolist()
+            assert orbit(st_maps.f_perp, ordered[0], len(ordered)) == ordered
+
+
+# ----------------------------------------------------- senior interval
+
+
+def check_senior_interval(pat, sm):
+    """Kernel sides, windings, every pair's step count on foils of at most
+    30 members, and walks shorter than the foil, against the oracle."""
+    fol = foliate(pat, sm)
+    r = Realization(pat, sm, fol)
+    st_maps = r.stable()
+    want = brute_senior_interval(pat, sm.image.tolist())
+    kernel = SeniorIntervalKernel()
+    assert kernel.plus(r).tolist() == [float(v) for v in want["plus"]]
+    assert kernel.minus(r).tolist() == [float(v) for v in want["minus"]]
+    fids, windings, m_plus = foil_windings(sm, fol, st_maps)
+    got = {int(fol.foil_members(f)[0]): (w, m) for f, w, m in zip(fids, windings, m_plus)}
+    assert got == want["winding"]
+    pos, size = want["pos"], want["size"]
     for f in range(fol.n_foils):
-        use_rls = int(fol.foil_component[f]) in by_rank
-        for table, rls in ((st_maps.f_perp, None), (rank_perp, st_maps.rls)):
-            members = foil_order(pat, fol, f, rls, use_rls).tolist()
-            assert orbit(table, members[0], len(members)) == members
+        members = fol.foil_members(f)
+        if len(members) > 30:
+            continue
+        xs, ys = np.meshgrid(members, members)
+        steps = [(pos[y] - pos[x]) % size[x] for x, y in zip(xs.flat, ys.flat)]
+        assert delta(st_maps, fol, xs, ys).ravel().tolist() == steps
+        x = int(members[-1])
+        if fol.senior_foil[f] < 0:
+            continue
+        walk = sorted(members.tolist(), key=lambda z: (pos[z] - pos[x]) % size[x])
+        for n in sorted({1, 2, len(members) - 1, len(members)} - {0}):
+            mean = sum(want["plus"][z] for z in walk[:n]) / n
+            assert relative_intensity(r, x, n=n, mode="walk") == mean
+
+
+@pytest.mark.parametrize(
+    "case", ["grid_torus_next_row", "window_strip", "window_condenser"]
+)
+def test_senior_interval_matches_brute_force(case):
+    check_senior_interval(*oracle_case(case))
+
+
+@st.composite
+def partial_maps(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    return [draw(st.integers(min_value=-1, max_value=n - 1)) for _ in range(n)]
+
+
+@given(partial_maps())
+@example(EX_IMAGE)
+@settings(max_examples=200, deadline=None)
+def test_senior_interval_random_maps(image):
+    pat, sm, _ = make_case(image)
+    check_senior_interval(pat, sm)
 
 
 def test_rls_f_perp_mode_on_censored_tree():
@@ -331,5 +387,5 @@ def test_stable_serialization():
 
 def test_foil_order_window_is_plain_lex():
     pat, sm, fol = make_case(EX_IMAGE)
-    f = fol.foil_id[0]
-    assert foil_order(pat, fol, int(f)).tolist() == [0, 2, 3]
+    st_maps = build_stable_maps(pat, sm, fol)
+    assert st_maps.foil_pos[[0, 2, 3]].tolist() == [0, 1, 2]
