@@ -41,7 +41,6 @@ from .stable import (
     build_rls_order,
     build_stable_maps,
     delta,
-    dfs_preorder,
 )
 from .palm import (
     Realization,

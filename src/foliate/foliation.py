@@ -359,24 +359,16 @@ def descendant_stats(shift_map: ShiftMap, max_order: int) -> DescendantStats:
 @dataclass(frozen=True)
 class PrimevalSet:
     ids: np.ndarray
-    order_used: int | None  # None when exact (cycle nodes of a total map)
+    order_used: int | None  # None: the set is exact (the cycle nodes)
 
 
-def primeval_set(shift_map: ShiftMap, n_max: int | None = None) -> PrimevalSet:
-    """Points surviving in every iterated image.
-
-    Exact (the union of cycles) for a total map; under censoring it falls
-    back to the n_max-fold image of the defined core and reports the order
-    used.
-    """
-    if shift_map.is_total:
-        on_cycle = _trees(shift_map.image)[1]
-        return PrimevalSet(ids=np.flatnonzero(on_cycle).astype(np.int64), order_used=None)
-    if n_max is None:
-        n_max = len(shift_map)
-    imgs = shift_map.iterate(n_max)
-    ids = np.unique(imgs[imgs >= 0])
-    return PrimevalSet(ids=ids.astype(np.int64), order_used=int(n_max))
+def primeval_set(shift_map: ShiftMap) -> PrimevalSet:
+    """Points surviving in every iterated image of a total map: exactly the
+    union of its cycles.  A censored map has no exact primeval set."""
+    if not shift_map.is_total:
+        raise ConfigError("the primeval set needs a total (uncensored) map")
+    on_cycle = _trees(shift_map.image)[1]
+    return PrimevalSet(ids=np.flatnonzero(on_cycle).astype(np.int64), order_used=None)
 
 
 def classify(

@@ -80,38 +80,25 @@ class ShiftMap:
         n = len(self)
         return float(self.censored.sum() / n) if n else 0.0
 
-    def iterate(self, n: int) -> np.ndarray:
-        """n-fold composition; -1 wherever the walk hits a censored point."""
-        fn = np.arange(len(self), dtype=np.int64)
-        for _ in range(n):
-            ok = fn >= 0
-            nxt = np.full_like(fn, -1)
-            nxt[ok] = self.image[fn[ok]]
-            fn = nxt
-        return fn
-
     def to_json(self) -> str:
-        rows = [
-            {
-                "id": int(i),
-                "image": (None if self.censored[i] else int(self.image[i])),
-                "censored": bool(self.censored[i]),
-            }
-            for i in range(len(self))
-        ]
-        return json.dumps(rows)
+        """The rows ``{"id", "image" (null when censored), "censored"}``,
+        in the bytes ``json.dumps`` gives for that list of dicts."""
+        rows = zip(self.image.tolist(), self.censored.tolist())
+        return "[" + ", ".join(
+            f'{{"id": {i}, "image": {"null" if c else v}, '
+            f'"censored": {"true" if c else "false"}}}'
+            for i, (v, c) in enumerate(rows)
+        ) + "]"
 
     @classmethod
     def from_json(cls, text: str, kind: str = "unknown") -> "ShiftMap":
+        """Inverse of ``to_json``; the rows may come in any id order."""
         rows = json.loads(text)
-        n = len(rows)
-        image = np.full(n, -1, dtype=np.int64)
-        censored = np.zeros(n, dtype=bool)
-        for row in rows:
-            i = int(row["id"])
-            censored[i] = bool(row["censored"])
-            if row["image"] is not None:
-                image[i] = int(row["image"])
+        ids = np.array([row["id"] for row in rows], dtype=np.int64)
+        image = np.full(len(rows), -1, dtype=np.int64)
+        censored = np.zeros(len(rows), dtype=bool)
+        censored[ids] = [row["censored"] for row in rows]
+        image[ids] = [-1 if row["image"] is None else row["image"] for row in rows]
         return cls(kind, image, censored)
 
 
@@ -144,57 +131,84 @@ def eval_mnn(pattern: PointPattern) -> ShiftMap:
     return ShiftMap("mnn", image, censored)
 
 
-def _band_buckets(coords: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Points bucketed by floor of the second coordinate, lex-sorted inside."""
-    rows = np.floor(coords[:, 1]).astype(np.int64)
-    order = np.lexsort((coords[:, 1], coords[:, 0], rows))
-    rs = rows[order]
-    buckets: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    start = 0
-    for stop in range(1, len(order) + 1):
-        if stop == len(order) or rs[stop] != rs[start]:
-            ids = order[start:stop]
-            buckets[int(rs[start])] = (coords[ids, 0], coords[ids, 1], ids)
-            start = stop
-    return buckets
+def _first_in_band(
+    code: np.ndarray,
+    bucket: np.ndarray,
+    x2: np.ndarray,
+    query: np.ndarray,
+    b: np.ndarray,
+    x2_query: np.ndarray,
+) -> np.ndarray:
+    """Per query, the first sorted slot of bucket rank ``b`` whose code
+    exceeds ``query`` and whose second coordinate lies within the half-width
+    of ``x2_query``; -1 when the bucket runs out first."""
+    n = len(code)
+    slot = np.searchsorted(code, query, side="right")
+    found = np.full(len(query), -1, dtype=np.int64)
+    todo = np.arange(len(query))
+    while todo.size:
+        j = slot[todo]
+        live = j < n
+        todo, j = todo[live], j[live]
+        live = bucket[j] == b[todo]
+        todo, j = todo[live], j[live]
+        hit = np.abs(x2[j] - x2_query[todo]) <= STRIP_HALFWIDTH
+        found[todo[hit]] = j[hit]
+        todo = todo[~hit]
+        slot[todo] += 1
+    return found
 
 
 def _strip_eval(coords: np.ndarray, domain: Domain) -> tuple[np.ndarray, np.ndarray]:
-    """Strip images for one coordinate set; local ids, -1 where censored."""
+    """Strip images for one coordinate set; local ids, -1 where censored.
+
+    The points are sorted by (bucket floor(x2), x1, x2) and coded exactly as
+    bucket rank·(N+1) + dense rank of x1, so one ``searchsorted`` per band
+    bucket finds the first point right of each query; the scan then steps
+    every unresolved query one slot per round until the second coordinate
+    fits the band or the bucket ends.
+    """
     n = len(coords)
     image = np.full(n, -1, dtype=np.int64)
     censored = np.zeros(n, dtype=bool)
+    if n == 0:
+        return image, censored
     width, height = domain.extents
-    buf = domain.buffer
-    buckets = _band_buckets(coords) if n else {}
-    for i in range(n):
-        x1, x2 = coords[i]
-        if x2 - STRIP_HALFWIDTH < 0.0 or x2 + STRIP_HALFWIDTH > height:
-            # part of the band is unobserved; the image may be off-window
-            censored[i] = True
-            continue
-        best: tuple[float, float, int] | None = None
-        lo_b = int(np.floor(x2 - STRIP_HALFWIDTH))
-        hi_b = int(np.floor(x2 + STRIP_HALFWIDTH))
-        for b in {lo_b, hi_b}:
-            entry = buckets.get(b)
-            if entry is None:
-                continue
-            bx1, bx2, bids = entry
-            j = int(np.searchsorted(bx1, x1, side="right"))
-            while j < len(bx1):
-                if abs(bx2[j] - x2) <= STRIP_HALFWIDTH:
-                    cand = (float(bx1[j]), float(bx2[j]), int(bids[j]))
-                    if best is None or cand[:2] < best[:2]:
-                        best = cand
-                    break
-                j += 1
-        if best is not None:
-            image[i] = best[2]
-        elif width - x1 < buf:
-            censored[i] = True
-        else:
-            image[i] = i
+    x1, x2 = coords[:, 0], coords[:, 1]
+    rows = np.floor(x2)
+    order = np.lexsort((x2, x1, rows))
+    buckets, bucket = np.unique(rows, return_inverse=True)
+    rank = np.unique(x1, return_inverse=True)[1]
+    code = bucket * (n + 1) + rank
+    s_code, s_bucket, s_x2 = code[order], bucket[order], x2[order]
+
+    # part of the band is unobserved; the image may be off-window
+    edge = (x2 - STRIP_HALFWIDTH < 0.0) | (x2 + STRIP_HALFWIDTH > height)
+    q = np.flatnonzero(~edge)
+    cands = []
+    for side in (np.floor(x2[q] - STRIP_HALFWIDTH), np.floor(x2[q] + STRIP_HALFWIDTH)):
+        b = np.searchsorted(buckets, side)
+        ok = (b < len(buckets)) & (buckets[np.minimum(b, len(buckets) - 1)] == side)
+        qs, b = q[ok], b[ok]
+        slot = _first_in_band(s_code, s_bucket, s_x2, b * (n + 1) + rank[qs], b, x2[qs])
+        cand = np.full(len(q), -1, dtype=np.int64)
+        cand[ok] = np.where(slot >= 0, order[slot], -1)
+        cands.append(cand)
+    # lexicographic (x1, x2) minimum of the two buckets' candidates; when the
+    # buckets coincide both are the same point.  A -1 reads the last point,
+    # masked out by the sign tests.
+    lo, hi = cands
+    take_hi = (hi >= 0) & (
+        (lo < 0) | (x1[hi] < x1[lo]) | ((x1[hi] == x1[lo]) & (x2[hi] < x2[lo]))
+    )
+    best = np.where(take_hi, hi, lo)
+
+    image[q] = best
+    empty = q[best < 0]
+    near_right = width - x1[empty] < domain.buffer
+    image[empty[~near_right]] = empty[~near_right]
+    censored[edge] = True
+    censored[empty[near_right]] = True
     return image, censored
 
 
@@ -259,41 +273,36 @@ def eval_next_row(pattern: PointPattern) -> ShiftMap:
         raise ConfigError("next row shift needs a grid pattern (grid_shift metadata)")
     n = len(pattern)
     image = np.full(n, -1, dtype=np.int64)
-    censored = np.zeros(n, dtype=bool)
+    if n == 0:
+        return ShiftMap("next_row", image, np.zeros(0, dtype=bool))
     torus = pattern.domain.kind == TORUS
-    width = int(pattern.domain.extents[0]) if torus else 0
+    # column key: lattice column plus any trailing coordinates; the target
+    # key is the next column, modular on a torus
+    key = np.delete(lattice, 1, axis=1)
+    target = key.copy()
+    target[:, 0] += 1
+    if torus:
+        target[:, 0] %= int(pattern.domain.extents[0])
+    column = np.unique(np.vstack([key, target]), axis=0, return_inverse=True)[1].ravel()
+    column, target = column[:n], column[n:]
+    occupied = np.zeros(2 * n, dtype=bool)
+    occupied[column] = True
+    censored = ~occupied[target]
 
-    columns: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-    keys = [
-        (int(lattice[i, 0]),) + tuple(int(v) for v in lattice[i, 2:]) for i in range(n)
-    ]
-    by_key: dict[tuple[int, ...], list[int]] = {}
-    for i, key in enumerate(keys):
-        by_key.setdefault(key, []).append(i)
-    for key, ids in by_key.items():
-        ids_arr = np.asarray(ids, dtype=np.int64)
-        rows = lattice[ids_arr, 1]
-        order = np.argsort(rows, kind="stable")
-        columns[key] = (rows[order], ids_arr[order])
-
-    for i in range(n):
-        c0 = int(lattice[i, 0]) + 1
-        if torus:
-            c0 %= width
-        key = (c0,) + tuple(int(v) for v in lattice[i, 2:])
-        entry = columns.get(key)
-        if entry is None:
-            censored[i] = True
-            continue
-        rows, ids_arr = entry
-        j = int(np.searchsorted(rows, lattice[i, 1], side="left"))
-        if j == len(rows):
-            if torus:
-                j = 0
-            else:
-                censored[i] = True
-                continue
-        image[i] = ids_arr[j]
+    row = lattice[:, 1] - lattice[:, 1].min()
+    height = int(row.max()) + 1
+    order = np.lexsort((row, column))
+    code = (column * height + row)[order]
+    q = np.flatnonzero(~censored)
+    slot = np.searchsorted(code, target[q] * height + row[q], side="left")
+    off_top = (slot == n) | (column[order[np.minimum(slot, n - 1)]] != target[q])
+    if torus:
+        # the search ran off the column's top: wrap to its lowest row
+        slot[off_top] = np.searchsorted(code, target[q[off_top]] * height, side="left")
+    else:
+        censored[q[off_top]] = True
+        q, slot = q[~off_top], slot[~off_top]
+    image[q] = order[slot]
     return ShiftMap("next_row", image, censored)
 
 

@@ -77,20 +77,6 @@ def _preorder(roots: list[int], indptr: list[int], sons: list[int]) -> list[int]
     return out
 
 
-def dfs_preorder(pattern: PointPattern, shift_map: ShiftMap, root: int) -> list[int]:
-    """Preorder over the descendants of ``root`` in the reversed map.
-
-    Sons are visited lexicographically (relative to their father).  A cycle
-    anywhere below the root is a hard error: descendant trees only.
-    """
-    n = len(shift_map)
-    if not 0 <= root < n:
-        raise ConfigError("root out of range")
-    image = shift_map.image
-    indptr, sons = _ordered_sons(pattern, image, np.flatnonzero(image >= 0))
-    return _preorder([int(root)], indptr, sons)
-
-
 @dataclass(frozen=True)
 class RlsOrder:
     """Total order per component: rank[x] in 0..|C|-1.
@@ -246,11 +232,12 @@ def senior_steps(
 
 
 def stable_to_json(table: np.ndarray, role: str) -> str:
-    rows = [
-        {"id": int(i), "image": int(table[i]), "censored": False, "role": role}
-        for i in range(len(table))
-    ]
-    return json.dumps(rows)
+    """The rows ``{"id", "image", "censored": false, "role"}`` of a bijection,
+    in the bytes ``json.dumps`` gives for that list of dicts."""
+    tail = f'"censored": false, "role": {json.dumps(role)}}}'
+    return "[" + ", ".join(
+        f'{{"id": {i}, "image": {v}, {tail}' for i, v in enumerate(table.tolist())
+    ) + "]"
 
 
 def orbit(table: np.ndarray, start: int, expect: int | None = None) -> list[int]:

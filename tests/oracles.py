@@ -326,17 +326,100 @@ def brute_nn(pattern: PointPattern) -> tuple[list[int], list[float], list[bool]]
     return ids, dists, tied
 
 
-def brute_strip_image(pattern: PointPattern, i: int) -> int | None:
-    """Leftmost point of the open half-band right of point i (lex ties)."""
-    x1, x2 = pattern.coords[i]
-    best = None
-    for j in range(len(pattern)):
-        y1, y2 = pattern.coords[j]
-        if y1 > x1 and abs(y2 - x2) <= 0.5:
-            key = (y1, y2)
-            if best is None or key < best[0]:
-                best = (key, j)
-    return None if best is None else best[1]
+def _strip_rule(
+    points: list[tuple[float, float]], ids: list[int], width: float, height: float, buf: float
+) -> dict[int, int | None]:
+    """The strip rule among ``points`` (with their pattern ``ids``): per id,
+    the image id, or None when censored.
+
+    Censored: the band [x2 - 1/2, x2 + 1/2] leaves the window, or it holds
+    no point right of x and x lies within the buffer of the right edge.  An
+    empty band otherwise makes x a fixed point.
+    """
+    out: dict[int, int | None] = {}
+    for x, i in zip(points, ids):
+        x1, x2 = x
+        if x2 - 0.5 < 0.0 or x2 + 0.5 > height:
+            out[i] = None
+            continue
+        best = None
+        for (y1, y2), j in zip(points, ids):
+            if y1 > x1 and abs(y2 - x2) <= 0.5 and (best is None or (y1, y2) < best[0]):
+                best = ((y1, y2), j)
+        if best is not None:
+            out[i] = best[1]
+        elif width - x1 < buf:
+            out[i] = None
+        else:
+            out[i] = i
+    return out
+
+
+def _plain_points(pattern: PointPattern) -> list[tuple[float, float]]:
+    return [(float(a), float(b)) for a, b in pattern.coords.tolist()]
+
+
+def brute_strip_map(pattern: PointPattern) -> tuple[list[int], list[bool]]:
+    """Strip shift of a window pattern by full scan per point, in plain
+    Python floats: (image with -1 where censored, censored)."""
+    width, height = (float(e) for e in pattern.domain.extents)
+    n = len(pattern)
+    rule = _strip_rule(_plain_points(pattern), list(range(n)), width, height,
+                       float(pattern.domain.buffer))
+    return [-1 if rule[i] is None else rule[i] for i in range(n)], [
+        rule[i] is None for i in range(n)
+    ]
+
+
+def brute_multitype_strip_map(pattern: PointPattern) -> tuple[list[int], list[bool]]:
+    """Cluster shift by full scan: a child maps to its parent (censored when
+    it has none); a parent runs the strip rule among the parents of its
+    type.  (image with -1 where censored, censored)."""
+    meta = pattern.metadata
+    parent = [int(v) for v in meta["cluster_parent"]]
+    ptype = [int(v) for v in meta["cluster_type"]]
+    is_parent = [bool(v) for v in meta["cluster_is_parent"]]
+    width, height = (float(e) for e in pattern.domain.extents)
+    points = _plain_points(pattern)
+    n = len(points)
+    image: list[int | None] = [None if is_parent[i] or parent[i] < 0 else parent[i]
+                               for i in range(n)]
+    for t in sorted({ptype[i] for i in range(n) if is_parent[i]}):
+        ids = [i for i in range(n) if is_parent[i] and ptype[i] == t]
+        rule = _strip_rule([points[i] for i in ids], ids, width, height,
+                           float(pattern.domain.buffer))
+        for i in ids:
+            image[i] = rule[i]
+    return [-1 if v is None else v for v in image], [v is None for v in image]
+
+
+def brute_next_row_image(pattern: PointPattern) -> list[int | None]:
+    """Next-row image per point, None when censored, in plain Python ints.
+
+    Lattice sites are the rounded ``coords - grid_shift``.  The image is the
+    lowest row >= the source row (least id on equal sites) among the points
+    whose column is the source column + 1 (modulo the first extent on a
+    torus) and whose trailing coordinates match.  Past the top of that
+    column a torus wraps to its lowest row and a window censors; an empty
+    column censors.
+    """
+    shift = [float(v) for v in pattern.metadata["grid_shift"]]
+    sites = [tuple(int(round(c - s)) for c, s in zip(row, shift))
+             for row in pattern.coords.tolist()]
+    torus = pattern.domain.kind == "torus"
+    width = int(pattern.domain.extents[0])
+    out: list[int | None] = []
+    for c, r, *rest in sites:
+        col = (c + 1) % width if torus else c + 1
+        column = [(s[1], j) for j, s in enumerate(sites) if s[0] == col and list(s[2:]) == rest]
+        above = [e for e in column if e[0] >= r]
+        if above:
+            out.append(min(above)[1])
+        elif column and torus:
+            out.append(min(column)[1])
+        else:
+            out.append(None)
+    return out
 
 
 def brute_condenser_marks(pattern: PointPattern, r: float = 1.0) -> list[int]:

@@ -24,7 +24,7 @@ from foliate.foliation import (
     primeval_set,
 )
 from foliate.generators import GenSpec, generate
-from foliate.patterns import Domain
+from foliate.patterns import ConfigError, Domain
 from foliate.shifts import ShiftMap, evaluate
 
 # the running example: a -> b, b -> c, c -> b, d -> b  (ids 0..3)
@@ -160,10 +160,9 @@ def test_primeval_mnn_everything_survives():
     assert ps.ids.tolist() == list(range(len(pat)))
 
 
-def test_primeval_censored_uses_iterates():
-    ps = primeval_set(make_map([1, 2, -1, 1]), n_max=2)
-    assert ps.order_used == 2
-    assert ps.ids.tolist() == [2]
+def test_primeval_of_censored_map_is_config_error():
+    with pytest.raises(ConfigError):
+        primeval_set(make_map([1, 2, -1, 1]))
 
 
 @st.composite

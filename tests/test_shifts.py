@@ -1,7 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
-from oracles import brute_condenser_marks, brute_nn, brute_strip_image
+from oracles import (
+    brute_condenser_marks,
+    brute_multitype_strip_map,
+    brute_next_row_image,
+    brute_nn,
+    brute_strip_map,
+)
 
 from foliate.generators import GenSpec, generate
 from foliate.patterns import ConfigError, Domain, PointPattern, translate
@@ -71,11 +79,51 @@ def test_strip_matches_brute_force():
         GenSpec("poisson", Domain.window(30, 30, buffer=2.0), seed=31, intensity=1.0)
     )
     sm = eval_strip(pat)
-    for i in range(len(pat)):
-        if sm.censored[i]:
-            continue
-        ref = brute_strip_image(pat, i)
-        assert sm.image[i] == (i if ref is None else ref)
+    image, censored = brute_strip_map(pat)
+    assert sm.censored.any()
+    assert sm.image.tolist() == image
+    assert sm.censored.tolist() == censored
+
+
+# the pivot (1, 5.25) has band [4.75, 5.75] over buckets 4 and 5: the
+# candidates at exactly |dx2| = 1/2 in both buckets tie on x1 and the lower
+# x2 wins, and (1.5, 4.74) and (1.5, 5.76) lie just outside; (3, 5.25) sits
+# exactly 1/2 from (2, 4.75) and (2, 5.75), and (9.5, 5.25) is in the buffer
+# with an empty band
+HALF_WIDTH_POINTS = [
+    [1.0, 5.25], [2.0, 5.75], [2.0, 4.75], [1.5, 4.74], [1.5, 5.76], [3.0, 5.25],
+    [9.5, 5.25], [4.0, 0.4], [4.0, 9.6],
+]
+# at 2**52 + 2 the halves round away, so floor(x2 - 1/2) == floor(x2 + 1/2)
+BIG = 2.0**52 + 2.0
+COINCIDING_POINTS = [[1.0, BIG], [2.0, BIG], [3.0, BIG + 1.0], [0.5, BIG], [7.5, BIG]]
+
+
+@pytest.mark.parametrize(
+    "pat",
+    [
+        generate(GenSpec("bernoulli_grid", Domain.window(30, 30, buffer=2.0), seed=38, p=0.5)),
+        window_pattern(HALF_WIDTH_POINTS, buffer=1.0),
+        PointPattern(Domain.window(8.0, 2.0**53, buffer=1.0), COINCIDING_POINTS),
+    ],
+    ids=["grid_x1_ties", "half_width", "coinciding_buckets"],
+)
+def test_strip_map_matches_brute_force(pat):
+    sm = eval_strip(pat)
+    image, censored = brute_strip_map(pat)
+    assert sm.image.tolist() == image
+    assert sm.censored.tolist() == censored
+
+
+def test_strip_half_width_and_coinciding_cases():
+    sm = eval_strip(window_pattern(HALF_WIDTH_POINTS, buffer=1.0))
+    assert sm.image[:3].tolist() == [2, 5, 5]
+    assert sm.censored[6:].all()  # right buffer, bottom edge, top edge
+    big = PointPattern(Domain.window(8.0, 2.0**53, buffer=1.0), COINCIDING_POINTS)
+    assert np.floor(BIG - 0.5) == np.floor(BIG + 0.5)
+    sm = eval_strip(big)
+    assert sm.image[:4].tolist() == [1, 4, 2, 0]
+    assert sm.censored[4]
 
 
 # ---------------------------------------------------------------- mnn
@@ -192,6 +240,32 @@ def test_next_row_window_top_censors():
     pat = grid_pattern([[0, 2], [1, 1]], (4.0, 4.0), kind="window", shift=(0.5, 0.5))
     sm = eval_next_row(pat)
     assert sm.censored[0]  # no row >= 2 in column 1, no wrap on a window
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GenSpec("bernoulli_grid", Domain.torus(24, 30), seed=39, p=0.5),
+        GenSpec("bernoulli_grid", Domain.torus(30, 20), seed=39, p=0.05),
+        GenSpec("bernoulli_grid", Domain.window(24, 30), seed=39, p=0.5),
+        GenSpec("bernoulli_grid", Domain.window(30, 20), seed=39, p=0.05),
+        GenSpec("bernoulli_grid", Domain.torus(6, 7, 5), seed=39, p=0.3),
+    ],
+    ids=["torus", "torus_sparse", "window", "window_sparse", "torus_3d"],
+)
+def test_next_row_matches_brute_force(spec):
+    pat = generate(spec)
+    sm = eval_next_row(pat)
+    ref = brute_next_row_image(pat)
+    assert sm.image.tolist() == [-1 if j is None else j for j in ref]
+    assert sm.censored.tolist() == [j is None for j in ref]
+    # the cases reach the row wrap (torus) and empty columns (sparse)
+    if spec.domain.kind == "torus":
+        lat = np.rint(pat.coords - np.asarray(pat.metadata["grid_shift"])).astype(int)
+        ok = ~sm.censored
+        assert np.any(lat[sm.image[ok], 1] < lat[ok, 1])
+    if spec.p < 0.1:
+        assert sm.censored.any()
 
 
 def test_next_row_requires_grid():
@@ -312,6 +386,14 @@ def test_multitype_unique_type_parent_is_self_or_censored():
     assert sm.image[1] == 0
 
 
+def test_multitype_strip_matches_brute_force():
+    pat = cluster_pattern()
+    sm = eval_multitype_strip(pat)
+    image, censored = brute_multitype_strip_map(pat)
+    assert sm.image.tolist() == image
+    assert sm.censored.tolist() == censored
+
+
 def test_multitype_requires_annotations():
     pat = PointPattern(Domain.window(10, 10), [[1.0, 1.0]])
     with pytest.raises(ConfigError):
@@ -328,6 +410,39 @@ def test_shiftmap_serialization_roundtrip():
     assert np.array_equal(again.image, sm.image)
     assert np.array_equal(again.censored, sm.censored)
     assert '"image": null' in text
+
+
+def _dict_rows_json(sm):
+    return json.dumps(
+        [
+            {
+                "id": int(i),
+                "image": (None if sm.censored[i] else int(sm.image[i])),
+                "censored": bool(sm.censored[i]),
+            }
+            for i in range(len(sm))
+        ]
+    )
+
+
+WRITER_MAPS = [
+    ShiftMap("mnn", np.zeros(0, np.int64), np.zeros(0, bool)),
+    ShiftMap("mnn", np.array([0]), np.array([False])),
+    ShiftMap("mnn", np.array([-1, -1, -1]), np.array([True, True, True])),
+    ShiftMap("strip", np.array([3, -1, 1, 3, -1, 12, 0, 0, 9, 9, 2, 0, 11]),
+             np.array([False, True] + [False] * 2 + [True] + [False] * 8)),
+]
+
+
+@pytest.mark.parametrize("sm", WRITER_MAPS, ids=["empty", "fixed", "all_censored", "mixed"])
+def test_shiftmap_json_bytes_and_shuffled_roundtrip(sm):
+    text = sm.to_json()
+    assert text == _dict_rows_json(sm)
+    rows = json.loads(text)
+    np.random.default_rng(len(sm)).shuffle(rows)
+    again = ShiftMap.from_json(json.dumps(rows), kind=sm.kind)
+    assert np.array_equal(again.image, sm.image)
+    assert np.array_equal(again.censored, sm.censored)
 
 
 def test_shiftmap_rejects_inconsistency():
@@ -365,13 +480,6 @@ def test_censoring_monotone_in_buffer():
             cur = set(np.flatnonzero(sm.censored).tolist())
             assert prev <= cur
             prev = cur
-
-
-def test_iterate_propagates_censoring():
-    sm = ShiftMap("mnn", np.array([1, 2, -1]), np.array([False, False, True]))
-    assert sm.iterate(1).tolist() == [1, 2, -1]
-    assert sm.iterate(2).tolist() == [2, -1, -1]
-    assert sm.iterate(3).tolist() == [-1, -1, -1]
 
 
 def test_shift_kind_validation():

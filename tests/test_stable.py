@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,6 @@ from foliate.stable import (
     build_stable_maps,
     check_order_preservation,
     delta,
-    dfs_preorder,
     foil_windings,
     orbit,
     stable_to_json,
@@ -66,58 +67,6 @@ def make_case(image):
     pat = random_map_pattern(rng, len(image))
     sm = ShiftMap("mnn", np.asarray(image, np.int64), np.asarray(image) < 0)
     return pat, sm, foliate(pat, sm)
-
-
-# ------------------------------------------------------------------ dfs
-
-
-def test_dfs_preorder_visits_sons_in_lex_order():
-    # tree: root 3 with sons 0 < 2 (lex by position); 0 has son 1
-    image = [3, 0, 3, -1]
-    pat, sm, _ = make_case(image)
-    assert dfs_preorder(pat, sm, 3) == [3, 0, 1, 2]
-
-
-def test_dfs_preorder_leaf_root():
-    image = [1, -1]
-    pat, sm, _ = make_case(image)
-    assert dfs_preorder(pat, sm, 0) == [0]
-
-
-def test_dfs_preorder_star():
-    image = [4, 4, 4, 4, -1]
-    pat, sm, _ = make_case(image)
-    assert dfs_preorder(pat, sm, 4) == [4, 0, 1, 2, 3]
-
-
-def test_dfs_preorder_rejects_cycles():
-    pat, sm, _ = make_case(EX_IMAGE)
-    with pytest.raises(ConfigError):
-        dfs_preorder(pat, sm, 1)
-    pat2, sm2, _ = make_case([0])
-    with pytest.raises(ConfigError):
-        dfs_preorder(pat2, sm2, 0)
-
-
-def test_dfs_descendants_form_rank_interval():
-    # preorder property: each subtree occupies consecutive positions
-    image = [6, 0, 0, 2, 2, 4, -1]
-    pat, sm, _ = make_case(image)
-    order = dfs_preorder(pat, sm, 6)
-    pos = {v: i for i, v in enumerate(order)}
-    for v in range(7):
-        subtree = {v} | _descendants(image, v)
-        positions = sorted(pos[w] for w in subtree)
-        assert positions == list(range(positions[0], positions[0] + len(positions)))
-
-
-def _descendants(image, v):
-    out: set[int] = set()
-    frontier = {y for y, t in enumerate(image) if t == v}
-    while frontier:
-        out |= frontier
-        frontier = {y for y, t in enumerate(image) if t in frontier} - out
-    return out
 
 
 # ------------------------------------------------------------------ rls
@@ -378,11 +327,23 @@ def test_order_preservation_on_censored_condenser():
 def test_stable_serialization():
     pat, sm, fol = make_case(EX_IMAGE)
     st_maps = build_stable_maps(pat, sm, fol)
-    import json
-
     rows = json.loads(stable_to_json(st_maps.f_perp, "f_perp"))
     assert rows[0]["role"] == "f_perp"
     assert all(not row["censored"] for row in rows)
+
+
+@pytest.mark.parametrize(
+    "table, role",
+    [([], "f_perp"), ([0], "h_dense"), ([2, 0, 1, 4, 3], "f_perp"), ([1, 0], 'a "quoted" role')],
+    ids=["empty", "fixed", "permutation", "escaped_role"],
+)
+def test_stable_json_bytes(table, role):
+    table = np.asarray(table, dtype=np.int64)
+    rows = [
+        {"id": int(i), "image": int(table[i]), "censored": False, "role": role}
+        for i in range(len(table))
+    ]
+    assert stable_to_json(table, role) == json.dumps(rows)
 
 
 def test_foil_order_window_is_plain_lex():
