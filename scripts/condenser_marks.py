@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 
-from foliate.cli import condenser_intensity_reports
 from foliate.generators import GenSpec, generate
-from foliate.palm import Realization
+from foliate.palm import Realization, condenser_intensity_reports
 from foliate.patterns import Domain
 from foliate.shifts import condenser_marks
 

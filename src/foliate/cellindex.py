@@ -107,15 +107,11 @@ def nearest(
     return nn, dist, ties > 1
 
 
-def ball(pattern: PointPattern, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-ball neighbors: per-point counts of the points within distance
-    ``r`` (the point itself included), and the (center, member) id pairs,
-    sorted by center and then member."""
+def ball(pattern: PointPattern, r: float) -> np.ndarray:
+    """Closed-ball counts: per point, the points within distance ``r`` (the
+    point itself included)."""
     n = len(pattern)
-    chunks = []
-    for pos, cand, d in _candidates(pattern, r, np.arange(n)):
-        inside = d <= r
-        chunks.append(np.stack([pos[inside], cand[inside]], axis=1))
-    pairs = np.concatenate(chunks) if chunks else np.zeros((0, 2), dtype=np.int64)
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    return np.bincount(pairs[:, 0], minlength=n), pairs
+    counts = np.zeros(n, dtype=np.int64)
+    for pos, _, d in _candidates(pattern, r, np.arange(n)):
+        counts += np.bincount(pos[d <= r], minlength=n)
+    return counts

@@ -10,7 +10,6 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +33,7 @@ from .palm import (
     reports_json,
     verify_identities,
 )
-from .patterns import TORUS, WINDOW, ConfigError, PatternError, PointPattern
+from .patterns import TORUS, WINDOW, ConfigError, PointPattern
 from .shifts import SHIFT_NAMES, ShiftKind, evaluate
 
 EXIT_OK = 0
@@ -158,51 +157,6 @@ def exact_failures(reports: list[StatReport], expect_exact: bool) -> list[str]:
     if not expect_exact:
         return []
     return [rep.name for rep in reports if rep.target is not None and not rep.exact]
-
-
-def mark_class_representative(r: Realization, k: int, ball_radius: float = 1.0):
-    """First non-censored point with ball count k in the largest component."""
-    from .shifts import condenser_marks
-
-    marks, _ = condenser_marks(r.pattern, ball_radius)
-    big = int(np.argmax(r.foliation.component_size))
-    members = np.flatnonzero(
-        (r.foliation.component_id == big)
-        & (marks == k)
-        & ~r.shift_map.censored
-    )
-    return int(members[0]) if members.size else None
-
-
-def condenser_intensity_reports(
-    reals: list[Realization], ks: tuple[int, ...] = (1, 2, 3), ball_radius: float = 1.0
-) -> dict[int, tuple[StatReport, StatReport]]:
-    """Per ball-count class k: the walk estimate at the representative foil
-    and the plain class-count ratio it cross-checks against."""
-    from .palm import make_report, relative_intensity
-    from .shifts import condenser_marks
-
-    out: dict[int, tuple[StatReport, StatReport]] = {}
-    for k in ks:
-        walks = []
-        ratios = []
-        for r in reals:
-            marks, mc = condenser_marks(r.pattern, ball_radius)
-            auth = ~mc
-            denom = int(((marks == k) & auth).sum())
-            if denom:
-                ratios.append(float(((marks == k + 1) & auth).sum()) / denom)
-            x = mark_class_representative(r, k, ball_radius)
-            if x is None:
-                continue
-            est = relative_intensity(r, x, mode="walk")
-            if est is not None:
-                walks.append(est)
-        out[k] = (
-            make_report(f"condenser_intensity_k{k}", walks, n=k),
-            make_report(f"condenser_count_ratio_k{k}", ratios, n=k),
-        )
-    return out
 
 
 def stats_reports(reals: list[Realization], n_max: int) -> list[StatReport]:
@@ -332,7 +286,7 @@ def _load_pattern(path: str) -> PointPattern:
     """Read a pattern file; an unreadable or invalid one is a config error."""
     try:
         return PointPattern.from_json(Path(path).read_text())
-    except (PatternError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load pattern {path}: {exc}") from exc
 
 

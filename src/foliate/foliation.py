@@ -359,7 +359,6 @@ def descendant_stats(shift_map: ShiftMap, max_order: int) -> DescendantStats:
 @dataclass(frozen=True)
 class PrimevalSet:
     ids: np.ndarray
-    order_used: int | None  # None: the set is exact (the cycle nodes)
 
 
 def primeval_set(shift_map: ShiftMap) -> PrimevalSet:
@@ -368,7 +367,7 @@ def primeval_set(shift_map: ShiftMap) -> PrimevalSet:
     if not shift_map.is_total:
         raise ConfigError("the primeval set needs a total (uncensored) map")
     on_cycle = _trees(shift_map.image)[1]
-    return PrimevalSet(ids=np.flatnonzero(on_cycle).astype(np.int64), order_used=None)
+    return PrimevalSet(ids=np.flatnonzero(on_cycle).astype(np.int64))
 
 
 def classify(

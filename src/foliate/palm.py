@@ -21,7 +21,7 @@ import numpy as np
 from .foliation import FoliationResult, descendant_stats, DescendantStats, foliate
 from .generators import GenSpec, generate
 from .patterns import TORUS, ConfigError, PointPattern, distances_to
-from .shifts import ShiftKind, ShiftMap, evaluate
+from .shifts import ShiftKind, ShiftMap, condenser_marks, evaluate
 from .stable import StableMaps, build_stable_maps, delta, senior_steps
 
 EXACT_TOL = 1e-12
@@ -497,6 +497,37 @@ def relative_intensity_report(
         censoring=[r.censoring_fraction for r in reals],
         dropped=dropped,
     )
+
+
+def condenser_intensity_reports(
+    reals: list[Realization], ks: tuple[int, ...] = (1, 2, 3), ball_radius: float = 1.0
+) -> dict[int, tuple[StatReport, StatReport]]:
+    """Per ball-count class k: the walk estimate at the first non-censored
+    class-k point of the largest component, and the plain class-count ratio
+    (reliable marks only) it cross-checks against."""
+    walks: dict[int, list[float]] = {k: [] for k in ks}
+    ratios: dict[int, list[float]] = {k: [] for k in ks}
+    for r in reals:
+        marks, marks_censored = condenser_marks(r.pattern, ball_radius)
+        auth = ~marks_censored
+        fol = r.foliation
+        big = (fol.component_id == np.argmax(fol.component_size)) & ~r.shift_map.censored
+        for k in ks:
+            denom = int(((marks == k) & auth).sum())
+            if denom:
+                ratios[k].append(float(((marks == k + 1) & auth).sum()) / denom)
+            members = np.flatnonzero(big & (marks == k))
+            if members.size:
+                est = relative_intensity(r, int(members[0]), mode="walk")
+                if est is not None:
+                    walks[k].append(est)
+    return {
+        k: (
+            make_report(f"condenser_intensity_k{k}", walks[k], n=k),
+            make_report(f"condenser_count_ratio_k{k}", ratios[k], n=k),
+        )
+        for k in ks
+    }
 
 
 def reports_csv(reports: Sequence[StatReport]) -> str:

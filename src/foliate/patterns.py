@@ -129,7 +129,8 @@ class PointPattern:
             else:
                 if np.any(c < 0.0) or np.any(c > ext):
                     raise PatternError("window coordinates must lie in [0, extent]")
-            if np.unique(c, axis=0).shape[0] != c.shape[0]:
+            s = c[np.lexsort(c.T[::-1])]
+            if (s[1:] == s[:-1]).all(axis=1).any():
                 raise PatternError("pattern is not simple (duplicate coordinates)")
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)

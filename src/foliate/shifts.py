@@ -236,12 +236,13 @@ def eval_multitype_strip(pattern: PointPattern) -> ShiftMap:
     if pattern.dimension != 2:
         raise ConfigError("multitype strip is planar (dimension 2)")
     meta = pattern.metadata
-    if "cluster_parent" not in meta or "cluster_is_parent" not in meta:
-        raise ConfigError("multitype strip needs cluster annotations")
+    n = len(pattern)
+    keys = ("cluster_parent", "cluster_type", "cluster_is_parent")
+    if any(np.shape(meta.get(key)) != (n,) for key in keys):
+        raise ConfigError("multitype strip needs cluster annotations, one per point")
     parent = np.asarray(meta["cluster_parent"], dtype=np.int64)
     ptype = np.asarray(meta["cluster_type"], dtype=np.int64)
     is_parent = np.asarray(meta["cluster_is_parent"], dtype=np.int64).astype(bool)
-    n = len(pattern)
     image = np.full(n, -1, dtype=np.int64)
     censored = np.zeros(n, dtype=bool)
     children = ~is_parent
@@ -311,9 +312,46 @@ def condenser_marks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-ball point counts (the point itself included) and a flag for
     marks whose counting ball reaches past the window boundary."""
-    marks, _ = ball(pattern, ball_radius)
+    marks = ball(pattern, ball_radius)
     marks_censored = face_distances(pattern.coords, pattern.domain) < ball_radius
     return marks, marks_censored
+
+
+def _nearest_ahead(
+    cand: np.ndarray, query: np.ndarray, metric: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per query row, the slot of the nearest row of ``cand`` (sorted
+    lexicographically) among those with a larger first coordinate, and its
+    distance; -1 and inf when there is none.
+
+    One ``searchsorted`` finds the first row ahead, which is the winner
+    under ``first_coordinate``.  Under ``euclidean`` the scan steps every
+    unresolved query one slot per round and keeps a row only when strictly
+    nearer, so ties go to the lexicographically least; a query is done once
+    the first-coordinate gap reaches its best distance, since a float
+    sqrt(gap² + ...) is never below the gap.
+    """
+    n = len(cand)
+    first = np.searchsorted(cand[:, 0], query[:, 0], side="right")
+    slot = np.full(len(query), -1, dtype=np.int64)
+    dist = np.full(len(query), np.inf)
+    todo = np.flatnonzero(first < n)
+    j = first[todo]
+    if metric == "first_coordinate":
+        slot[todo] = j
+        dist[todo] = cand[j, 0] - query[todo, 0]
+        return slot, dist
+    while todo.size:
+        d = np.sqrt(((cand[j] - query[todo]) ** 2).sum(axis=1))
+        better = d < dist[todo]
+        slot[todo[better]] = j[better]
+        dist[todo[better]] = d[better]
+        j = j + 1
+        live = j < n
+        todo, j = todo[live], j[live]
+        live = cand[j, 0] - query[todo, 0] < dist[todo]
+        todo, j = todo[live], j[live]
+    return slot, dist
 
 
 def eval_condenser(
@@ -327,7 +365,9 @@ def eval_condenser(
     "Closest" is Euclidean by default; the first-coordinate reading of the
     rule is available via ``metric="first_coordinate"``.  Points whose own
     mark, or whose winning search region, touches unreliably-marked ground
-    are censored.
+    are censored.  The search runs once per mark class over the class
+    above it, sorted lexicographically, and ties go to the
+    lexicographically least point.
     """
     if pattern.domain.kind != WINDOW:
         raise ConfigError("condenser shift runs on window domains only")
@@ -335,72 +375,33 @@ def eval_condenser(
         raise ConfigError("condenser metric is euclidean or first_coordinate")
     n = len(pattern)
     image = np.full(n, -1, dtype=np.int64)
-    censored = np.zeros(n, dtype=bool)
     if n == 0:
-        return ShiftMap("condenser", image, censored)
+        return ShiftMap("condenser", image, np.zeros(0, dtype=bool))
     marks, marks_censored = condenser_marks(pattern, ball_radius)
-    ext = np.asarray(pattern.domain.extents)
+    coords = pattern.coords
     auth = ~marks_censored
-    bad_ids = np.flatnonzero(marks_censored)
-    bad_coords = pattern.coords[bad_ids]
-
-    groups: dict[int, np.ndarray] = {}
+    lex = np.lexsort(coords.T[::-1])
+    winner = np.full(n, -1, dtype=np.int64)
+    dist = np.full(n, np.inf)
     for m in np.unique(marks[auth]):
-        members = np.flatnonzero(auth & (marks == m))
-        order = np.lexsort(tuple(pattern.coords[members].T[::-1]))
-        groups[int(m)] = members[order]
-
-    def interference(i: int, dist: float, first_only: bool) -> bool:
-        if bad_ids.size == 0:
-            return False
-        x = pattern.coords[i]
-        right = bad_coords[:, 0] > x[0]
-        if first_only:
-            return bool(np.any(right & (bad_coords[:, 0] - x[0] <= dist)))
-        d = np.sqrt(((bad_coords - x) ** 2).sum(axis=1))
-        return bool(np.any(right & (d <= dist)))
-
-    for i in range(n):
-        if marks_censored[i]:
-            censored[i] = True
-            continue
-        cands = groups.get(int(marks[i]) + 1)
-        if cands is None:
-            censored[i] = True
-            continue
-        x = pattern.coords[i]
-        cc = pattern.coords[cands]
-        ahead = cc[:, 0] > x[0]
-        if not ahead.any():
-            censored[i] = True
-            continue
-        cand_ids = cands[ahead]
-        cand_coords = cc[ahead]
-        if metric == "first_coordinate":
-            gaps = cand_coords[:, 0] - x[0]
-            dist = float(gaps.min())
-            at_min = np.flatnonzero(gaps == dist)
-        else:
-            d = np.sqrt(((cand_coords - x) ** 2).sum(axis=1))
-            dist = float(d.min())
-            at_min = np.flatnonzero(d == dist)
-        if at_min.size > 1:
-            rows = cand_coords[at_min]
-            at_min = at_min[np.lexsort(tuple(rows.T[::-1]))[:1]]
-        winner = int(cand_ids[at_min[0]])
-        if metric == "euclidean":
-            # winning region must be fully observed
-            lo = x - dist
-            hi = x + dist
-            lo[0] = x[0]
-            if np.any(lo < 0.0) or np.any(hi > ext):
-                censored[i] = True
-                continue
-        if interference(i, dist, metric == "first_coordinate"):
-            censored[i] = True
-            continue
-        image[i] = winner
-    return ShiftMap("condenser", image, censored)
+        q = np.flatnonzero(auth & (marks == m))
+        above = lex[(auth & (marks == m + 1))[lex]]
+        slot, dist[q] = _nearest_ahead(coords[above], coords[q], metric)
+        winner[q[slot >= 0]] = above[slot[slot >= 0]]
+    q = np.flatnonzero(winner >= 0)
+    x, d = coords[q], dist[q, None]
+    if metric == "euclidean":
+        # winning region must be fully observed
+        lo = x - d
+        lo[:, 0] = x[:, 0]
+        ext = np.asarray(pattern.domain.extents)
+        seen = ~((lo < 0.0).any(axis=1) | (x + d > ext).any(axis=1))
+        q, x, d = q[seen], x[seen], d[seen]
+    # a censored-mark point ahead within the distance could be the winner
+    bad = coords[lex[marks_censored[lex]]]
+    ok = _nearest_ahead(bad, x, metric)[1] > d[:, 0]
+    image[q[ok]] = winner[q[ok]]
+    return ShiftMap("condenser", image, image < 0)
 
 
 def evaluate(pattern: PointPattern, kind: ShiftKind | str) -> ShiftMap:

@@ -434,6 +434,53 @@ def brute_condenser_marks(pattern: PointPattern, r: float = 1.0) -> list[int]:
     return out
 
 
+def brute_condenser_image(
+    pattern: PointPattern, r: float = 1.0, metric: str = "euclidean"
+) -> tuple[list[int], list[bool]]:
+    """Condenser shift of a window pattern by full scan per point, in plain
+    Python floats: (image with -1 where censored, censored).
+
+    A mark is the closed r-ball count, unreliable within r of a face.  x maps
+    to the nearest reliably marked point with mark one more and a larger
+    first coordinate (Euclidean distance, or the first-coordinate gap), the
+    lexicographically least on a tie.  x is censored when its own mark is
+    unreliable, when there is no such point, when (Euclidean only) the box
+    x1 <= y1 <= x1 + d, |y_k - x_k| <= d around the winning distance d
+    leaves the window, or when an unreliably marked point ahead of x lies
+    within d.
+    """
+    dom = pattern.domain
+    ext = [float(e) for e in dom.extents]
+    points = [tuple(float(v) for v in row) for row in pattern.coords.tolist()]
+    marks = [sum(_plain_distance(p, q, dom) <= r for q in points) for p in points]
+    unreliable = [min(min(v, e - v) for v, e in zip(p, ext)) < r for p in points]
+
+    def gap(p, q) -> float:
+        return q[0] - p[0] if metric == "first_coordinate" else _plain_distance(p, q, dom)
+
+    image = []
+    for i, p in enumerate(points):
+        best = None
+        if not unreliable[i]:
+            for j, q in enumerate(points):
+                if q[0] > p[0] and not unreliable[j] and marks[j] == marks[i] + 1:
+                    if best is None or (gap(p, q), q) < best[0]:
+                        best = ((gap(p, q), q), j)
+        if best is None:
+            image.append(-1)
+            continue
+        d = best[0][0]
+        observed = metric == "first_coordinate" or (
+            p[0] + d <= ext[0]
+            and all(v - d >= 0.0 and v + d <= e for v, e in zip(p[1:], ext[1:]))
+        )
+        interfered = any(
+            unreliable[j] and q[0] > p[0] and gap(p, q) <= d for j, q in enumerate(points)
+        )
+        image.append(best[1] if observed and not interfered else -1)
+    return image, [v < 0 for v in image]
+
+
 def ks_statistic(values: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance of a sample against Uniform(0, 1)."""
     u = np.sort(np.asarray(values, dtype=float))

@@ -13,7 +13,7 @@ import numpy as np
 from conftest import MNN_SEED, NEXT_ROW_SEED
 from oracles import brute_foils, random_map_pattern
 
-from foliate.cli import condenser_intensity_reports, main
+from foliate.cli import main
 from foliate.foliation import (
     CLASS_IF,
     CLASS_II,
@@ -25,6 +25,7 @@ from foliate.palm import (
     Realization,
     ShiftIterateKernel,
     check_mass_transport,
+    condenser_intensity_reports,
     evaporation_profile,
     relative_intensity,
     relative_intensity_report,

@@ -410,6 +410,60 @@ def test_foliate_on_missing_pattern_is_config_error(tmp_path, capsys):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+def _pattern_file(points, extents=(10.0, 10.0), metadata=None) -> dict:
+    obj = {
+        "dimension": 2,
+        "domain": {"kind": "window", "extents": extents, "buffer": 0.0},
+        "points": points,
+    }
+    if metadata is not None:
+        obj["metadata"] = metadata
+    return obj
+
+
+@pytest.mark.parametrize(
+    "shift, obj",
+    [
+        ("mnn", _pattern_file([[1.0, 1.0], [2.0]])),
+        ("mnn", _pattern_file([[1.0, 1.0], [2.0, "two"]])),
+        ("mnn", _pattern_file([[1.0, 1.0], [2.0, 2.0]], extents=None)),
+        (
+            "multitype_strip",
+            _pattern_file(
+                [[1.0, 1.0], [2.0, 2.0]],
+                metadata={"cluster_parent": [-1, 0], "cluster_is_parent": [1, 0]},
+            ),
+        ),
+        (
+            "multitype_strip",
+            _pattern_file(
+                [[1.0, 1.0], [2.0, 2.0]],
+                metadata={
+                    "cluster_parent": [-1],
+                    "cluster_type": [0],
+                    "cluster_is_parent": [1],
+                },
+            ),
+        ),
+    ],
+    ids=[
+        "ragged_points",
+        "non_numeric_coordinate",
+        "null_extents",
+        "cluster_type_missing",
+        "short_cluster_arrays",
+    ],
+)
+def test_foliate_on_bad_pattern_file_is_config_error(tmp_path, capsys, shift, obj):
+    pattern_file = tmp_path / "bad.json"
+    pattern_file.write_text(json.dumps(obj))
+    code = main(
+        ["foliate", "--pattern", str(pattern_file), "--shift", shift, "--out", str(tmp_path)]
+    )
+    assert code == EXIT_CONFIG
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 SMALL_RUN = ["run", "--model", "poisson", "--intensity", "1", "--torus", "10x10"]
 
 

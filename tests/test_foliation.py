@@ -148,7 +148,6 @@ def _iter_ok(image, x, n):
 def test_primeval_example():
     ps = primeval_set(make_map(EX_IMAGE))
     assert ps.ids.tolist() == [1, 2]
-    assert ps.order_used is None
     ps_id = primeval_set(make_map([0, 1, 2]))
     assert ps_id.ids.tolist() == [0, 1, 2]
 

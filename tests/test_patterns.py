@@ -92,6 +92,8 @@ def test_torus_distance_invariant_under_extent_shifts():
 def test_pattern_rejects_duplicates():
     with pytest.raises(PatternError):
         PointPattern(Domain.window(5, 5), [[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(PatternError):
+        PointPattern(Domain.window(5, 5), [[0.0, 1.0], [-0.0, 1.0]])
 
 
 def test_pattern_rejects_out_of_domain():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    brute_condenser_image,
     brute_condenser_marks,
     brute_multitype_strip_map,
     brute_next_row_image,
@@ -305,6 +306,26 @@ def test_condenser_marks_match_brute_force(domain):
     pat = generate(GenSpec("poisson", domain, seed=33, intensity=0.8))
     marks, _ = condenser_marks(pat, 1.0)
     assert marks.tolist() == brute_condenser_marks(pat, 1.0)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "first_coordinate"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GenSpec("poisson", Domain.window(300.0, buffer=2.0), seed=35, intensity=0.8),
+        GenSpec("poisson", Domain.window(16, 16, buffer=2.0), seed=36, intensity=1.0),
+        # unit lattice: exact distance ties between marks and between candidates
+        GenSpec("bernoulli_grid", Domain.window(20, 20, buffer=2.0), seed=37, p=0.6),
+    ],
+    ids=["window_1d", "window_2d", "grid_window_2d"],
+)
+def test_condenser_matches_brute_force(spec, metric):
+    pat = generate(spec)
+    sm = eval_condenser(pat, 1.0, metric)
+    image, censored = brute_condenser_image(pat, 1.0, metric)
+    assert (~sm.censored).any()
+    assert sm.image.tolist() == image
+    assert sm.censored.tolist() == censored
 
 
 def test_condenser_image_has_next_mark():
