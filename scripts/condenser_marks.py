@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from foliate.generators import GenSpec, generate
-from foliate.palm import Realization, condenser_intensity_reports
+from foliate.palm import Realization, condenser_intensity_reports, fold_reports
 from foliate.patterns import Domain
 from foliate.shifts import condenser_marks
 
@@ -50,9 +50,16 @@ def main() -> None:
         pred = math.exp(-mean) * mean ** (k - 1) / math.factorial(k - 1)
         print(f"{k},{float(np.mean(vals))!r},{pred!r}")
 
-    reals = [Realization.from_spec(spec, "condenser") for spec in specs]
+    ks = (1, 2, 3)
+    reports = fold_reports(
+        [
+            condenser_intensity_reports(Realization.from_spec(spec, "condenser"), ks)
+            for spec in specs
+        ],
+        exactable=False,
+    )
     print("k,walk_mean,walk_stderr,count_ratio_mean,target")
-    for k, (walk, ratio) in condenser_intensity_reports(reals, ks=(1, 2, 3)).items():
+    for k, walk, ratio in zip(ks, reports[::2], reports[1::2]):
         print(f"{k},{walk.mean!r},{walk.stderr!r},{ratio.mean!r},{mean / k!r}")
 
 

@@ -9,7 +9,7 @@ error.  Prints one row per batch size.
 import argparse
 
 from foliate.generators import GenSpec
-from foliate.palm import Realization, relative_intensity_report
+from foliate.palm import Realization, fold_reports, relative_intensity_report
 from foliate.patterns import Domain
 
 
@@ -22,21 +22,22 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=600)
     args = ap.parse_args()
 
-    reals = [
-        Realization.from_spec(
-            GenSpec(
-                "bernoulli_grid",
-                Domain.torus(args.columns, args.rows),
-                seed=args.seed + i,
-                p=args.p,
-            ),
-            "next_row",
-        )
+    domain = Domain.torus(args.columns, args.rows)
+    rows = [
+        [
+            relative_intensity_report(
+                Realization.from_spec(
+                    GenSpec("bernoulli_grid", domain, seed=args.seed + i, p=args.p),
+                    "next_row",
+                ),
+                mode="walk",
+            )
+        ]
         for i in range(args.realizations)
     ]
     print("realizations,mean,stderr")
     for count in (args.realizations // 4, args.realizations // 2, args.realizations):
-        rep = relative_intensity_report(reals[:count], mode="walk")
+        [rep] = fold_reports(rows[:count], exactable=False)
         print(f"{count},{rep.mean!r},{rep.stderr!r}")
 
 

@@ -47,8 +47,10 @@ from .palm import (
     StatReport,
     check_mass_transport,
     evaporation_profile,
+    fold_reports,
     palm_mean,
     relative_intensity,
+    relative_intensity_report,
     verify_identities,
 )
 

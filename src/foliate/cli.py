@@ -28,6 +28,7 @@ from .palm import (
     check_mass_transport,
     evaporation_profile,
     fold_reports,
+    palm_mean,
     relative_intensity_report,
     reports_csv,
     reports_json,
@@ -39,6 +40,9 @@ from .shifts import SHIFT_NAMES, ShiftKind, evaluate
 EXIT_OK = 0
 EXIT_EXACT_FAILURE = 1
 EXIT_CONFIG = 2
+
+# orders of the edge-indicator kernels checked by mass transport
+TRANSPORT_ORDERS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -95,10 +99,11 @@ def reduce_realization(
     components: bool = False,
     pattern: bool = False,
 ) -> RealizationReports:
+    r.dstats(max(n_max, *TRANSPORT_ORDERS))  # the one table every report reads
     return RealizationReports(
         exact_setting=r.is_exact_setting,
-        verify=verify_reports([r], n_max) if verify else None,
-        stats=stats_reports([r], n_max) if stats else None,
+        verify=verify_reports(r, n_max) if verify else None,
+        stats=stats_reports(r, n_max) if stats else None,
         components_csv=r.foliation.components_csv() if components else None,
         pattern_json=r.pattern.to_json() if pattern else None,
     )
@@ -144,13 +149,9 @@ def fold(rows: list[RealizationReports], part: str) -> list[StatReport]:
     )
 
 
-def verify_reports(
-    reals: list[Realization], n_max: int, transport_orders: tuple[int, ...] = (1, 2, 3)
-) -> list[StatReport]:
-    reports = verify_identities(reals, n_max)
-    for n in transport_orders:
-        reports.append(check_mass_transport(ShiftIterateKernel(n), reals))
-    return reports
+def verify_reports(r: Realization, n_max: int) -> list[StatReport]:
+    transport = [check_mass_transport(ShiftIterateKernel(n), r) for n in TRANSPORT_ORDERS]
+    return verify_identities(r, n_max) + transport
 
 
 def exact_failures(reports: list[StatReport], expect_exact: bool) -> list[str]:
@@ -159,29 +160,15 @@ def exact_failures(reports: list[StatReport], expect_exact: bool) -> list[str]:
     return [rep.name for rep in reports if rep.target is not None and not rep.exact]
 
 
-def stats_reports(reals: list[Realization], n_max: int) -> list[StatReport]:
-    from .palm import palm_mean
-
+def stats_reports(r: Realization, n_max: int) -> list[StatReport]:
+    ds = r.dstats(n_max)
     reports: list[StatReport] = []
     for n in range(1, n_max + 1):
-        reports.append(
-            palm_mean(
-                lambda r, n=n: r.dstats(n).d[n],
-                reals,
-                name=f"descendants_mean_n{n}",
-            )
-        )
-        reports.append(
-            palm_mean(
-                lambda r, n=n: np.where(
-                    r.dstats(n).defined[n], r.dstats(n).l[n], np.nan
-                ),
-                reals,
-                name=f"cousins_mean_n{n}",
-            )
-        )
-    reports.extend(evaporation_profile(reals, list(range(1, n_max + 1))))
-    reports.append(relative_intensity_report(reals))
+        reports.append(palm_mean(ds.d[n], r, f"descendants_mean_n{n}"))
+        cousins = np.where(ds.defined[n], ds.l[n], np.nan)
+        reports.append(palm_mean(cousins, r, f"cousins_mean_n{n}"))
+    reports.extend(evaporation_profile(r, range(1, n_max + 1)))
+    reports.append(relative_intensity_report(r))
     return reports
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import TORUS, ConfigError, PointPattern, crop, lattice_coords
+from .patterns import TORUS, ConfigError, PointPattern, crop, lattice_coords, row_ranks
 from .shifts import ShiftKind, ShiftMap, evaluate
 
 CLASS_FF = "FF"
@@ -82,7 +82,7 @@ def _step_rank(pattern: PointPattern, cyc: np.ndarray, succ: np.ndarray) -> np.n
         lattice = lattice_coords(pattern)
         p = pattern.coords if lattice is None else lattice
         rows = (p[succ[cyc]] - p[cyc]) % np.asarray(pattern.domain.extents, dtype=p.dtype)
-    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    return row_ranks(rows)
 
 
 def _anchors(rank: np.ndarray, csucc: np.ndarray, group: np.ndarray, rounds: int):

@@ -5,6 +5,9 @@ On a torus with a total map the generation-counting identities are finite
 combinatorial facts, so they are checked at tolerance 1e-12 and flagged
 ``exact``; window runs report the boundary discrepancy instead of claiming
 exactness.  Integer-valued sums are compared in integer arithmetic.
+
+Each statistic reports on one realization; ``fold_reports`` merges the
+reports of many.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +64,6 @@ def make_report(
     points: int = 0,
     censoring: Sequence[float] = (),
     dropped: int = 0,
-    tol: float = EXACT_TOL,
 ) -> StatReport:
     """``censoring`` lists the censoring fraction of each realization the
     statistic averages over; the report carries their mean."""
@@ -80,7 +83,7 @@ def make_report(
         exactable
         and target is not None
         and bool(vals)
-        and all(abs(v - target) < tol for v in vals)
+        and all(abs(v - target) < EXACT_TOL for v in vals)
     )
     return StatReport(
         name=name,
@@ -103,12 +106,11 @@ def fold_reports(
     """Merge per-realization report lists into whole-run reports.
 
     ``rows`` holds one list per realization, in index order, each with the
-    same report names in the same order, as made by the list-level functions
-    called on that realization alone.  The result equals what those
-    functions give on all realizations at once: values are concatenated,
-    points and drops summed, censoring averaged over the realizations each
-    statistic used, and exactness recomputed with ``exactable`` (all
-    realizations in the exact setting).
+    same report names in the same order, as made by the statistics below
+    on that realization.  Values are concatenated, points and drops summed,
+    censoring averaged over the realizations each statistic used, and
+    exactness recomputed with ``exactable`` (all realizations in the exact
+    setting).  This is the only place realizations are merged.
     """
     return [
         make_report(
@@ -127,13 +129,16 @@ def fold_reports(
 
 @dataclass
 class Realization:
-    """One generated pattern with its evaluated shift and foliation."""
+    """One generated pattern with its evaluated shift and foliation.
+
+    ``dstats`` keeps one descendant table, rebuilt only when a higher order
+    is asked for; a reduction asks for its largest order first, so every
+    report on the realization reads the same table."""
 
     pattern: PointPattern
     shift_map: ShiftMap
     foliation: FoliationResult
     _dstats: DescendantStats | None = field(default=None, repr=False)
-    _stable: StableMaps | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, pattern: PointPattern, kind: ShiftKind | str) -> "Realization":
@@ -163,73 +168,56 @@ class Realization:
             self._dstats = descendant_stats(self.shift_map, n_max)
         return self._dstats
 
+    @cached_property
     def stable(self) -> StableMaps:
-        if self._stable is None:
-            self._stable = build_stable_maps(
-                self.pattern, self.shift_map, self.foliation
-            )
-        return self._stable
+        return build_stable_maps(self.pattern, self.shift_map, self.foliation)
 
 
-def _as_list(realizations: Realization | Iterable[Realization]) -> list[Realization]:
-    if isinstance(realizations, Realization):
-        return [realizations]
-    return list(realizations)
+def _all_points(r: Realization) -> dict:
+    """Report fields of a statistic taken over every point of ``r``."""
+    return {
+        "points": r.n_points,
+        "censoring": [r.censoring_fraction],
+        "exactable": r.is_exact_setting,
+    }
 
 
-def palm_mean(
-    stat: Callable[[Realization], np.ndarray],
-    realizations: Realization | Iterable[Realization],
-    name: str = "stat",
-) -> StatReport:
-    """Average a per-point statistic over the non-censored points of each
-    realization, then across realizations.  Realizations with no usable
-    points are dropped and counted."""
-    reals = _as_list(realizations)
-    values: list[float] = []
-    points = 0
-    cens: list[float] = []
-    dropped = 0
-    for r in reals:
-        v = np.asarray(stat(r), dtype=float)
-        mask = (~r.shift_map.censored) & np.isfinite(v)
-        k = int(mask.sum())
-        if k == 0:
-            dropped += 1
-            continue
-        values.append(math.fsum(v[mask]) / k)
-        points += k
-        cens.append(r.censoring_fraction)
+def palm_mean(values: np.ndarray, r: Realization, name: str) -> StatReport:
+    """Average a per-point statistic over the non-censored points of ``r``
+    where it is finite.  With no such point the realization is dropped."""
+    v = np.asarray(values, dtype=float)
+    mask = (~r.shift_map.censored) & np.isfinite(v)
+    k = int(mask.sum())
+    if k == 0:
+        return make_report(name, [], dropped=1)
     return make_report(
-        name,
-        values,
-        points=points,
-        censoring=cens,
-        dropped=dropped,
+        name, [math.fsum(v[mask]) / k], points=k, censoring=[r.censoring_fraction]
     )
 
 
-def _identity_values(r: Realization, n: int) -> dict[str, float]:
-    ds = r.dstats(n)
-    N = r.n_points
+def _images_and_cousins(ds: DescendantStats, n: int) -> tuple[int, float]:
+    """The number of distinct n-fold images (the points with d_n > 0) and
+    the sum of 1/l_n over the points whose n-fold image is defined."""
+    return int((ds.d[n] > 0).sum()), math.fsum(1.0 / ds.l[n][ds.defined[n]])
+
+
+def _identity_values(ds: DescendantStats, n: int, N: int) -> dict[str, float]:
     d = ds.d[n]
     l = ds.l[n]
     ok = ds.defined[n]
-    n_def = int(ok.sum())
-    if N == 0 or n_def == 0:
+    if N == 0 or not ok.any():
         return {}
-    mean_d = float(d.sum()) / N
-    inv_l = math.fsum(1.0 / l[ok]) / N
-    image_frac = float(np.unique(ds.images[n][ok]).size) / N
+    n_pos, inv_l = _images_and_cousins(ds, n)
+    inv_l /= N
+    total = float(d.sum())
     sum_l = int(l[ok].sum())
     sum_d2 = int((d * d).sum())
     sum_l2 = int((l[ok].astype(object) ** 2).sum())
     sum_d3 = int((d.astype(object) ** 3).sum())
-    n_pos = int((d > 0).sum())
-    cond = (float(d.sum()) / n_pos) * inv_l if n_pos else float("nan")
+    cond = (total / n_pos) * inv_l
     return {
-        "descendant_mean": mean_d,
-        "cousin_reciprocal": inv_l - image_frac,
+        "descendant_mean": total / N,
+        "cousin_reciprocal": inv_l - float(n_pos) / N,
         "size_bias_identity": (sum_l - sum_d2) / N,
         "size_bias_square": (sum_l2 - sum_d3) / N,
         "conditional_product": cond - 1.0,
@@ -245,37 +233,26 @@ _IDENTITY_TARGETS = {
 }
 
 
-def verify_identities(
-    realizations: Realization | Iterable[Realization], n_max: int
-) -> list[StatReport]:
+def verify_identities(r: Realization, n_max: int) -> list[StatReport]:
     """The exact generation-counting identities for n = 1..n_max.
 
-    Per realization and order: mean d_n, the reciprocal-cousin identity
-    against the n-fold image fraction, the two size-biasing identities
-    (h = identity and h = square), and the conditional product.  All five
-    hold with zero tolerance on a torus with a total map.
+    Per order: mean d_n, the reciprocal-cousin identity against the n-fold
+    image fraction, the two size-biasing identities (h = identity and
+    h = square), and the conditional product.  All five hold with zero
+    tolerance on a torus with a total map.
     """
-    reals = _as_list(realizations)
-    exactable = all(r.is_exact_setting for r in reals)
-    points = sum(r.n_points for r in reals)
-    cens = [r.censoring_fraction for r in reals]
+    ds = r.dstats(n_max)
     reports = []
     for n in range(1, n_max + 1):
-        collected: dict[str, list[float]] = {k: [] for k in _IDENTITY_TARGETS}
-        for r in reals:
-            vals = _identity_values(r, n)
-            for key, v in vals.items():
-                collected[key].append(v)
-        for key, vals in collected.items():
+        vals = _identity_values(ds, n, r.n_points)
+        for key, target in _IDENTITY_TARGETS.items():
             reports.append(
                 make_report(
                     f"{key}_n{n}",
-                    vals,
-                    target=_IDENTITY_TARGETS[key],
-                    exactable=exactable,
+                    [vals[key]] if vals else [],
+                    target=target,
                     n=n,
-                    points=points,
-                    censoring=cens,
+                    **_all_points(r),
                 )
             )
     return reports
@@ -299,10 +276,6 @@ class ShiftIterateKernel:
             ds.images[self.n][ok], minlength=r.n_points
         ).astype(float)
 
-    def value(self, r: Realization, x: int, y: int) -> float:
-        ds = r.dstats(self.n)
-        return 1.0 if ds.defined[self.n][x] and ds.images[self.n][x] == y else 0.0
-
 
 class SeniorIntervalKernel:
     """Transport sending unit mass from x to each senior-foil point lying
@@ -317,10 +290,10 @@ class SeniorIntervalKernel:
     name = "senior_interval"
 
     def plus(self, r: Realization) -> np.ndarray:
-        return senior_steps(r.shift_map, r.foliation, r.stable()).astype(float)
+        return senior_steps(r.shift_map, r.foliation, r.stable).astype(float)
 
     def minus(self, r: Realization) -> np.ndarray:
-        st = r.stable()
+        st = r.stable
         fol = r.foliation
         n = r.n_points
         first = np.cumsum(fol.foil_size) - fol.foil_size
@@ -341,87 +314,61 @@ class SeniorIntervalKernel:
         return np.cumsum(diff)[slot].astype(float)
 
 
-def check_mass_transport(
-    kernel, realizations: Realization | Iterable[Realization]
-) -> StatReport:
-    """Total outgoing minus total incoming mass per realization.
+def check_mass_transport(kernel, r: Realization) -> StatReport:
+    """Total outgoing minus total incoming mass.
 
     Zero exactly on a torus; window runs report the boundary discrepancy.
     The two sides are computed by independent passes (row sums against
     column sums), so a nonzero value flags an implementation defect.
     """
-    reals = _as_list(realizations)
-    values = []
-    points = 0
-    for r in reals:
-        plus = kernel.plus(r)
-        minus = kernel.minus(r)
-        if np.any(plus < 0) or np.any(minus < 0):
-            raise ConfigError("transport kernel must be nonnegative")
-        values.append(math.fsum(plus) - math.fsum(minus))
-        points += r.n_points
-    exactable = all(r.is_exact_setting for r in reals)
+    plus = kernel.plus(r)
+    minus = kernel.minus(r)
+    if np.any(plus < 0) or np.any(minus < 0):
+        raise ConfigError("transport kernel must be nonnegative")
     return make_report(
         getattr(kernel, "name", "kernel"),
-        values,
+        [math.fsum(plus) - math.fsum(minus)],
         target=0.0,
-        exactable=exactable,
-        points=points,
-        censoring=[r.censoring_fraction for r in reals],
+        **_all_points(r),
     )
 
 
-def evaporation_profile(
-    realizations: Realization | Iterable[Realization], n_list: Sequence[int]
-) -> list[StatReport]:
+def evaporation_profile(r: Realization, n_list: Sequence[int]) -> list[StatReport]:
     """Survival profile: the fraction of points still hit by the n-fold
     image, alongside the mean reciprocal cousin count.  The two sequences
     coincide exactly on a total map."""
-    reals = _as_list(realizations)
-    exactable = all(r.is_exact_setting for r in reals)
+    ds = r.dstats(max(n_list, default=0))
+    N = r.n_points
     reports = []
     for n in n_list:
-        p_hat = []
-        inv_l = []
-        for r in reals:
-            ds = r.dstats(n)
-            ok = ds.defined[n]
-            if r.n_points == 0:
-                continue
-            p_hat.append(float(np.unique(ds.images[n][ok]).size) / r.n_points)
-            inv_l.append(
-                math.fsum(1.0 / ds.l[n][ok]) / r.n_points if ok.any() else 0.0
-            )
-        diffs = [a - b for a, b in zip(p_hat, inv_l)]
+        p_hat, inv_l = [], []
+        if N:
+            images, cousins = _images_and_cousins(ds, n)
+            p_hat, inv_l = [float(images) / N], [cousins / N]
         reports.append(
             make_report(f"survival_fraction_n{n}", p_hat, n=n, exactable=False)
         )
         reports.append(
             make_report(
                 f"survival_vs_cousins_n{n}",
-                diffs,
+                [a - b for a, b in zip(p_hat, inv_l)],
                 target=0.0,
-                exactable=exactable,
+                exactable=r.is_exact_setting,
                 n=n,
             )
         )
     return reports
 
 
-def typical_point(r: Realization, require_image: bool = True) -> int | None:
-    """The point nearest the domain center, preferring non-censored points
-    with a defined image; deterministic tie-breaking by distance then id."""
-    if r.n_points == 0:
+def typical_point(r: Realization) -> int | None:
+    """The non-censored point nearest the domain center, the least id among
+    equally near ones; None when every point is censored."""
+    live = np.flatnonzero(~r.shift_map.censored)
+    if live.size == 0:
         return None
     center = np.asarray(r.pattern.domain.extents) / 2.0
-    d = distances_to(r.pattern.coords, center, r.pattern.domain)
-    order = np.lexsort((np.arange(r.n_points), d))
-    if not require_image:
-        return int(order[0])
-    for i in order:
-        if not r.shift_map.censored[i]:
-            return int(i)
-    return None
+    d = distances_to(r.pattern.coords[live], center, r.pattern.domain)
+    return int(live[np.argmin(d)])
 
 
 def relative_intensity(
@@ -460,7 +407,7 @@ def relative_intensity(
         return None
     # x has a senior foil, so no point of its foil is censored (a dead end
     # is alone in its foil) and every step of the walk is feasible
-    st = r.stable()
+    st = r.stable
     members = np.flatnonzero(fol.foil_id == fid)
     walk = members[np.argsort((st.foil_pos[members] - st.foil_pos[x]) % m)[:steps]]
     image = r.shift_map.image
@@ -468,66 +415,43 @@ def relative_intensity(
     return total / steps
 
 
-def relative_intensity_report(
-    realizations: Realization | Iterable[Realization],
-    name: str = "relative_intensity",
-    mode: str = "auto",
-    n: int | None = None,
-    select: Callable[[Realization], int | None] | None = None,
-) -> StatReport:
-    """Aggregate the per-realization estimate at one representative foil.
-
-    The representative is the foil of the typical point unless ``select``
-    picks another; realizations without a feasible estimate are dropped and
-    counted."""
-    reals = _as_list(realizations)
-    values = []
-    dropped = 0
-    for r in reals:
-        x = select(r) if select is not None else typical_point(r)
-        est = relative_intensity(r, x, n=n, mode=mode) if x is not None else None
-        if est is None:
-            dropped += 1
-        else:
-            values.append(est)
+def relative_intensity_report(r: Realization, mode: str = "auto") -> StatReport:
+    """The estimate at the typical point's foil; a realization without a
+    feasible estimate is dropped and counted."""
+    est = relative_intensity(r, mode=mode)
     return make_report(
-        name,
-        values,
-        points=sum(r.n_points for r in reals),
-        censoring=[r.censoring_fraction for r in reals],
-        dropped=dropped,
+        "relative_intensity",
+        [] if est is None else [est],
+        dropped=int(est is None),
+        **_all_points(r),
     )
 
 
 def condenser_intensity_reports(
-    reals: list[Realization], ks: tuple[int, ...] = (1, 2, 3), ball_radius: float = 1.0
-) -> dict[int, tuple[StatReport, StatReport]]:
-    """Per ball-count class k: the walk estimate at the first non-censored
-    class-k point of the largest component, and the plain class-count ratio
-    (reliable marks only) it cross-checks against."""
-    walks: dict[int, list[float]] = {k: [] for k in ks}
-    ratios: dict[int, list[float]] = {k: [] for k in ks}
-    for r in reals:
-        marks, marks_censored = condenser_marks(r.pattern, ball_radius)
-        auth = ~marks_censored
-        fol = r.foliation
-        big = (fol.component_id == np.argmax(fol.component_size)) & ~r.shift_map.censored
-        for k in ks:
-            denom = int(((marks == k) & auth).sum())
-            if denom:
-                ratios[k].append(float(((marks == k + 1) & auth).sum()) / denom)
-            members = np.flatnonzero(big & (marks == k))
-            if members.size:
-                est = relative_intensity(r, int(members[0]), mode="walk")
-                if est is not None:
-                    walks[k].append(est)
-    return {
-        k: (
-            make_report(f"condenser_intensity_k{k}", walks[k], n=k),
-            make_report(f"condenser_count_ratio_k{k}", ratios[k], n=k),
+    r: Realization, ks: tuple[int, ...] = (1, 2, 3), ball_radius: float = 1.0
+) -> list[StatReport]:
+    """Per ball-count class k, in order: the walk estimate at the first
+    non-censored class-k point of the largest component, and the plain
+    class-count ratio (reliable marks only) it cross-checks against."""
+    marks, marks_censored = condenser_marks(r.pattern, ball_radius)
+    auth = ~marks_censored
+    fol = r.foliation
+    big = (fol.component_id == np.argmax(fol.component_size)) & ~r.shift_map.censored
+    reports = []
+    for k in ks:
+        members = np.flatnonzero(big & (marks == k))
+        est = relative_intensity(r, int(members[0]), mode="walk") if members.size else None
+        denom = int(((marks == k) & auth).sum())
+        ratio = float(((marks == k + 1) & auth).sum()) / denom if denom else None
+        reports.append(
+            make_report(f"condenser_intensity_k{k}", [] if est is None else [est], n=k)
         )
-        for k in ks
-    }
+        reports.append(
+            make_report(
+                f"condenser_count_ratio_k{k}", [] if ratio is None else [ratio], n=k
+            )
+        )
+    return reports
 
 
 def reports_csv(reports: Sequence[StatReport]) -> str:

@@ -100,6 +100,22 @@ def face_distances(coords: np.ndarray, dom: Domain) -> np.ndarray:
     return np.minimum(coords, ext - coords).min(axis=1)
 
 
+def row_ranks(rows: np.ndarray) -> np.ndarray:
+    """The dense rank of each row of a 2-D array in lexicographic order.
+
+    Equal rows share a rank and the distinct rows take 0, 1, ... in order:
+    the inverse index ``np.unique`` gives for rows, and ``0.0`` equals
+    ``-0.0`` there too.
+    """
+    order = np.lexsort(rows.T[::-1])
+    s = rows[order]
+    new = np.ones(len(rows), dtype=np.int64)
+    new[1:] = (s[1:] != s[:-1]).any(axis=1)
+    rank = np.empty(len(rows), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank
+
+
 @dataclass(frozen=True)
 class PointPattern:
     """A finite simple point configuration on a domain.
@@ -129,8 +145,7 @@ class PointPattern:
             else:
                 if np.any(c < 0.0) or np.any(c > ext):
                     raise PatternError("window coordinates must lie in [0, extent]")
-            s = c[np.lexsort(c.T[::-1])]
-            if (s[1:] == s[:-1]).all(axis=1).any():
+            if row_ranks(c).max() < len(c) - 1:
                 raise PatternError("pattern is not simple (duplicate coordinates)")
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)

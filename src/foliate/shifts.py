@@ -24,6 +24,7 @@ from .patterns import (
     PointPattern,
     face_distances,
     lattice_coords,
+    row_ranks,
 )
 
 SHIFT_NAMES = ("strip", "mnn", "next_row", "condenser", "multitype_strip")
@@ -284,7 +285,7 @@ def eval_next_row(pattern: PointPattern) -> ShiftMap:
     target[:, 0] += 1
     if torus:
         target[:, 0] %= int(pattern.domain.extents[0])
-    column = np.unique(np.vstack([key, target]), axis=0, return_inverse=True)[1].ravel()
+    column = row_ranks(np.vstack([key, target]))
     column, target = column[:n], column[n:]
     occupied = np.zeros(2 * n, dtype=bool)
     occupied[column] = True

@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from foliate import palm
 from foliate.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     ExperimentSpec,
     main,
     realizations_for,
+    reduce_realization,
 )
 from foliate.generators import GenSpec
 from foliate.patterns import ConfigError, Domain, PointPattern
@@ -271,6 +273,21 @@ def test_realizations_for_keeps_reports_only():
     rows = realizations_for(spec, verify=False, files=True)
     assert [row.components_csv is not None for row in rows] == [True, False, False]
     assert all(row.verify is None and row.pattern_json is None for row in rows)
+
+
+def test_reduction_builds_one_descendant_table(monkeypatch):
+    orders = []
+    build = palm.descendant_stats
+    monkeypatch.setattr(
+        palm, "descendant_stats", lambda sm, m: orders.append(m) or build(sm, m)
+    )
+    gen = GenSpec("poisson", Domain.torus(20, 20), seed=8, intensity=1.0)
+    for n_max in (1, 5):
+        for verify, stats in ((True, True), (True, False), (False, True)):
+            orders.clear()
+            r = palm.Realization.from_spec(gen, "mnn")
+            reduce_realization(r, n_max, verify=verify, stats=stats)
+            assert orders == [max(n_max, 3)]
 
 
 def test_ladder_subcommand(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -39,19 +38,22 @@ def example_realization():
 
 def test_palm_mean_constant():
     r = example_realization()
-    rep = palm_mean(lambda r: np.ones(r.n_points), [r], name="one")
+    rep = palm_mean(np.ones(r.n_points), r, "one")
     assert rep.mean == 1.0
     assert rep.stderr == 0.0
 
 
 def test_palm_mean_d1_is_one_on_total_maps(mnn_realizations):
-    rep = palm_mean(lambda r: r.dstats(1).d[1], mnn_realizations[:5], name="d1")
+    [rep] = fold_reports(
+        [[palm_mean(r.dstats(1).d[1], r, "d1")] for r in mnn_realizations[:5]], True
+    )
+    assert rep.realizations == 5
     assert all(abs(v - 1.0) < 1e-12 for v in rep.per_realization)
 
 
 def test_palm_mean_inverse_cousins_example():
     r = example_realization()
-    rep = palm_mean(lambda r: 1.0 / r.dstats(1).l[1], [r], name="inv_l1")
+    rep = palm_mean(1.0 / r.dstats(1).l[1], r, "inv_l1")
     assert abs(rep.mean - 0.5) < 1e-12  # equals |F(support)| / N = 2/4
 
 
@@ -60,7 +62,8 @@ def test_palm_mean_drops_unusable_realizations():
     pat = random_map_pattern(rng, 2)
     sm = ShiftMap("mnn", np.array([-1, -1]), np.array([True, True]))
     r = Realization(pat, sm, foliate(pat, sm))
-    rep = palm_mean(lambda r: np.ones(r.n_points), [r, example_realization()])
+    rows = [[palm_mean(np.ones(x.n_points), x, "one")] for x in (r, example_realization())]
+    [rep] = fold_reports(rows, False)
     assert rep.dropped == 1
     assert rep.realizations == 1
 
@@ -93,14 +96,15 @@ def test_identities_not_exact_flagged_on_window():
 
 def test_mass_transport_indicator_kernels(mnn_realizations):
     for n in (1, 3):
-        rep = check_mass_transport(ShiftIterateKernel(n), mnn_realizations[:5])
+        rows = [[check_mass_transport(ShiftIterateKernel(n), r)] for r in mnn_realizations[:5]]
+        [rep] = fold_reports(rows, True)
         assert rep.exact
-        assert all(v == 0.0 for v in rep.per_realization)
+        assert rep.per_realization == [0.0] * 5
 
 
 def test_mass_transport_senior_interval_kernel(next_row_realizations):
-    rep = check_mass_transport(SeniorIntervalKernel(), next_row_realizations[:2])
-    assert rep.exact
+    for r in next_row_realizations[:2]:
+        assert check_mass_transport(SeniorIntervalKernel(), r).exact
 
 
 def test_mass_transport_rejects_negative_kernel():
@@ -108,7 +112,7 @@ def test_mass_transport_rejects_negative_kernel():
         plus = minus = staticmethod(lambda r: -np.ones(r.n_points))
 
     with pytest.raises(ConfigError):
-        check_mass_transport(Negative(), [example_realization()])
+        check_mass_transport(Negative(), example_realization())
 
 
 def test_evaporation_identity_map():
@@ -170,22 +174,29 @@ def test_relative_intensity_report_counts_drops():
     pat = random_map_pattern(rng, 1)
     sm = ShiftMap("mnn", np.array([-1]), np.ones(1, bool))
     degenerate = Realization(pat, sm, foliate(pat, sm))
-    rep = relative_intensity_report([degenerate, example_realization()])
+    rows = [[relative_intensity_report(r)] for r in (degenerate, example_realization())]
+    [rep] = fold_reports(rows, False)
     assert rep.dropped == 1
+    assert rep.realizations == 1
 
 
 def test_stderr_scaling_with_realizations():
     # doubling the realization count should shrink the standard error by
     # roughly 1/sqrt(2)
     def batch(count, base):
-        reals = [
-            Realization.from_spec(
-                GenSpec("bernoulli_grid", Domain.torus(20, 100), seed=base + i, p=0.5),
-                "next_row",
-            )
+        rows = [
+            [
+                relative_intensity_report(
+                    Realization.from_spec(
+                        GenSpec("bernoulli_grid", Domain.torus(20, 100), seed=base + i, p=0.5),
+                        "next_row",
+                    ),
+                    mode="walk",
+                )
+            ]
             for i in range(count)
         ]
-        return relative_intensity_report(reals, mode="walk")
+        return fold_reports(rows, False)[0]
 
     r1 = batch(50, 7000)
     r2 = batch(100, 7000)
@@ -206,22 +217,6 @@ def test_report_csv_and_json_shape():
     assert obj["reports"][0]["name"] == "thing"
 
 
-LIST_LEVEL = {
-    "verify": lambda reals: verify_identities(reals, 3),
-    "transport": lambda reals: [check_mass_transport(ShiftIterateKernel(2), reals)],
-    "palm_mean": lambda reals: [
-        palm_mean(lambda r: r.dstats(2).d[2], reals, name="d2"),
-        palm_mean(
-            lambda r: np.where(r.dstats(1).defined[1], r.dstats(1).l[1], np.nan),
-            reals,
-            name="l1",
-        ),
-    ],
-    "evaporation": lambda reals: evaporation_profile(reals, [1, 2]),
-    "relative_intensity": lambda reals: [relative_intensity_report(reals)],
-}
-
-
 def _window_realizations():
     """Two strip windows around one whose points are all censored."""
     strip = [
@@ -237,20 +232,36 @@ def _window_realizations():
     return [strip[0], Realization(pat, sm, foliate(pat, sm)), strip[1]]
 
 
-def test_fold_of_single_reports_equals_list_level(mnn_realizations):
-    for reals in (mnn_realizations[:3], _window_realizations()):
-        exactable = all(r.is_exact_setting for r in reals)
-        for kind, fn in LIST_LEVEL.items():
-            whole = fn(reals)
-            folded = fold_reports([fn([r]) for r in reals], exactable)
-            assert len(folded) == len(whole)
-            for a, b in zip(folded, whole):
-                for f in dataclasses.fields(a):
-                    assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), (
-                        kind,
-                        a.name,
-                        f.name,
-                    )
+def _reports(r):
+    return [
+        *verify_identities(r, 2),
+        check_mass_transport(ShiftIterateKernel(2), r),
+        palm_mean(r.dstats(2).d[2], r, "d2"),
+        relative_intensity_report(r),
+    ]
+
+
+def test_fold_reports_merges_realizations(mnn_realizations):
+    torus = mnn_realizations[:3]
+    for rep in fold_reports([_reports(r) for r in torus], True):
+        if rep.target is not None:
+            assert rep.exact and rep.realizations == 3
+    assert not any(rep.exact for rep in fold_reports([_reports(r) for r in torus], False))
+
     windows = _window_realizations()
-    assert LIST_LEVEL["palm_mean"](windows)[0].dropped == 1
-    assert LIST_LEVEL["relative_intensity"](windows)[0].dropped >= 1
+    rows = [_reports(r) for r in windows]
+    folded = {rep.name: rep for rep in fold_reports(rows, False)}
+    live = [windows[0], windows[2]]  # the all-censored one has no usable point
+    # a statistic over every point counts all three realizations ...
+    mean_d = folded["descendant_mean_n1"]
+    assert mean_d.n_points_used == sum(r.n_points for r in windows)
+    assert mean_d.censoring_fraction == sum(r.censoring_fraction for r in windows) / 3
+    assert mean_d.per_realization == [rows[0][0].mean, rows[2][0].mean]
+    # ... a Palm mean only the ones it used, and it counts the drop
+    d2 = folded["d2"]
+    assert d2.dropped == 1
+    assert d2.realizations == 2
+    assert d2.n_points_used == sum(int((~r.shift_map.censored).sum()) for r in live)
+    assert d2.censoring_fraction == sum(r.censoring_fraction for r in live) / 2
+    assert folded["relative_intensity"].dropped >= 1
+    assert not any(rep.exact for rep in folded.values())

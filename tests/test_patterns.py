@@ -11,6 +11,7 @@ from foliate.patterns import (
     crop,
     distance,
     distances_to,
+    row_ranks,
     translate,
 )
 
@@ -94,6 +95,21 @@ def test_pattern_rejects_duplicates():
         PointPattern(Domain.window(5, 5), [[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(PatternError):
         PointPattern(Domain.window(5, 5), [[0.0, 1.0], [-0.0, 1.0]])
+
+
+def test_row_ranks_match_unique_inverse():
+    rng = np.random.default_rng(5)
+    signs = rng.choice([-1.0, 1.0], size=(200, 2))
+    cases = [
+        rng.integers(0, 3, size=(200, 2)) * 0.5 * signs,  # ties, 0.0 and -0.0
+        np.array([[0.0, 1.0], [-1.5, 2.0], [-0.0, 1.0], [0.0, -1.0]]),
+        rng.integers(-4, 5, size=(300, 2)),  # int lattice rows
+        rng.integers(0, 2, size=(100, 3)).astype(float),
+        np.zeros((0, 2)),
+    ]
+    for rows in cases:
+        expected = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+        assert np.array_equal(row_ranks(rows), expected)
 
 
 def test_pattern_rejects_out_of_domain():

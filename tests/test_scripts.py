@@ -34,6 +34,10 @@ RUNS = {
 }
 
 
+# scripts whose output is only CSV tables of numbers, each under its header
+NUMERIC_TABLES = ("next_row_intensity.py", "condenser_marks.py")
+
+
 @pytest.mark.parametrize("script", sorted(RUNS))
 def test_script_runs(script):
     args, headers = RUNS[script]
@@ -52,3 +56,17 @@ def test_script_runs(script):
     lines = proc.stdout.splitlines()
     for header in headers:
         assert header in lines
+    if script in NUMERIC_TABLES:
+        header, rows = None, {}
+        for line in lines:
+            if line in headers:
+                header = line
+                rows[header] = 0
+                continue
+            assert header is not None, line
+            fields = line.split(",")
+            assert len(fields) == len(header.split(",")), line
+            for f in fields:
+                float(f)
+            rows[header] += 1
+        assert all(rows.values()), rows

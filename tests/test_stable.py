@@ -231,7 +231,7 @@ def check_senior_interval(pat, sm):
     30 members, and walks shorter than the foil, against the oracle."""
     fol = foliate(pat, sm)
     r = Realization(pat, sm, fol)
-    st_maps = r.stable()
+    st_maps = r.stable
     want = brute_senior_interval(pat, sm.image.tolist())
     kernel = SeniorIntervalKernel()
     assert kernel.plus(r).tolist() == [float(v) for v in want["plus"]]
@@ -311,7 +311,7 @@ def test_stable_maps_flow_adapted_on_torus():
 def test_order_preservation_on_realizations(mnn_realizations, next_row_realizations):
     for r in (mnn_realizations[0], next_row_realizations[0]):
         assert check_order_preservation(
-            r.pattern, r.shift_map, r.foliation, r.stable()
+            r.pattern, r.shift_map, r.foliation, r.stable
         )
 
 
