@@ -5,7 +5,7 @@ The ball count minus one of a point is Poisson with mean twice the
 intensity, so the class fractions follow that law and adjacent class
 intensities have ratio (2 lambda)/k.  Prints the observed fractions and
 the walk-estimated relative intensities with their count-ratio
-cross-checks.
+cross-checks, and how many realizations gave no walk estimate.
 """
 
 import argparse
@@ -44,6 +44,8 @@ def main() -> None:
         marks, mc = condenser_marks(generate(spec), 1.0)
         auth = ~mc
         n = int(auth.sum())
+        if n == 0:  # no reliable mark: the realization has no class fractions
+            continue
         for k in fracs:
             fracs[k].append(((marks == k) & auth).sum() / n)
     for k, vals in fracs.items():
@@ -58,9 +60,9 @@ def main() -> None:
         ],
         exactable=False,
     )
-    print("k,walk_mean,walk_stderr,count_ratio_mean,target")
+    print("k,walk_mean,walk_stderr,walk_dropped,count_ratio_mean,target")
     for k, walk, ratio in zip(ks, reports[::2], reports[1::2]):
-        print(f"{k},{walk.mean!r},{walk.stderr!r},{ratio.mean!r},{mean / k!r}")
+        print(f"{k},{walk.mean!r},{walk.stderr!r},{walk.dropped},{ratio.mean!r},{mean / k!r}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,11 @@ relative intensities.
 On a torus with a total map the generation-counting identities are finite
 combinatorial facts, so they are checked at tolerance 1e-12 and flagged
 ``exact``; window runs report the boundary discrepancy instead of claiming
-exactness.  Integer-valued sums are compared in integer arithmetic.
+exactness.  Integer-valued sums are compared in integer arithmetic: power
+sums are exact Python ints over the distinct values.  Float sums over the
+points are correctly rounded (the float ``math.fsum`` gives) without a
+per-point loop: the exact rational sum of count times value over the
+distinct values, rounded once.
 
 Each statistic reports on one realization; ``fold_reports`` merges the
 reports of many.
@@ -17,6 +21,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -29,6 +34,22 @@ from .shifts import ShiftKind, ShiftMap, condenser_marks, evaluate
 from .stable import StableMaps, build_stable_maps, delta, senior_steps
 
 EXACT_TOL = 1e-12
+
+
+def exact_sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of ``values``, the float ``math.fsum``
+    gives: the exact rational sum of count times value over the distinct
+    values, rounded once."""
+    u, counts = np.unique(values, return_counts=True)
+    return float(sum(Fraction(v) * c for v, c in zip(u.tolist(), counts.tolist())))
+
+
+def power_sums(values: np.ndarray, powers: Sequence[int]) -> list[int]:
+    """The exact sums of ``values ** p`` for each p in ``powers``, in Python
+    ints over the distinct integer values (no int64 overflow)."""
+    u, counts = np.unique(values, return_counts=True)
+    pairs = list(zip(u.tolist(), counts.tolist()))
+    return [sum(v**p * c for v, c in pairs) for p in powers]
 
 
 @dataclass
@@ -191,14 +212,14 @@ def palm_mean(values: np.ndarray, r: Realization, name: str) -> StatReport:
     if k == 0:
         return make_report(name, [], dropped=1)
     return make_report(
-        name, [math.fsum(v[mask]) / k], points=k, censoring=[r.censoring_fraction]
+        name, [exact_sum(v[mask]) / k], points=k, censoring=[r.censoring_fraction]
     )
 
 
 def _images_and_cousins(ds: DescendantStats, n: int) -> tuple[int, float]:
     """The number of distinct n-fold images (the points with d_n > 0) and
     the sum of 1/l_n over the points whose n-fold image is defined."""
-    return int((ds.d[n] > 0).sum()), math.fsum(1.0 / ds.l[n][ds.defined[n]])
+    return int((ds.d[n] > 0).sum()), exact_sum(1.0 / ds.l[n][ds.defined[n]])
 
 
 def _identity_values(ds: DescendantStats, n: int, N: int) -> dict[str, float]:
@@ -209,11 +230,9 @@ def _identity_values(ds: DescendantStats, n: int, N: int) -> dict[str, float]:
         return {}
     n_pos, inv_l = _images_and_cousins(ds, n)
     inv_l /= N
-    total = float(d.sum())
-    sum_l = int(l[ok].sum())
-    sum_d2 = int((d * d).sum())
-    sum_l2 = int((l[ok].astype(object) ** 2).sum())
-    sum_d3 = int((d.astype(object) ** 3).sum())
+    sum_d, sum_d2, sum_d3 = power_sums(d, (1, 2, 3))
+    sum_l, sum_l2 = power_sums(l[ok], (1, 2))
+    total = float(sum_d)
     cond = (total / n_pos) * inv_l
     return {
         "descendant_mean": total / N,
@@ -327,7 +346,7 @@ def check_mass_transport(kernel, r: Realization) -> StatReport:
         raise ConfigError("transport kernel must be nonnegative")
     return make_report(
         getattr(kernel, "name", "kernel"),
-        [math.fsum(plus) - math.fsum(minus)],
+        [exact_sum(plus) - exact_sum(minus)],
         target=0.0,
         **_all_points(r),
     )
@@ -432,25 +451,29 @@ def condenser_intensity_reports(
 ) -> list[StatReport]:
     """Per ball-count class k, in order: the walk estimate at the first
     non-censored class-k point of the largest component, and the plain
-    class-count ratio (reliable marks only) it cross-checks against."""
+    class-count ratio (reliable marks only) it cross-checks against.  An
+    estimate that cannot be made (no such point, no reliable class-k mark,
+    or no point at all) is dropped and counted."""
     marks, marks_censored = condenser_marks(r.pattern, ball_radius)
     auth = ~marks_censored
     fol = r.foliation
-    big = (fol.component_id == np.argmax(fol.component_size)) & ~r.shift_map.censored
+    largest = np.argmax(fol.component_size) if fol.n_components else -1
+    big = (fol.component_id == largest) & ~r.shift_map.censored
     reports = []
     for k in ks:
         members = np.flatnonzero(big & (marks == k))
         est = relative_intensity(r, int(members[0]), mode="walk") if members.size else None
         denom = int(((marks == k) & auth).sum())
         ratio = float(((marks == k + 1) & auth).sum()) / denom if denom else None
-        reports.append(
-            make_report(f"condenser_intensity_k{k}", [] if est is None else [est], n=k)
-        )
-        reports.append(
-            make_report(
-                f"condenser_count_ratio_k{k}", [] if ratio is None else [ratio], n=k
+        for name, value in (("intensity", est), ("count_ratio", ratio)):
+            reports.append(
+                make_report(
+                    f"condenser_{name}_k{k}",
+                    [] if value is None else [value],
+                    n=k,
+                    dropped=int(value is None),
+                )
             )
-        )
     return reports
 
 

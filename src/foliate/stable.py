@@ -1,6 +1,8 @@
-"""Order machinery on top of a foliation: DFS preorder, the royal-line
-total order per component, and the two canonical foliation-preserving
-bijections (the foil-cyclic successor and the component-cyclic successor).
+"""Order machinery on top of a foliation: the depth-first preorder of the
+trees below the cycles, by Euler-tour list ranking with no per-node loop;
+the royal-line total order per component; and the two canonical
+foliation-preserving bijections (the foil-cyclic successor and the
+component-cyclic successor).
 Each point keeps its position in its foil's cycle, so the step count
 between foil mates, and every sum of step counts over a foil, is whole-array
 position arithmetic modulo the foil size.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foliation import FoliationResult
+from .foliation import FoliationResult, _jump
 from .patterns import TORUS, ConfigError, PointPattern, lattice_coords
 from .shifts import ShiftMap
 
@@ -48,7 +50,7 @@ def _lex_keys(rel: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _ordered_sons(
     pattern: PointPattern, image: np.ndarray, sons: np.ndarray
-) -> tuple[list[int], list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, sons) of the reversed map restricted to ``sons``: every
     node's sons in lex order of their coordinates relative to it."""
     fathers = image[sons]
@@ -56,25 +58,42 @@ def _ordered_sons(
     sons = sons[np.lexsort(_lex_keys(rel) + (fathers,))]
     indptr = np.zeros(len(image) + 1, dtype=np.int64)
     np.cumsum(np.bincount(fathers, minlength=len(image)), out=indptr[1:])
-    return indptr.tolist(), sons.tolist()
+    return indptr, sons
 
 
-def _preorder(roots: list[int], indptr: list[int], sons: list[int]) -> list[int]:
-    """DFS preorder of the trees below ``roots``, taken in the given order.
+def _preorder(roots: np.ndarray, indptr: np.ndarray, sons: np.ndarray) -> np.ndarray:
+    """Preorder index of every node in the depth-first walk of the trees
+    below ``roots``, taken in the given order, by Euler-tour list ranking.
 
-    Meeting a node twice means a cycle lies below a root: a hard error.
+    The tour has 2N events, "enter v" = v and "leave v" = N + v.  Enter v
+    goes to enter(first son of v), or to leave v if v has no sons; leave v
+    goes to enter(next sibling of v), or to leave(father of v) if there is
+    none.  The roots are chained as siblings, so the tour ends at
+    leave(last root).  Pointer jumping counts the enter events from each
+    event to the end: the preorder index of v is N minus that count.
+
+    Every node must be a root or a son exactly once and every event must
+    reach the end; anything else means a cycle below or apart from the
+    roots: a hard error.
     """
-    seen = bytearray(len(indptr) - 1)
-    out: list[int] = []
-    stack = roots[::-1]
-    while stack:
-        v = stack.pop()
-        if seen[v]:
-            raise ConfigError("cycle reachable below root")
-        seen[v] = 1
-        out.append(v)
-        stack.extend(reversed(sons[indptr[v] : indptr[v + 1]]))
-    return out
+    n = len(indptr) - 1
+    if np.any(np.bincount(np.r_[roots, sons], minlength=n) != 1):
+        raise ConfigError("cycle reachable below root")
+    ids = np.arange(n, dtype=np.int64)
+    n_sons = np.diff(indptr)
+    has_sons = n_sons > 0
+    last = np.zeros(len(sons), dtype=bool)  # the last son of its father
+    last[indptr[1:][has_sons] - 1] = True
+    nxt = np.r_[n + ids, n + ids]
+    nxt[ids[has_sons]] = sons[indptr[:-1][has_sons]]
+    nxt[n + sons] = np.where(last, n + np.repeat(ids, n_sons), np.roll(sons, -1))
+    nxt[n + roots[:-1]] = roots[1:]
+    terminal = n + roots[-1] if len(roots) else -1
+    weight = np.r_[np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)]
+    end, count = _jump(nxt, weight, np.add, (2 * n).bit_length())
+    if np.any(end != terminal):
+        raise ConfigError("cycle of sons not reachable from the roots")
+    return n - count[:n]
 
 
 @dataclass(frozen=True)
@@ -82,8 +101,8 @@ class RlsOrder:
     """Total order per component: rank[x] in 0..|C|-1.
 
     Cycle nodes come in cycle order from the component anchor, each followed
-    by a DFS of its hanging trees; dead-end components are a single DFS from
-    the root."""
+    by the depth-first preorder of its hanging trees; dead-end components
+    are one preorder from the root."""
 
     rank: np.ndarray
 
@@ -91,17 +110,15 @@ class RlsOrder:
 def build_rls_order(
     pattern: PointPattern, shift_map: ShiftMap, foliation: FoliationResult
 ) -> RlsOrder:
-    # the cycle nodes and dead ends are the DFS roots, in (component, cycle
-    # position) order, and never anyone's sons
+    # the cycle nodes and dead ends are the preorder's roots, in (component,
+    # cycle position) order, and never anyone's sons
     comp = foliation.component_id
     sons = np.flatnonzero(foliation.depth_to_cycle > 0)
     indptr, sons = _ordered_sons(pattern, shift_map.image, sons)
-    pre = np.asarray(_preorder(foliation.cycle_nodes.tolist(), indptr, sons), dtype=np.int64)
+    pre = _preorder(foliation.cycle_nodes, indptr, sons)
     # the preorder runs through the components in id order
     first = np.cumsum(foliation.component_size) - foliation.component_size
-    rank = np.empty(len(comp), dtype=np.int64)
-    rank[pre] = np.arange(len(pre)) - first[comp[pre]]
-    return RlsOrder(rank=rank)
+    return RlsOrder(rank=pre - first[comp])
 
 
 @dataclass(frozen=True)

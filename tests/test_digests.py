@@ -1,0 +1,82 @@
+"""Byte-identity gate: the SHA-256 of every result file of a few small
+commands, pinned.  A change that alters any output byte fails here; a
+change meant to alter outputs must update the digests and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from foliate.cli import EXIT_OK, main
+
+RUN = ["run", "--model", "poisson", "--intensity", "1"]
+
+COMMANDS = {
+    "mnn_torus": RUN + [
+        "--torus", "20x20", "--shift", "mnn", "--n-max", "5",
+        "--seed", "11", "--realizations", "2",
+    ],
+    "strip_window": RUN + [
+        "--window", "40x40", "--buffer", "2", "--shift", "strip", "--n-max", "5",
+        "--fractions", "0.25,0.5,0.75,1.0", "--seed", "12", "--realizations", "2",
+    ],
+    "condenser_window_1d": RUN + [
+        "--window", "400", "--buffer", "2", "--shift", "condenser",
+        "--seed", "13", "--realizations", "2",
+    ],
+}
+
+DIGESTS = {
+    "mnn_torus": {
+        "components.csv": "dea1e22adde595ba676e5a100dd9f32ceb451c838909f6fe2dda727ed07f9f35",
+        "stats.csv": "3e579d4a0e6b9d51ccdad21b62b3758c3bf5b4115dea60970c0425e2cfd8a7d1",
+        "stats.json": "03b5eb2169972afd3608409a647a321cbf52bfcb66457875d79a7a00ee40e111",
+        "verify.csv": "5fe64e1a0565e24279d88511e58b7aa93fbc3ca62b6766771f9b41d3e4c8030f",
+        "verify.json": "c2c54779b71f499b56651f796d10f385ab212e12bf4bbced5098f976a2ef64c0",
+    },
+    "strip_window": {
+        "components.csv": "072924bac8094427173d727d52afb7df1861e150488b4ff483caf4aebefdb792",
+        "ladder.csv": "4adb75ccbcd79faca34941b75ef3f8ed5291f317d92717eda25d55bec29d239b",
+        "stats.csv": "0d004d359e167f2a07e92cd648f2552ca68c72f6ad8fcbeec8adba7a4576002c",
+        "stats.json": "fb9815d39d710d9335c283d955f19c856d8abaccc926e1ef8399a1bd885c6f55",
+        "verify.csv": "9bad48c2a3bb961be0c28365de4525933fed07e3ecf884d4a9a5c9fb5640a00d",
+        "verify.json": "5385be1373c7615b38476d40d7ef5c2562800202a026ab4672b2d66c791ec0a3",
+    },
+    "condenser_window_1d": {
+        "components.csv": "aee6579ee17471b373675789b805755e3ea11b4e18a3c5c78002d83528ae16d7",
+        "stats.csv": "42dd4222df5b746f2ba363c2389b907d981e356937c7ec3d17a259ec03c612f2",
+        "stats.json": "51e0002aa9fab4de787a1f4beb36e0a69b8340e53a021ef9872caf79c1a23953",
+        "verify.csv": "239951ec05f3c7e96d7576c6f6683bf70080fa5e58c465b31b43032af957f208",
+        "verify.json": "4ab2aec2d5fd4c6b7bdcf313cdf5ea8baf7923d70ed0e07ae48cee222f771208",
+    },
+    "grid_next_row": {
+        "components.csv": "ccf29035d2ad3d4df067abe45c7eeef371d14bdc1ec79242ae83a963ea9440eb",
+        "f_perp.json": "37a3d3bc7acd53703db943efa47e97200483d617fa29f9180d0b72855719f20f",
+        "foliation.json": "c6811a44d96315a1667e8cf580308b4ccabfb71113b3048adc14ecbb979f21bb",
+        "h_dense.json": "8633992ac4d34d030961901495b057ca7182fefb7d760cb6d66fa20e4108cb2b",
+        "shiftmap.json": "ef1ac1600687015597a6cb89deb29595de9aca0c2cb5ba708ebbc4a21eaf4484",
+    },
+}
+
+
+def digests(out):
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_run_result_digests(tmp_path, name):
+    assert main(COMMANDS[name] + ["--out", str(tmp_path)]) == EXIT_OK
+    assert digests(tmp_path) == DIGESTS[name]
+
+
+def test_grid_foliate_next_row_digests(tmp_path):
+    pattern = tmp_path / "grid.json"
+    out = tmp_path / "out"
+    assert main([
+        "generate", "--model", "bernoulli_grid", "--p", "0.5", "--torus", "10x20",
+        "--seed", "14", "--out", str(pattern),
+    ]) == EXIT_OK
+    assert main(
+        ["foliate", "--pattern", str(pattern), "--shift", "next_row", "--out", str(out)]
+    ) == EXIT_OK
+    assert digests(out) == DIGESTS["grid_next_row"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import random_map_pattern
 
@@ -12,10 +14,13 @@ from foliate.palm import (
     SeniorIntervalKernel,
     ShiftIterateKernel,
     check_mass_transport,
+    condenser_intensity_reports,
     evaporation_profile,
+    exact_sum,
     fold_reports,
     make_report,
     palm_mean,
+    power_sums,
     relative_intensity,
     relative_intensity_report,
     reports_csv,
@@ -265,3 +270,66 @@ def test_fold_reports_merges_realizations(mnn_realizations):
     assert d2.censoring_fraction == sum(r.censoring_fraction for r in live) / 2
     assert folded["relative_intensity"].dropped >= 1
     assert not any(rep.exact for rep in folded.values())
+
+
+def test_condenser_reports_on_a_realization_without_points():
+    spec = GenSpec("poisson", Domain.window(3.0), seed=1, intensity=0.01)
+    empty = Realization.from_spec(spec, "condenser")
+    assert empty.n_points == 0
+    reports = condenser_intensity_reports(empty)
+    assert [rep.name for rep in reports] == [
+        f"condenser_{name}_k{k}" for k in (1, 2, 3) for name in ("intensity", "count_ratio")
+    ]
+    assert all(rep.per_realization == [] and rep.dropped == 1 for rep in reports)
+    live = Realization.from_spec(
+        GenSpec("poisson", Domain.window(500.0, buffer=2.0), seed=5, intensity=0.5),
+        "condenser",
+    )
+    folded = fold_reports([condenser_intensity_reports(live), reports], False)
+    for rep, one in zip(folded, condenser_intensity_reports(live)):
+        assert rep.per_realization == one.per_realization
+        assert rep.dropped == one.dropped + 1
+
+
+# ------------------------------------------------------------ exact sums
+
+
+def with_repeats(elements):
+    """Lists drawn from a small pool of ``elements``, so values repeat."""
+    return st.lists(elements, min_size=1, max_size=12).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=60)
+    )
+
+
+FINITE = st.floats(-1e200, 1e200, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.one_of(
+        with_repeats(st.integers(-(2**53), 2**53).map(float)),
+        with_repeats(st.integers(1, 10**6).map(lambda l: 1.0 / l)),
+        with_repeats(FINITE),
+        with_repeats(st.tuples(FINITE, st.integers(-60, 60)).map(lambda t: t[0] * 2.0 ** t[1])),
+    )
+)
+def test_exact_sum_is_fsum(values):
+    assert exact_sum(np.asarray(values, dtype=float)).hex() == math.fsum(values).hex()
+
+
+def test_exact_sum_of_nothing():
+    assert exact_sum(np.zeros(0)).hex() == (0.0).hex()
+
+
+@given(with_repeats(st.integers(-(2**40), 2**40)))
+def test_power_sums_are_object_sums(values):
+    arr = np.asarray(values, dtype=np.int64)
+    assert power_sums(arr, (1, 2, 3)) == [
+        int((arr.astype(object) ** p).sum()) for p in (1, 2, 3)
+    ]
+
+
+def test_power_sums_past_int64():
+    arr = np.asarray([3_000_000, 3_000_000, -5, 2**40], dtype=np.int64)
+    cubes = power_sums(arr, (3,))[0]
+    assert cubes == 2 * 3_000_000**3 - 125 + 2**120
+    assert cubes > np.iinfo(np.int64).max

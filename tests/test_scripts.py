@@ -28,7 +28,7 @@ RUNS = {
         ["--length", "500", "--realizations", "4"],
         [
             "k,observed_fraction,predicted_fraction",
-            "k,walk_mean,walk_stderr,count_ratio_mean,target",
+            "k,walk_mean,walk_stderr,walk_dropped,count_ratio_mean,target",
         ],
     ),
 }

@@ -13,6 +13,7 @@ from foliate.palm import Realization, SeniorIntervalKernel, relative_intensity
 from foliate.patterns import ConfigError, Domain, translate
 from foliate.shifts import ShiftMap, evaluate
 from foliate.stable import (
+    _preorder,
     build_f_perp,
     build_rls_order,
     build_stable_maps,
@@ -46,7 +47,20 @@ ORACLE_CASES = {
         GenSpec("poisson", Domain.torus(15, 15), seed=75, intensity=1.0),
         None,
     ),
+    # a path of 300 nodes below a 2-cycle, and a star: deep and wide trees
+    "torus_chain_and_star": (
+        GenSpec("poisson", Domain.torus(25, 25), seed=76, intensity=1.0),
+        "chain_and_star",
+    ),
 }
+
+
+def chain_and_star(n):
+    """0 <-> 1 a cycle, i -> i - 1 for i in 2..301, 302 a fixed point and
+    every later node its son."""
+    image = np.full(n, 302, dtype=np.int64)
+    image[:302] = np.r_[1, np.arange(301)]
+    return image
 
 
 def oracle_case(case):
@@ -54,10 +68,11 @@ def oracle_case(case):
     pat = generate(spec)
     if shift is None:
         image = np.random.default_rng(75).integers(0, len(pat), len(pat))
-        sm = ShiftMap("mnn", image, np.zeros(len(pat), bool))
+    elif shift == "chain_and_star":
+        image = chain_and_star(len(pat))
     else:
-        sm = evaluate(pat, shift)
-    return pat, sm
+        return pat, evaluate(pat, shift)
+    return pat, ShiftMap("mnn", image, np.zeros(len(pat), bool))
 
 EX_IMAGE = [1, 2, 1, 1]  # a -> b, b -> c, c -> b, d -> b with lex a < b < c < d
 
@@ -91,6 +106,33 @@ def test_rls_singleton():
     pat, sm, fol = make_case([0])
     rls = build_rls_order(pat, sm, fol)
     assert rls.rank.tolist() == [0]
+
+
+def test_rls_empty_pattern():
+    pat = generate(GenSpec("poisson", Domain.window(3.0), seed=1, intensity=0.01))
+    sm = evaluate(pat, "condenser")
+    st_maps = build_stable_maps(pat, sm, foliate(pat, sm))
+    assert len(pat) == 0
+    assert st_maps.rls.rank.tolist() == st_maps.f_perp.tolist() == []
+    assert st_maps.h_dense.tolist() == []
+
+
+@pytest.mark.parametrize(
+    "roots, fathers",
+    [
+        # 2 and 3 are each other's son, 4 hangs below them: none is reachable
+        ([0], [-1, 0, 3, 2, 3]),
+        # the root 0 is also the son of 1
+        ([0], [1, 0, 1]),
+    ],
+)
+def test_preorder_rejects_cycles_of_sons(roots, fathers):
+    fathers = np.asarray(fathers)
+    sons = np.flatnonzero(fathers >= 0)
+    sons = sons[np.argsort(fathers[sons], kind="stable")]
+    indptr = np.r_[0, np.cumsum(np.bincount(fathers[sons], minlength=len(fathers)))]
+    with pytest.raises(ConfigError):
+        _preorder(np.asarray(roots), indptr, sons)
 
 
 def test_rls_ranks_are_component_permutations():
