@@ -10,7 +10,7 @@ profile on the Poisson window.
 import argparse
 
 from foliate.foliation import ladder_diagnostic
-from foliate.generators import GenSpec, generate
+from foliate.generators import GenSpec
 from foliate.palm import Realization, evaporation_profile
 from foliate.patterns import Domain
 
@@ -25,16 +25,17 @@ def main() -> None:
     fractions = tuple(float(f) for f in args.fractions.split(","))
     dom = Domain.window(args.side, args.side, buffer=args.buffer)
 
-    grid = generate(GenSpec("bernoulli_grid", dom, seed=args.seed, p=0.5))
+    grid_spec = GenSpec("bernoulli_grid", dom, seed=args.seed, p=0.5)
+    grid = Realization.from_spec(grid_spec, "strip")
     print("# strip on a thinned grid")
-    print(ladder_diagnostic(grid, "strip", fractions).csv())
+    print(ladder_diagnostic(grid.pattern, "strip", fractions, grid.foliation).csv())
 
-    poisson = generate(GenSpec("poisson", dom, seed=args.seed + 1, intensity=1.0))
+    poisson_spec = GenSpec("poisson", dom, seed=args.seed + 1, intensity=1.0)
+    real = Realization.from_spec(poisson_spec, "strip")
     print("# strip on poisson")
-    print(ladder_diagnostic(poisson, "strip", fractions).csv())
+    print(ladder_diagnostic(real.pattern, "strip", fractions, real.foliation).csv())
 
     print("# survival profile (poisson)")
-    real = Realization.build(poisson, "strip")
     print("n,survival_fraction")
     for rep in evaporation_profile(real, [1, 2, 3, 4, 5, 6, 7, 8]):
         if rep.name.startswith("survival_fraction"):

@@ -31,7 +31,6 @@ from .foliation import (
     descendant_stats,
     foliate,
     ladder_diagnostic,
-    primeval_set,
 )
 from .stable import (
     RlsOrder,

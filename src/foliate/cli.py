@@ -81,12 +81,14 @@ def build_realization(spec: ExperimentSpec, index: int) -> Realization:
 @dataclass(frozen=True)
 class RealizationReports:
     """What a run keeps of one realization: its single-realization reports,
-    plus the components CSV and pattern JSON when they are to be written."""
+    plus the components CSV, ladder CSV and pattern JSON when they are to be
+    written."""
 
     exact_setting: bool
     verify: list[StatReport] | None = None
     stats: list[StatReport] | None = None
     components_csv: str | None = None
+    ladder_csv: str | None = None
     pattern_json: str | None = None
 
 
@@ -98,13 +100,21 @@ def reduce_realization(
     stats: bool,
     components: bool = False,
     pattern: bool = False,
+    ladder: tuple[ShiftKind, tuple[float, ...]] | None = None,
 ) -> RealizationReports:
+    """``r``'s reports, and the texts asked for.  The ``(shift, fractions)``
+    ladder runs first, so its cores are dropped before the descendant table
+    is built."""
+    ladder_text = None
+    if ladder is not None:
+        ladder_text = ladder_diagnostic(r.pattern, *ladder, r.foliation).csv()
     r.dstats(max(n_max, *TRANSPORT_ORDERS))  # the one table every report reads
     return RealizationReports(
         exact_setting=r.is_exact_setting,
         verify=verify_reports(r, n_max) if verify else None,
         stats=stats_reports(r, n_max) if stats else None,
         components_csv=r.foliation.components_csv() if components else None,
+        ladder_csv=ladder_text,
         pattern_json=r.pattern.to_json() if pattern else None,
     )
 
@@ -113,13 +123,15 @@ def _reduce_indexed(
     task: tuple[ExperimentSpec, int, bool, bool, bool]
 ) -> RealizationReports:
     spec, index, verify, stats, files = task
+    first = files and index == 0
     return reduce_realization(
         build_realization(spec, index),
         spec.n_max,
         verify=verify,
         stats=stats,
-        components=files and index == 0,
+        components=first,
         pattern=files and spec.save_patterns,
+        ladder=(spec.shift, spec.fractions) if first and spec.fractions else None,
     )
 
 
@@ -133,8 +145,9 @@ def realizations_for(
     """Every realization's reports, in index order regardless of the worker
     count.  Each realization is built, reduced to its reports and dropped
     in the process that builds it, so one is alive per process at a time.
-    With ``files`` the rows also carry the text of ``run``'s components CSV
-    (realization 0) and pattern files (under ``save_patterns``)."""
+    With ``files`` the rows also carry the text of ``run``'s components and
+    ladder CSVs (realization 0, the ladder under ``fractions``) and pattern
+    files (under ``save_patterns``)."""
     tasks = [(spec, i, verify, stats, files) for i in range(spec.n_realizations)]
     if spec.jobs == 1 or spec.n_realizations == 1:
         return [_reduce_indexed(task) for task in tasks]
@@ -332,9 +345,8 @@ def cmd_ladder(args: argparse.Namespace) -> int:
     spec = _experiment_spec(args)
     if spec.fractions is None:
         raise ConfigError("ladder needs --fractions")
-    pattern = generate(spec.gen)
-    report = ladder_diagnostic(pattern, spec.shift, spec.fractions)
-    text = report.csv()
+    r = build_realization(spec, 0)
+    text = ladder_diagnostic(r.pattern, spec.shift, spec.fractions, r.foliation).csv()
     if spec.out:
         _write(Path(spec.out) / "ladder.csv", text)
     else:
@@ -359,11 +371,7 @@ def run(spec: ExperimentSpec) -> int:
             for i, row in enumerate(rows):
                 _write(out / f"pattern_{i:04d}.json", row.pattern_json)
         if spec.fractions:
-            pattern = generate(spec.gen)
-            _write(
-                out / "ladder.csv",
-                ladder_diagnostic(pattern, spec.shift, spec.fractions).csv(),
-            )
+            _write(out / "ladder.csv", rows[0].ladder_csv)
     for name in failures:
         sys.stderr.write(f"exact identity failed: {name}\n")
     return EXIT_EXACT_FAILURE if failures else EXIT_OK

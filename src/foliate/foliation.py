@@ -1,5 +1,5 @@
 """Functional-graph structure of an evaluated shift: components, cycles,
-foils, descendant counts, primeval points, and classification.
+foils, descendant counts, and classification.
 
 On a finite total map every undirected component carries exactly one
 directed cycle; points in the same component share a foil exactly when
@@ -35,6 +35,11 @@ CLASS_FF = "FF"
 CLASS_IF = "IF_diagnostic"
 CLASS_II = "II_diagnostic"
 CLASS_UNKNOWN = "Unknown"
+
+# ladder slopes above which the components, and then the foils, count as
+# growing with the core
+COMPONENT_THRESHOLD = 0.5
+FOIL_THRESHOLD = 0.1
 
 
 def _jump(ptr: np.ndarray, val: np.ndarray, op, rounds: int):
@@ -201,9 +206,6 @@ class FoliationResult:
         order, bounds = getattr(self, cache)
         return order[bounds[i] : bounds[i + 1]]
 
-    def classes(self, ladder: "LadderReport | None" = None) -> tuple[str, ...]:
-        return classify(self, ladder)
-
     def to_json(self) -> str:
         obj = {
             "schema_version": 1,
@@ -224,12 +226,12 @@ class FoliationResult:
                     "n_foils": foils,
                     "class": cls,
                 }
-                for (c, size, cycle, root, foils), cls in zip(self._rows(), self.classes())
+                for (c, size, cycle, root, foils), cls in zip(self._rows(), classify(self))
             ],
         }
         return json.dumps(obj)
 
-    def components_csv(self, ladder: "LadderReport | None" = None) -> str:
+    def components_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["id", "size", "cycle_length", "n_foils", "class"])
@@ -239,7 +241,7 @@ class FoliationResult:
                 self.component_size.tolist(),
                 self.cycle_length.tolist(),
                 self.component_foils.tolist(),
-                self.classes(ladder),
+                classify(self),
             )
         )
         return out.getvalue()
@@ -356,20 +358,6 @@ def descendant_stats(shift_map: ShiftMap, max_order: int) -> DescendantStats:
     return DescendantStats(max_order=m, d=d, l=l, images=images, defined=defined)
 
 
-@dataclass(frozen=True)
-class PrimevalSet:
-    ids: np.ndarray
-
-
-def primeval_set(shift_map: ShiftMap) -> PrimevalSet:
-    """Points surviving in every iterated image of a total map: exactly the
-    union of its cycles.  A censored map has no exact primeval set."""
-    if not shift_map.is_total:
-        raise ConfigError("the primeval set needs a total (uncensored) map")
-    on_cycle = _trees(shift_map.image)[1]
-    return PrimevalSet(ids=np.flatnonzero(on_cycle).astype(np.int64))
-
-
 def classify(
     foliation: FoliationResult, ladder: "LadderReport | None" = None
 ) -> tuple[str, ...]:
@@ -395,16 +383,13 @@ class LadderReport:
     """Growth diagnostics over nested cores of one realization.
 
     Slopes are log-log regressions against the core scale factor; the class
-    is diagnostic only (any finite realization is literally FF) and the
-    thresholds are part of the artifact configuration.
+    is diagnostic only (any finite realization is literally FF).
     """
 
     rungs: tuple[LadderRung, ...]
     component_slope: float
     foil_slope: float
     class_: str
-    component_threshold: float
-    foil_threshold: float
 
     def csv(self) -> str:
         out = io.StringIO()
@@ -454,15 +439,19 @@ def ladder_diagnostic(
     pattern: PointPattern,
     kind: ShiftKind | str,
     fractions: tuple[float, ...],
-    component_threshold: float = 0.5,
-    foil_threshold: float = 0.1,
+    full: FoliationResult,
 ) -> LadderReport:
-    """Analyze the same realization on nested centered cores and fit growth."""
+    """Analyze the same realization on nested centered cores and fit growth.
+
+    ``full`` is the foliation of ``pattern`` itself: the core that is the
+    whole window reads it instead of foliating the pattern again."""
     fr = check_fractions(fractions)
+    if full.n_points != len(pattern):
+        raise ConfigError("pattern and foliation sizes differ")
     rungs = []
     for f in fr:
         sub = crop(pattern, f)
-        fol = foliate(sub, evaluate(sub, kind))
+        fol = full if sub is pattern else foliate(sub, evaluate(sub, kind))
         if fol.n_points == 0:
             rungs.append(LadderRung(f, 0, 0, 0, 0.0, 0))
             continue
@@ -482,8 +471,8 @@ def ladder_diagnostic(
     foil_sizes = np.log([max(r.typical_foil_size, 1.0) for r in rungs])
     comp_slope = float(np.polyfit(logf, comp_sizes, 1)[0])
     foil_slope = float(np.polyfit(logf, foil_sizes, 1)[0])
-    if comp_slope > component_threshold:
-        class_ = CLASS_II if foil_slope > foil_threshold else CLASS_IF
+    if comp_slope > COMPONENT_THRESHOLD:
+        class_ = CLASS_II if foil_slope > FOIL_THRESHOLD else CLASS_IF
     else:
         class_ = CLASS_FF
     return LadderReport(
@@ -491,6 +480,4 @@ def ladder_diagnostic(
         component_slope=comp_slope,
         foil_slope=foil_slope,
         class_=class_,
-        component_threshold=component_threshold,
-        foil_threshold=foil_threshold,
     )

@@ -146,7 +146,8 @@ def test_criterion_4_structural_classification(
     grid = generate(
         GenSpec("bernoulli_grid", Domain.window(200, 200, buffer=10.0), seed=400, p=0.5)
     )
-    grid_ladder = ladder_diagnostic(grid, "strip", fractions)
+    grid_real = Realization.build(grid, "strip")
+    grid_ladder = ladder_diagnostic(grid, "strip", fractions, grid_real.foliation)
     ok_grid = grid_ladder.class_ == CLASS_IF and all(
         rung.typical_foil_size < 1.05 for rung in grid_ladder.rungs
     )
@@ -154,10 +155,10 @@ def test_criterion_4_structural_classification(
     poisson = generate(
         GenSpec("poisson", Domain.window(200, 200, buffer=10.0), seed=401, intensity=1.0)
     )
-    poisson_ladder = ladder_diagnostic(poisson, "strip", fractions)
+    strip_real = Realization.build(poisson, "strip")
+    poisson_ladder = ladder_diagnostic(poisson, "strip", fractions, strip_real.foliation)
     ok_poisson = poisson_ladder.class_ == CLASS_II
 
-    strip_real = Realization.build(poisson, "strip")
     survival = [
         rep.mean
         for rep in evaporation_profile(strip_real, [1, 2, 3, 4, 5, 6, 7, 8])

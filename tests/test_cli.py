@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from foliate import palm
+from foliate import cli, foliation, palm
 from foliate.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -250,12 +250,38 @@ def test_jobs_do_not_change_results(tmp_path):
     common = [
         "run", "--model", "poisson", "--intensity", "1", "--window", "30x30",
         "--buffer", "3", "--shift", "strip", "--seed", "8", "--realizations", "4",
-        "--n-max", "2",
+        "--n-max", "2", "--fractions", "0.5,1.0",
     ]
     for jobs in ("1", "2"):
         assert main(common + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == EXIT_OK
-    for name in ("verify.csv", "verify.json", "stats.csv", "stats.json"):
+    for name in (
+        "verify.csv", "verify.json", "stats.csv", "stats.json", "ladder.csv", "components.csv"
+    ):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_run_builds_each_realization_once(tmp_path, monkeypatch):
+    # the ladder's whole-window rung reads realization 0's own foliation:
+    # two generations, and one foliation per realization plus the 0.5 core
+    calls = {"generate": 0, "foliate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for mod in (cli, palm, foliation):
+        for name in calls:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    assert main([
+        "run", "--model", "poisson", "--intensity", "1", "--window", "30x30",
+        "--buffer", "3", "--shift", "strip", "--realizations", "2",
+        "--fractions", "0.5,1.0", "--out", str(tmp_path),
+    ]) == EXIT_OK
+    assert calls == {"generate": 2, "foliate": 3}
 
 
 def test_realizations_for_keeps_reports_only():

@@ -20,6 +20,12 @@ COMMANDS = {
         "--window", "40x40", "--buffer", "2", "--shift", "strip", "--n-max", "5",
         "--fractions", "0.25,0.5,0.75,1.0", "--seed", "12", "--realizations", "2",
     ],
+    # strip_window's realization 0 alone: the same ladder bytes as that run
+    "strip_window_ladder": [
+        "ladder", "--model", "poisson", "--intensity", "1", "--window", "40x40",
+        "--buffer", "2", "--shift", "strip", "--fractions", "0.25,0.5,0.75,1.0",
+        "--seed", "12",
+    ],
     "condenser_window_1d": RUN + [
         "--window", "400", "--buffer", "2", "--shift", "condenser",
         "--seed", "13", "--realizations", "2",
@@ -41,6 +47,9 @@ DIGESTS = {
         "stats.json": "fb9815d39d710d9335c283d955f19c856d8abaccc926e1ef8399a1bd885c6f55",
         "verify.csv": "9bad48c2a3bb961be0c28365de4525933fed07e3ecf884d4a9a5c9fb5640a00d",
         "verify.json": "5385be1373c7615b38476d40d7ef5c2562800202a026ab4672b2d66c791ec0a3",
+    },
+    "strip_window_ladder": {
+        "ladder.csv": "4adb75ccbcd79faca34941b75ef3f8ed5291f317d92717eda25d55bec29d239b",
     },
     "condenser_window_1d": {
         "components.csv": "aee6579ee17471b373675789b805755e3ea11b4e18a3c5c78002d83528ae16d7",

@@ -21,7 +21,6 @@ from foliate.foliation import (
     descendant_stats,
     foliate,
     ladder_diagnostic,
-    primeval_set,
 )
 from foliate.generators import GenSpec, generate
 from foliate.patterns import ConfigError, Domain
@@ -76,12 +75,15 @@ def test_build_components_two_cycles():
 def test_build_components_identity():
     assert fol_components([0, 1, 2]) == brute_components([0, 1, 2])
     assert len(fol_components([0, 1, 2])) == 3
+    _, fol = make_fol([0, 1, 2])
+    assert sorted(fol.cycle_nodes.tolist()) == [0, 1, 2]
 
 
 def test_find_cycles_example():
     _, fol = make_fol(EX_IMAGE)
     comp = fol.components[0]
     assert set(comp.cycle) == {1, 2}
+    assert sorted(fol.cycle_nodes.tolist()) == [1, 2]
     assert comp.cycle_length == 2
     assert fol.depth_to_cycle[0] == 1
     assert fol.depth_to_cycle[3] == 1
@@ -143,25 +145,6 @@ def _iter_ok(image, x, n):
             return False
         x = image[x]
     return x >= 0
-
-
-def test_primeval_example():
-    ps = primeval_set(make_map(EX_IMAGE))
-    assert ps.ids.tolist() == [1, 2]
-    ps_id = primeval_set(make_map([0, 1, 2]))
-    assert ps_id.ids.tolist() == [0, 1, 2]
-
-
-def test_primeval_mnn_everything_survives():
-    pat = generate(GenSpec("poisson", Domain.torus(15, 15), seed=41, intensity=1.0))
-    sm = evaluate(pat, "mnn")
-    ps = primeval_set(sm)
-    assert ps.ids.tolist() == list(range(len(pat)))
-
-
-def test_primeval_of_censored_map_is_config_error():
-    with pytest.raises(ConfigError):
-        primeval_set(make_map([1, 2, -1, 1]))
 
 
 @st.composite
@@ -292,6 +275,7 @@ def test_censored_foils_split_by_distance_to_dead_end():
 def test_torus_realizations_are_all_ff(mnn_realizations):
     fol = mnn_realizations[0].foliation
     assert set(classify(fol)) == {CLASS_FF}
+    assert sorted(fol.cycle_nodes.tolist()) == list(range(fol.n_points))
 
 
 def test_next_row_foils_subset_of_columns(next_row_realizations):
@@ -314,11 +298,16 @@ def test_next_row_torus_winding_refines_columns():
         assert comp.n_foils == comp.cycle_length
 
 
+def strip_foliation(pattern):
+    return foliate(pattern, evaluate(pattern, "strip"))
+
+
 def test_ladder_classifications():
     poisson = generate(
         GenSpec("poisson", Domain.window(120, 120, buffer=8.0), seed=51, intensity=1.0)
     )
-    rep = ladder_diagnostic(poisson, "strip", (0.25, 0.5, 0.75, 1.0))
+    fractions = (0.25, 0.5, 0.75, 1.0)
+    rep = ladder_diagnostic(poisson, "strip", fractions, strip_foliation(poisson))
     assert rep.class_ == CLASS_II
 
     grid = generate(
@@ -326,10 +315,11 @@ def test_ladder_classifications():
             "bernoulli_grid", Domain.window(120, 120, buffer=8.0), seed=52, p=0.5
         )
     )
-    rep2 = ladder_diagnostic(grid, "strip", (0.25, 0.5, 0.75, 1.0))
+    rep2 = ladder_diagnostic(grid, "strip", fractions, strip_foliation(grid))
     assert rep2.class_ == CLASS_IF
 
-    rep3 = ladder_diagnostic(grid, "next_row", (0.25, 0.5, 0.75, 1.0))
+    next_row = foliate(grid, evaluate(grid, "next_row"))
+    rep3 = ladder_diagnostic(grid, "next_row", fractions, next_row)
     assert rep3.class_ == CLASS_II
 
 
@@ -339,12 +329,20 @@ def test_classify_with_ladder_overrides_censored():
             "bernoulli_grid", Domain.window(60, 60, buffer=4.0), seed=53, p=0.5
         )
     )
-    ladder = ladder_diagnostic(grid, "strip", (0.5, 1.0))
-    sm = evaluate(grid, "strip")
-    fol = foliate(grid, sm)
+    fol = strip_foliation(grid)
+    ladder = ladder_diagnostic(grid, "strip", (0.5, 1.0), fol)
     classes = classify(fol, ladder)
     for comp, cls in zip(fol.components, classes):
         assert cls == (ladder.class_ if comp.censored else CLASS_FF)
+
+
+def test_ladder_rejects_the_foliation_of_another_pattern():
+    dom = Domain.window(30, 30, buffer=3.0)
+    pat = generate(GenSpec("poisson", dom, seed=55, intensity=1.0))
+    other = generate(GenSpec("poisson", dom, seed=56, intensity=1.0))
+    assert len(pat) != len(other)
+    with pytest.raises(ConfigError):
+        ladder_diagnostic(pat, "strip", (0.5, 1.0), strip_foliation(other))
 
 
 def test_foliation_json_and_csv():
