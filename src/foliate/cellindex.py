@@ -3,6 +3,7 @@
 Points are binned into cells at least ``r`` wide, so every point within
 distance ``r`` of a query sits in the 3^d block of cells around the query's
 own cell (taken modulo the bin count on a torus, clipped on a window).  The
+cells are a counting sort, so one gather finds a cell's run of points.  The
 block is visited one (offset, slot-in-cell) step at a time for all queries
 at once; each step yields at most one candidate per query, and distances use
 the metric of ``patterns.distances_to``, so exact ties stay exact.
@@ -35,12 +36,11 @@ def _candidates(pattern: PointPattern, r: float, queries: np.ndarray):
     cell = np.clip((coords / (ext / bins)).astype(np.int64), 0, bins - 1)
     flat = np.ravel_multi_index(tuple(cell.T), tuple(bins))
     order = np.argsort(flat, kind="stable")
-    flat_sorted = flat[order]
+    # the points of cell k are order[first[k]:first[k + 1]]
+    first = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=bins.prod()))))
     qcell = cell[queries]
-    if torus:
-        steps = [np.unique(np.array([-1, 0, 1]) % b) for b in bins]
-    else:
-        steps = [np.array([-1, 0, 1])] * len(bins)
+    near = np.array([-1, 0, 1])
+    steps = [np.unique(near % b) if torus else near for b in bins]
     for offset in itertools.product(*steps):
         nb = qcell + np.asarray(offset)
         if torus:
@@ -50,8 +50,8 @@ def _candidates(pattern: PointPattern, r: float, queries: np.ndarray):
             pos = np.flatnonzero(((nb >= 0) & (nb < bins)).all(axis=1))
             nb = nb[pos]
         key = np.ravel_multi_index(tuple(nb.T), tuple(bins))
-        start = np.searchsorted(flat_sorted, key, side="left")
-        count = np.searchsorted(flat_sorted, key, side="right") - start
+        start = first[key]
+        count = first[key + 1] - start
         for slot in range(int(count.max(initial=0))):
             live = count > slot
             pos, start, count = pos[live], start[live], count[live]

@@ -183,9 +183,10 @@ def _strip_eval(coords: np.ndarray, domain: Domain) -> tuple[np.ndarray, np.ndar
     code = bucket * (n + 1) + rank
     s_code, s_bucket, s_x2 = code[order], bucket[order], x2[order]
 
-    # part of the band is unobserved; the image may be off-window
+    # part of the band is unobserved; the image may be off-window.  Queries
+    # go in sort order, so the band search and scan read memory in order.
     edge = (x2 - STRIP_HALFWIDTH < 0.0) | (x2 + STRIP_HALFWIDTH > height)
-    q = np.flatnonzero(~edge)
+    q = order[~edge[order]]
     cands = []
     for side in (np.floor(x2[q] - STRIP_HALFWIDTH), np.floor(x2[q] + STRIP_HALFWIDTH)):
         b = np.searchsorted(buckets, side)

@@ -30,6 +30,11 @@ COMMANDS = {
         "--window", "400", "--buffer", "2", "--shift", "condenser",
         "--seed", "13", "--realizations", "2",
     ],
+    # the window path of the neighbor search: clipped cell offsets, censoring
+    "mnn_window": RUN + [
+        "--window", "40x40", "--buffer", "2", "--shift", "mnn", "--n-max", "5",
+        "--seed", "15", "--realizations", "2",
+    ],
 }
 
 DIGESTS = {
@@ -57,6 +62,13 @@ DIGESTS = {
         "stats.json": "51e0002aa9fab4de787a1f4beb36e0a69b8340e53a021ef9872caf79c1a23953",
         "verify.csv": "239951ec05f3c7e96d7576c6f6683bf70080fa5e58c465b31b43032af957f208",
         "verify.json": "4ab2aec2d5fd4c6b7bdcf313cdf5ea8baf7923d70ed0e07ae48cee222f771208",
+    },
+    "mnn_window": {
+        "components.csv": "b71e336fd5fb1bcf7b2a3b0d539f41cc3da6e79fc603e1624239dd9f000dc518",
+        "stats.csv": "ed50d57c0f6639e9c187c4dda8b811eb6b79315a3002e13be2315c89d6b09310",
+        "stats.json": "0d3ea634c549e485bdcd00ae73a2b3d477961374d52e43fcc5c2700acf2c9580",
+        "verify.csv": "ec91b2ce25b4e70c573aa32d6733b947673233fbcc04f98a7bca61e2e5a28033",
+        "verify.json": "645321172450548e06da9eea172c103fac3ead3ea336ca63f3c780a0b5eb1429",
     },
     "grid_next_row": {
         "components.csv": "ccf29035d2ad3d4df067abe45c7eeef371d14bdc1ec79242ae83a963ea9440eb",

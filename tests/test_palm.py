@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -318,6 +319,57 @@ def test_exact_sum_is_fsum(values):
 
 def test_exact_sum_of_nothing():
     assert exact_sum(np.zeros(0)).hex() == (0.0).hex()
+
+
+TINY = 5e-324
+HUGE = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [TINY] * 7 + [-3 * TINY, 2.5e-320, 2.2250738585072014e-308 / 3],
+        [2.5e-320, 1e-310, -3e-315] * 1000,
+        [HUGE, -HUGE, TINY],
+        [1e308, -1.4e308, 1.5e308, -1e308, 1e292, 1.0],
+        [HUGE, -0.75 * HUGE, 1e-300],
+        [1.3e300, 1e307 / 3, -2e306] * 5,
+        [1e16, 1.0, -1e16] * 5,
+    ],
+    ids=["subnormal", "subnormal_repeats", "max_cancels", "near_max", "max_and_tiny",
+         "past_1e300", "cancellation"],
+)
+def test_exact_sum_at_the_float_range_ends(values):
+    assert exact_sum(np.asarray(values)).hex() == math.fsum(values).hex()
+
+
+@pytest.mark.parametrize("count", [1, 3, 10**3, 2**17 + 1, 10**6])
+def test_exact_sum_with_large_counts(count):
+    values = [0.1, 1 / 3, -2.7e-300, 1e200 / 7, 7.0, -(2.0**-30)]
+    arr = np.repeat(np.asarray(values), count)
+    assert exact_sum(arr).hex() == math.fsum(arr.tolist()).hex()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_exact_sum_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        exact_sum(np.asarray([1.0, bad]))
+
+
+def test_exact_sum_has_no_intermediate_overflow():
+    # fsum's partial sums overflow here; the exact sum is finite
+    values = [HUGE, 0.75 * HUGE, -HUGE, -0.75 * HUGE, 1.0]
+    with pytest.raises(OverflowError):
+        math.fsum(values)
+    assert exact_sum(np.asarray(values)) == 1.0
+    assert exact_sum(np.asarray([HUGE, -HUGE] * 3 + [TINY])) == TINY
+
+
+def test_exact_sum_past_the_float_range_raises():
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308])
+    with pytest.raises(OverflowError):
+        exact_sum(np.asarray([1e308, 1e308]))
 
 
 @given(with_repeats(st.integers(-(2**40), 2**40)))
