@@ -30,7 +30,7 @@ from .foliation import FoliationResult, descendant_stats, DescendantStats, folia
 from .generators import GenSpec, generate
 from .patterns import TORUS, ConfigError, PointPattern, distances_to
 from .shifts import ShiftKind, ShiftMap, condenser_marks, evaluate
-from .stable import StableMaps, build_stable_maps, delta, senior_steps
+from .stable import StableMaps, build_stable_maps, foil_cycles, senior_steps
 
 EXACT_TOL = 1e-12
 
@@ -207,6 +207,9 @@ class Realization:
 
     @cached_property
     def stable(self) -> StableMaps:
+        """The whole pattern's stable maps, read by ``SeniorIntervalKernel``
+        and the tests.  ``run`` never builds them: walk-mode
+        ``relative_intensity`` orders only the two foils it walks."""
         return build_stable_maps(self.pattern, self.shift_map, self.foliation)
 
 
@@ -441,12 +444,19 @@ def relative_intensity(
     if steps <= 0:
         return None
     # x has a senior foil, so no point of its foil is censored (a dead end
-    # is alone in its foil) and every step of the walk is feasible
-    st = r.stable
-    members = np.flatnonzero(fol.foil_id == fid)
-    walk = members[np.argsort((st.foil_pos[members] - st.foil_pos[x]) % m)[:steps]]
+    # is alone in its foil) and every step of the walk is feasible; only the
+    # two foils are put in cycle order
+    ids = np.flatnonzero((fol.foil_id == fid) | (fol.foil_id == senior))
+    f_perp, pos = foil_cycles(r.pattern, fol, ids)
+
+    def pos_of(points):
+        return pos[np.searchsorted(ids, points)]
+
+    junior = ids[fol.foil_id[ids] == fid]
+    walk = junior[np.argsort((pos_of(junior) - pos_of(x)) % m)[:steps]]
     image = r.shift_map.image
-    total = int(delta(st, fol, image[walk], image[st.f_perp[walk]]).sum())
+    succ = f_perp[np.searchsorted(ids, walk)]
+    total = int(((pos_of(image[succ]) - pos_of(image[walk])) % fol.foil_size[senior]).sum())
     return total / steps
 
 

@@ -106,13 +106,17 @@ def row_ranks(rows: np.ndarray) -> np.ndarray:
     Equal rows share a rank and the distinct rows take 0, 1, ... in order:
     the inverse index ``np.unique`` gives for rows, and ``0.0`` equals
     ``-0.0`` there too.
+
+    One dense rank per column, packed after the ranks of the columns
+    before it as ``rank * (max + 1) + r`` and ranked again, so every key is
+    below N² and sorts as an integer.
     """
-    order = np.lexsort(rows.T[::-1])
-    s = rows[order]
-    new = np.ones(len(rows), dtype=np.int64)
-    new[1:] = (s[1:] != s[:-1]).any(axis=1)
-    rank = np.empty(len(rows), dtype=np.int64)
-    rank[order] = np.cumsum(new) - 1
+    rank = np.zeros(len(rows), dtype=np.int64)
+    for j, col in enumerate(rows.T):
+        values, r = np.unique(col, return_inverse=True)
+        rank = rank * len(values) + r
+        if j:
+            rank = np.unique(rank, return_inverse=True)[1]
     return rank
 
 
@@ -170,7 +174,7 @@ class PointPattern:
         obj: dict[str, Any] = {
             "dimension": self.dimension,
             "domain": dom,
-            "points": [[float(v) for v in row] for row in self.coords],
+            "points": self.coords.tolist(),
         }
         if self.metadata:
             obj["metadata"] = _jsonable_metadata(self.metadata)

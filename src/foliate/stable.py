@@ -173,17 +173,37 @@ def _foil_keys(
     return _lex_keys(rel) + (np.where(by_rank, rls.rank[ids], 0),)
 
 
+def foil_cycles(
+    pattern: PointPattern,
+    foliation: FoliationResult,
+    ids: np.ndarray,
+    rls: RlsOrder | None = None,
+    rls_components: frozenset[int] | set[int] = frozenset(),
+) -> tuple[np.ndarray, np.ndarray]:
+    """(f_perp, foil_pos) of the points ``ids``, which must be whole foils in
+    ascending id order, from one sort by (foil, foil keys): entry i is the
+    foil successor (a point id) and the cycle position of ``ids[i]``.
+
+    The keys are taken point by point and the sort is stable, so any set of
+    whole foils gets the cycles the whole pattern gives, ties included.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    foil = foliation.foil_id[ids]
+    keys = _foil_keys(pattern, foliation, ids, rls, rls_components)
+    order = np.lexsort(keys + (foil,))
+    succ, pos = _cycles_through(order, foil[order])
+    return ids[succ], pos
+
+
 def _foil_cycles(
     pattern: PointPattern,
     foliation: FoliationResult,
     rls: RlsOrder | None,
     rls_components: frozenset[int] | set[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(f_perp, foil_pos) from one sort of all points by (foil, foil keys)."""
-    foil = foliation.foil_id
-    keys = _foil_keys(pattern, foliation, np.arange(len(foil)), rls, rls_components)
-    order = np.lexsort(keys + (foil,))
-    return _cycles_through(order, foil[order])
+    """(f_perp, foil_pos) of every point."""
+    ids = np.arange(foliation.n_points)
+    return foil_cycles(pattern, foliation, ids, rls, rls_components)
 
 
 def build_f_perp(
@@ -202,9 +222,12 @@ def build_f_perp(
 
 def build_h_dense(foliation: FoliationResult, rls: RlsOrder) -> np.ndarray:
     """Bijection whose orbits are exactly the components: the cyclic
-    successor in royal-line rank."""
+    successor in royal-line rank.  The preorder index (component offset plus
+    rank) is a permutation, so its inverse lists the points in that order."""
     comp = foliation.component_id
-    order = np.lexsort((rls.rank, comp))
+    first = np.cumsum(foliation.component_size) - foliation.component_size
+    order = np.empty(len(comp), dtype=np.int64)
+    order[first[comp] + rls.rank] = np.arange(len(comp))
     return _cycles_through(order, comp[order])[0]
 
 

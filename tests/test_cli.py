@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from foliate import cli, foliation, palm
+from foliate import cli, foliation, palm, stable
 from foliate.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -282,6 +282,38 @@ def test_run_builds_each_realization_once(tmp_path, monkeypatch):
         "--fractions", "0.5,1.0", "--out", str(tmp_path),
     ]) == EXIT_OK
     assert calls == {"generate": 2, "foliate": 3}
+
+
+def test_run_builds_no_whole_pattern_stable_maps(tmp_path, monkeypatch):
+    # walk-mode relative intensity, taken on the censored strip components,
+    # orders only the typical point's foil and its senior foil
+    calls = {"build_stable_maps": 0, "build_rls_order": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        spy = counted(name, getattr(stable, name))
+        for mod in (stable, palm):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy)
+    assert main([
+        "run", "--model", "poisson", "--intensity", "1", "--window", "30x30",
+        "--buffer", "3", "--shift", "strip", "--realizations", "2",
+        "--fractions", "0.5,1.0", "--out", str(tmp_path),
+    ]) == EXIT_OK
+    reports = json.loads((tmp_path / "stats.json").read_text())["reports"]
+    walked = [rep for rep in reports if rep["name"] == "relative_intensity"]
+    assert walked[0]["dropped"] == 0 and len(walked[0]["per_realization"]) == 2
+    assert calls == {"build_stable_maps": 0, "build_rls_order": 0}
+    # the spies do see the whole-pattern maps where they are still built
+    spec = GenSpec("poisson", Domain.window(30, 30, buffer=3.0), seed=0, intensity=1.0)
+    assert palm.Realization.from_spec(spec, "strip").stable.f_perp.size
+    assert calls == {"build_stable_maps": 1, "build_rls_order": 1}
 
 
 def test_realizations_for_keeps_reports_only():

@@ -35,6 +35,16 @@ COMMANDS = {
         "--window", "40x40", "--buffer", "2", "--shift", "mnn", "--n-max", "5",
         "--seed", "15", "--realizations", "2",
     ],
+    # the 2-D condenser: walk-mode relative intensity on a censored window
+    "condenser_window_2d": RUN + [
+        "--window", "40x40", "--buffer", "2", "--shift", "condenser", "--n-max", "5",
+        "--seed", "16", "--realizations", "2",
+    ],
+    # the pattern files' bytes, as written by PointPattern.to_json
+    "save_patterns": RUN + [
+        "--window", "20x20", "--buffer", "2", "--shift", "strip", "--n-max", "3",
+        "--seed", "17", "--realizations", "2", "--save-patterns",
+    ],
 }
 
 DIGESTS = {
@@ -69,6 +79,22 @@ DIGESTS = {
         "stats.json": "0d3ea634c549e485bdcd00ae73a2b3d477961374d52e43fcc5c2700acf2c9580",
         "verify.csv": "ec91b2ce25b4e70c573aa32d6733b947673233fbcc04f98a7bca61e2e5a28033",
         "verify.json": "645321172450548e06da9eea172c103fac3ead3ea336ca63f3c780a0b5eb1429",
+    },
+    "condenser_window_2d": {
+        "components.csv": "2ee8a96e874f810524e79bbce388875a47b32da60a1008f3155b0904effb63f8",
+        "stats.csv": "78a820e9da2c904c72bb2d479c75de7a76abc81d462456505df1d16e28c716c6",
+        "stats.json": "15da93b682a91fe598b80c6bdfa9feccd502c9010e7859adfdd70b38eb24405b",
+        "verify.csv": "9867c7e129adebc8b1bb8531214c14459f253c73d9908126ab8b255c0f6cc673",
+        "verify.json": "9a50c47ce8af566f956164d5ea1ec8eaf6a1d2bc126ae5b201fa79bdb07fc23f",
+    },
+    "save_patterns": {
+        "components.csv": "75895de6ff09efcce22c42120f561773d95e410ec81d88c6d6c3869e3b2d5dc2",
+        "pattern_0000.json": "b011a037d393cfa0ce7f90174c288d99129703c80f56d610fb44f4671d4061e6",
+        "pattern_0001.json": "d66b90226a086f2025ac351c40d714a9d6150222f417a64d15115f239a38a0ab",
+        "stats.csv": "ca51220617c758903cc713eb92a3f7eb98e3d7bd55475b0dd9124444463e9714",
+        "stats.json": "61cd5026a21ee6bcc20697df218e76a1f3c08c8aabca1ef299497795f19f6a4e",
+        "verify.csv": "26fa4be49406be7707e1b9cefb967e3a03b56625a49b6e322d95d334477f3761",
+        "verify.json": "871f4c1db1ff85ca4d61d36a03784dd7b6281feb624448ef776ce9a790bc3d02",
     },
     "grid_next_row": {
         "components.csv": "ccf29035d2ad3d4df067abe45c7eeef371d14bdc1ec79242ae83a963ea9440eb",

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foliate.patterns import (
     ConfigError,
@@ -112,6 +114,29 @@ def test_row_ranks_match_unique_inverse():
         assert np.array_equal(row_ranks(rows), expected)
 
 
+@st.composite
+def tied_rows(draw):
+    """Rows over a few drawn values, so equal entries, equal rows and signed
+    zeros are common."""
+    pool = draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0]),
+        min_size=1, max_size=4,
+    ))
+    n = draw(st.integers(min_value=0, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=4))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=n * d, max_size=n * d))
+    return np.array(cells, dtype=float).reshape(n, d)
+
+
+@given(tied_rows())
+@settings(max_examples=300, deadline=None)
+def test_row_ranks_match_unique_inverse_on_ties(rows):
+    expected = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    assert row_ranks(rows).tolist() == expected.tolist()
+    ints = np.unique(rows, return_inverse=True)[1].reshape(rows.shape) - 2
+    assert row_ranks(ints).tolist() == expected.tolist()
+
+
 def test_pattern_rejects_out_of_domain():
     with pytest.raises(PatternError):
         PointPattern(Domain.torus(5, 5), [[5.0, 1.0]])
@@ -136,6 +161,15 @@ def test_serialization_golden_bytes():
     again = PointPattern.from_json(GOLDEN)
     assert np.array_equal(again.coords, pat.coords)
     assert again.domain == pat.domain
+
+
+def test_serialization_writes_each_coordinate_as_a_float():
+    rng = np.random.default_rng(6)
+    coords = np.r_[rng.random((50, 2)) * 5.0, [[-0.0, 0.1 + 0.2], [5.0, 1e-300]]]
+    pat = PointPattern(Domain.window(5, 5), coords)
+    points = json.dumps([[float(v) for v in row] for row in pat.coords])
+    assert f'"points": {points}' in pat.to_json()
+    assert np.array_equal(PointPattern.from_json(pat.to_json()).coords, pat.coords)
 
 
 def test_serialization_field_order_is_fixed():

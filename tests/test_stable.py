@@ -13,12 +13,14 @@ from foliate.palm import Realization, SeniorIntervalKernel, relative_intensity
 from foliate.patterns import ConfigError, Domain, translate
 from foliate.shifts import ShiftMap, evaluate
 from foliate.stable import (
+    _foil_cycles,
     _preorder,
     build_f_perp,
     build_rls_order,
     build_stable_maps,
     check_order_preservation,
     delta,
+    foil_cycles,
     foil_windings,
     orbit,
     stable_to_json,
@@ -39,6 +41,10 @@ ORACLE_CASES = {
     ),
     "torus_mnn": (
         GenSpec("poisson", Domain.torus(25, 25), seed=74, intensity=1.0),
+        "mnn",
+    ),
+    "window_mnn": (
+        GenSpec("poisson", Domain.window(30, 30, buffer=3.0), seed=77, intensity=1.0),
         "mnn",
     ),
     # mnn foils are singletons; a random map on a Poisson torus exercises
@@ -263,6 +269,56 @@ def test_foil_order_follows_f_perp(case):
             assert sorted(pos.tolist()) == list(range(len(members)))
             ordered = members[np.argsort(pos)].tolist()
             assert orbit(st_maps.f_perp, ordered[0], len(ordered)) == ordered
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_foil_cycles_of_whole_foils_match_all_points(case):
+    pat, sm = oracle_case(case)
+    fol = foliate(pat, sm)
+    rls = build_rls_order(pat, sm, fol)
+    rng = np.random.default_rng(78)
+    by_rank = {c for c in range(fol.n_components) if c % 2 == 0}
+    for keyed in (frozenset(), by_rank):
+        f_perp, pos = _foil_cycles(pat, fol, rls, keyed)
+        for picked in (
+            np.arange(fol.n_foils),
+            np.arange(0, fol.n_foils, 3),
+            rng.choice(fol.n_foils, size=min(5, fol.n_foils), replace=False),
+            np.zeros(0, dtype=np.int64),
+        ):
+            ids = np.flatnonzero(np.isin(fol.foil_id, picked))
+            got_f_perp, got_pos = foil_cycles(pat, fol, ids, rls, keyed)
+            assert got_f_perp.tolist() == f_perp[ids].tolist()
+            assert got_pos.tolist() == pos[ids].tolist()
+
+
+def whole_map_walk(r, st_maps, x, n=None):
+    """The walk estimate read from the whole pattern's stable maps."""
+    fol = r.foliation
+    m = int(fol.foil_size[fol.foil_id[x]])
+    steps = m if n is None else min(n, m)
+    members = np.flatnonzero(fol.foil_id == fol.foil_id[x])
+    walk = members[np.argsort((st_maps.foil_pos[members] - st_maps.foil_pos[x]) % m)[:steps]]
+    image = r.shift_map.image
+    return int(delta(st_maps, fol, image[walk], image[st_maps.f_perp[walk]]).sum()) / steps
+
+
+@pytest.mark.parametrize("case", ["grid_torus_next_row", "window_strip", "window_mnn"])
+def test_walk_on_two_foils_matches_whole_map_walk(case):
+    pat, sm = oracle_case(case)
+    r = Realization(pat, sm, foliate(pat, sm))
+    st_maps = build_stable_maps(pat, sm, r.foliation)
+    fol = r.foliation
+    fids = np.flatnonzero(fol.senior_foil >= 0)
+    assert fids.size
+    if case == "window_mnn":  # a non-censored fixed point: its own senior foil
+        assert np.any(fol.senior_foil[fids] == fids)
+    for f in fids:
+        members = fol.foil_members(f)
+        for x in {int(members[0]), int(members[-1])}:
+            for n in (None, 1, 2):
+                want = whole_map_walk(r, st_maps, x, n)
+                assert relative_intensity(r, x, n=n, mode="walk") == want
 
 
 # ----------------------------------------------------- senior interval
