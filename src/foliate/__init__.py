@@ -35,11 +35,11 @@ from .foliation import (
 from .stable import (
     RlsOrder,
     StableMaps,
-    build_f_perp,
     build_h_dense,
     build_rls_order,
     build_stable_maps,
     delta,
+    foil_cycles,
 )
 from .palm import (
     Realization,

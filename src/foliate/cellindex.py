@@ -59,35 +59,30 @@ def _candidates(pattern: PointPattern, r: float, queries: np.ndarray):
             yield pos, cand, distances_to(coords[cand], coords[queries[pos]], pattern.domain)
 
 
-def nearest(
-    pattern: PointPattern, ids: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest other point of each queried point (all points by default).
+def nearest(pattern: PointPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest other point of every point.
 
     Returns (nn, dist, tied): on an exact distance tie ``tied`` is set and
     ``nn`` is the smallest tied id.  With no other point, nn is -1 and the
     distance infinite.
     """
     n = len(pattern)
-    queries = np.arange(n) if ids is None else np.asarray(ids, dtype=np.int64)
-    m = len(queries)
-    nn = np.full(m, -1, dtype=np.int64)
-    dist = np.full(m, np.inf)
-    ties = np.zeros(m, dtype=np.int64)
+    nn = np.full(n, -1, dtype=np.int64)
+    dist = np.full(n, np.inf)
+    ties = np.zeros(n, dtype=np.int64)
     if n < 2:
         return nn, dist, ties > 1
     dom = pattern.domain
     half = np.asarray(dom.extents) / (2.0 if dom.kind == TORUS else 1.0)
     max_dist = float(np.sqrt((half**2).sum()))
     r = min(float((dom.volume / n) ** (1.0 / dom.dimension)), max_dist)
-    todo = np.arange(m)
+    todo = np.arange(n)
     while todo.size:
         best = np.full(todo.size, np.inf)
         arg = np.full(todo.size, -1, dtype=np.int64)
         cnt = np.zeros(todo.size, dtype=np.int64)
-        q = queries[todo]
-        for pos, cand, d in _candidates(pattern, r, q):
-            other = cand != q[pos]
+        for pos, cand, d in _candidates(pattern, r, todo):
+            other = cand != todo[pos]
             pos, cand, d = pos[other], cand[other], d[other]
             b = best[pos]
             lt = d < b

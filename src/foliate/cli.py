@@ -186,9 +186,14 @@ def stats_reports(r: Realization, n_max: int) -> list[StatReport]:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    """Write ``text`` to ``path``, making its directory; a path that cannot
+    be written (``--out`` naming a regular file) is a config error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def write_report_files(out: Path, stem: str, reports: list[StatReport]) -> None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import TORUS, ConfigError, PointPattern, crop, lattice_coords, row_ranks
+from .patterns import TORUS, ConfigError, PointPattern, crop, displacement, row_ranks
 from .shifts import ShiftKind, ShiftMap, evaluate
 
 CLASS_FF = "FF"
@@ -84,9 +84,7 @@ def _step_rank(pattern: PointPattern, cyc: np.ndarray, succ: np.ndarray) -> np.n
     if pattern.domain.kind != TORUS:
         rows = pattern.coords[cyc]
     else:
-        lattice = lattice_coords(pattern)
-        p = pattern.coords if lattice is None else lattice
-        rows = (p[succ[cyc]] - p[cyc]) % np.asarray(pattern.domain.extents, dtype=p.dtype)
+        rows = displacement(pattern, succ[cyc], cyc)
     return row_ranks(rows)
 
 
@@ -184,27 +182,14 @@ class FoliationResult:
 
     @functools.cached_property
     def components(self) -> tuple[ComponentInfo, ...]:
-        """One record per component, built on first use."""
+        """One record per component, built on first use.
+
+        The program reads the columns; the benchmark tracer's component
+        counter is the only reader of these records outside the tests."""
         return tuple(
             ComponentInfo(c, size, tuple(cycle), root, root >= 0, foils)
             for c, size, cycle, root, foils in self._rows()
         )
-
-    def foil_members(self, f: int) -> np.ndarray:
-        return self._members("_foil_slices", self.foil_id, self.n_foils, f)
-
-    def component_members(self, c: int) -> np.ndarray:
-        return self._members("_comp_slices", self.component_id, self.n_components, c)
-
-    def _members(self, cache: str, labels: np.ndarray, n_labels: int, i: int) -> np.ndarray:
-        """Points labelled ``i``, in id order: a slice of the stable order of
-        ``labels``, cached with the label offsets on first use."""
-        if not hasattr(self, cache):
-            bounds = np.zeros(n_labels + 1, dtype=np.int64)
-            np.cumsum(np.bincount(labels, minlength=n_labels), out=bounds[1:])
-            object.__setattr__(self, cache, (np.argsort(labels, kind="stable"), bounds))
-        order, bounds = getattr(self, cache)
-        return order[bounds[i] : bounds[i + 1]]
 
     def to_json(self) -> str:
         obj = {
@@ -358,14 +343,11 @@ def descendant_stats(shift_map: ShiftMap, max_order: int) -> DescendantStats:
     return DescendantStats(max_order=m, d=d, l=l, images=images, defined=defined)
 
 
-def classify(
-    foliation: FoliationResult, ladder: "LadderReport | None" = None
-) -> tuple[str, ...]:
+def classify(foliation: FoliationResult) -> tuple[str, ...]:
     """Class per component: finite non-censored components are exactly FF;
-    censored components take the ladder diagnosis when one is supplied and
-    are Unknown otherwise."""
-    censored = CLASS_UNKNOWN if ladder is None else ladder.class_
-    return tuple(np.where(foliation.component_root >= 0, censored, CLASS_FF).tolist())
+    censored components are Unknown (the ladder diagnoses growth
+    separately, in ``ladder.csv``)."""
+    return tuple(np.where(foliation.component_root >= 0, CLASS_UNKNOWN, CLASS_FF).tolist())
 
 
 @dataclass(frozen=True)

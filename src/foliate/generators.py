@@ -9,7 +9,7 @@ must not change: counts first, then positions, then thinning/marks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -61,16 +61,7 @@ class GenSpec:
                 raise ConfigError("cluster model is planar (dimension 2)")
 
     def with_seed(self, seed: int) -> "GenSpec":
-        return GenSpec(
-            self.model,
-            self.domain,
-            seed,
-            self.intensity,
-            self.p,
-            self.parent_intensity,
-            self.mark_circle_radius,
-            self.mark_intensity,
-        )
+        return replace(self, seed=seed)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -194,9 +185,14 @@ def generate(spec: GenSpec) -> PointPattern:
 
 
 def read_config(path: str | Path) -> dict[str, str]:
-    """Parse a ``key = value`` config file; '#' starts a comment."""
+    """Parse a ``key = value`` UTF-8 config file; '#' starts a comment.  A
+    file that cannot be read as UTF-8 text is a config error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -158,10 +158,6 @@ class PointPattern:
         return self.coords.shape[0]
 
     @property
-    def size(self) -> int:
-        return self.coords.shape[0]
-
-    @property
     def dimension(self) -> int:
         return self.domain.dimension
 
@@ -234,6 +230,21 @@ def lattice_coords(pattern: PointPattern) -> np.ndarray | None:
         return None
     u = np.asarray(pattern.metadata["grid_shift"], dtype=float)
     return np.rint(pattern.coords - u).astype(np.int64)
+
+
+def displacement(pattern: PointPattern, ids: np.ndarray, ref) -> np.ndarray:
+    """Coordinates of points ``ids`` relative to ``ref`` (one node, or one
+    node per id), taken modulo the extents on a torus.
+
+    Grid patterns use exact integer lattice coordinates; equal displacements
+    would otherwise carry position-dependent float noise.
+    """
+    lattice = lattice_coords(pattern)
+    p = pattern.coords if lattice is None else lattice
+    rel = p[ids] - p[ref]
+    if pattern.domain.kind == TORUS:
+        rel = rel % np.asarray(pattern.domain.extents, dtype=p.dtype)
+    return rel
 
 
 def translate(pattern: PointPattern, t: Any) -> PointPattern:

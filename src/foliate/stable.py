@@ -20,27 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .foliation import FoliationResult, _jump
-from .patterns import TORUS, ConfigError, PointPattern, lattice_coords
+from .patterns import ConfigError, PointPattern, displacement
 from .shifts import ShiftMap
-
-
-def _relative_coords(pattern: PointPattern, ids: np.ndarray, ref) -> np.ndarray:
-    """Coordinates of points ``ids`` relative to ``ref`` (one node, or one
-    node per id), taken modulo the extents on a torus.
-
-    Grid patterns use exact integer lattice coordinates; equal displacements
-    would otherwise carry position-dependent float noise.
-    """
-    lattice = lattice_coords(pattern)
-    if lattice is not None:
-        rel = lattice[ids] - lattice[ref]
-        if pattern.domain.kind == TORUS:
-            rel = rel % np.asarray(pattern.domain.extents, dtype=np.int64)
-    else:
-        rel = pattern.coords[ids] - pattern.coords[ref]
-        if pattern.domain.kind == TORUS:
-            rel = rel % np.asarray(pattern.domain.extents)
-    return rel
 
 
 def _lex_keys(rel: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -54,7 +35,7 @@ def _ordered_sons(
     """CSR (indptr, sons) of the reversed map restricted to ``sons``: every
     node's sons in lex order of their coordinates relative to it."""
     fathers = image[sons]
-    rel = _relative_coords(pattern, sons, fathers)
+    rel = displacement(pattern, sons, fathers)
     sons = sons[np.lexsort(_lex_keys(rel) + (fathers,))]
     indptr = np.zeros(len(image) + 1, dtype=np.int64)
     np.cumsum(np.bincount(fathers, minlength=len(image)), out=indptr[1:])
@@ -152,72 +133,25 @@ def _cycles_through(order: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, n
     return succ, pos
 
 
-def _foil_keys(
-    pattern: PointPattern,
-    foliation: FoliationResult,
-    ids: np.ndarray,
-    rls: RlsOrder | None = None,
-    rls_components: frozenset[int] | set[int] = frozenset(),
-) -> tuple[np.ndarray, ...]:
-    """``np.lexsort`` keys of the cyclic order of points ``ids`` inside their
-    foils: coordinates relative to the component reference (the cycle anchor
-    or the dead end), or royal-line rank on the components in
-    ``rls_components``."""
-    comp = foliation.component_id[ids]
-    reference = foliation.cycle_nodes[foliation.cycle_offsets[:-1]]
-    rel = _relative_coords(pattern, ids, reference[comp])
-    if rls is None or not rls_components:
-        return _lex_keys(rel)
-    by_rank = np.isin(comp, list(rls_components))
-    rel[by_rank] = 0
-    return _lex_keys(rel) + (np.where(by_rank, rls.rank[ids], 0),)
-
-
 def foil_cycles(
-    pattern: PointPattern,
-    foliation: FoliationResult,
-    ids: np.ndarray,
-    rls: RlsOrder | None = None,
-    rls_components: frozenset[int] | set[int] = frozenset(),
+    pattern: PointPattern, foliation: FoliationResult, ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(f_perp, foil_pos) of the points ``ids``, which must be whole foils in
-    ascending id order, from one sort by (foil, foil keys): entry i is the
-    foil successor (a point id) and the cycle position of ``ids[i]``.
+    ascending id order: each foil cycles through its members in lex order of
+    their coordinates relative to the component reference (the cycle anchor
+    or the dead end).  Entry i is the foil successor (a point id) and the
+    cycle position of ``ids[i]``.
 
     The keys are taken point by point and the sort is stable, so any set of
     whole foils gets the cycles the whole pattern gives, ties included.
     """
     ids = np.asarray(ids, dtype=np.int64)
     foil = foliation.foil_id[ids]
-    keys = _foil_keys(pattern, foliation, ids, rls, rls_components)
-    order = np.lexsort(keys + (foil,))
+    reference = foliation.cycle_nodes[foliation.cycle_offsets[:-1]]
+    rel = displacement(pattern, ids, reference[foliation.component_id[ids]])
+    order = np.lexsort(_lex_keys(rel) + (foil,))
     succ, pos = _cycles_through(order, foil[order])
     return ids[succ], pos
-
-
-def _foil_cycles(
-    pattern: PointPattern,
-    foliation: FoliationResult,
-    rls: RlsOrder | None,
-    rls_components: frozenset[int] | set[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(f_perp, foil_pos) of every point."""
-    ids = np.arange(foliation.n_points)
-    return foil_cycles(pattern, foliation, ids, rls, rls_components)
-
-
-def build_f_perp(
-    pattern: PointPattern,
-    foliation: FoliationResult,
-    rls: RlsOrder | None = None,
-    rls_components: frozenset[int] | set[int] = frozenset(),
-) -> np.ndarray:
-    """Bijection whose orbits are exactly the foils.
-
-    Finite-class foils cycle through their members in (relative) lex order;
-    components diagnosed as infinite-foil use the royal-line order instead.
-    """
-    return _foil_cycles(pattern, foliation, rls, rls_components)[0]
 
 
 def build_h_dense(foliation: FoliationResult, rls: RlsOrder) -> np.ndarray:
@@ -232,13 +166,10 @@ def build_h_dense(foliation: FoliationResult, rls: RlsOrder) -> np.ndarray:
 
 
 def build_stable_maps(
-    pattern: PointPattern,
-    shift_map: ShiftMap,
-    foliation: FoliationResult,
-    rls_components: frozenset[int] | set[int] = frozenset(),
+    pattern: PointPattern, shift_map: ShiftMap, foliation: FoliationResult
 ) -> StableMaps:
     rls = build_rls_order(pattern, shift_map, foliation)
-    f_perp, foil_pos = _foil_cycles(pattern, foliation, rls, rls_components)
+    f_perp, foil_pos = foil_cycles(pattern, foliation, np.arange(foliation.n_points))
     return StableMaps(
         f_perp=f_perp, h_dense=build_h_dense(foliation, rls), rls=rls, foil_pos=foil_pos
     )

@@ -207,15 +207,9 @@ def brute_rls_rank(pattern: PointPattern, image: list[int]) -> list[int]:
     return rank
 
 
-def brute_f_perp(
-    pattern: PointPattern,
-    image: list[int],
-    by_rank: frozenset[int] = frozenset(),
-    rank: list[int] | None = None,
-) -> list[int]:
+def brute_f_perp(pattern: PointPattern, image: list[int]) -> list[int]:
     """Foil successor: each foil cycles through its members in lex order of
-    their coordinates relative to the component's anchor or root, or in
-    ``rank`` order for the foils of points in ``by_rank``.
+    their coordinates relative to the component's anchor or root.
 
     Two points of a cyclic component share a foil when their N-fold
     iterates agree; in a tree whose walks die, when they are equally deep."""
@@ -228,10 +222,7 @@ def brute_f_perp(
             key = iterate(image, v, n) if image[ref] >= 0 else _depth(image, v)
             foils.setdefault(key, []).append(v)
         for foil in foils.values():
-            if foil[0] in by_rank:
-                foil.sort(key=lambda v: rank[v])
-            else:
-                foil.sort(key=lambda v: (_relative(pattern, v, ref), v))
+            foil.sort(key=lambda v: (_relative(pattern, v, ref), v))
             for a, b in zip(foil, foil[1:] + foil[:1]):
                 succ[a] = b
     return succ
@@ -281,6 +272,15 @@ def brute_senior_interval(pattern: PointPattern, image: list[int]) -> dict:
             m = size[image[cycle[0]]]
             winding[min(cycle)] = (sum(plus[z] for z in cycle) // m, m)
     return {"pos": pos, "size": size, "plus": plus, "minus": minus, "winding": winding}
+
+
+def groups(labels: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """The points of each label 0, 1, ... in id order (a foliation's foils or
+    components), from one stable argsort of ``labels`` cut at the
+    cumulative label counts ``sizes``."""
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(sizes).tolist()
+    return [order[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _depth(image: list[int], v: int) -> int:

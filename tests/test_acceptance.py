@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from conftest import MNN_SEED, NEXT_ROW_SEED
-from oracles import brute_foils, random_map_pattern
+from oracles import brute_foils, groups, random_map_pattern
 
 from foliate.cli import main
 from foliate.foliation import (
@@ -110,9 +110,7 @@ def test_criterion_3_foil_oracle_equivalence():
         pat = random_map_pattern(rng, n)
         sm = ShiftMap("mnn", image, np.zeros(n, bool))
         fol = foliate(pat, sm)
-        mine = frozenset(
-            frozenset(int(v) for v in fol.foil_members(f)) for f in range(fol.n_foils)
-        )
+        mine = frozenset(frozenset(m.tolist()) for m in groups(fol.foil_id, fol.foil_size))
         if mine != brute_foils(image.tolist()):
             ok = False
         for comp in fol.components:
@@ -138,8 +136,8 @@ def test_criterion_4_structural_classification(
     for r in next_row_realizations:
         u = np.asarray(r.pattern.metadata["grid_shift"])
         cols = np.rint(r.pattern.coords[:, 0] - u[0]).astype(int)
-        for f in range(r.foliation.n_foils):
-            if np.unique(cols[r.foliation.foil_members(f)]).size > 1:
+        for members in groups(r.foliation.foil_id, r.foliation.foil_size):
+            if np.unique(cols[members]).size > 1:
                 ok_columns = False
 
     fractions = (0.25, 0.5, 0.75, 1.0)
@@ -302,8 +300,7 @@ def test_criterion_7_stable_map_properties(mnn_realizations, next_row_realizatio
                 ok = False
             fol = r.foliation
             # orbits cover foils and components exactly
-            for f in range(fol.n_foils):
-                members = fol.foil_members(f)
+            for members in groups(fol.foil_id, fol.foil_size):
                 seq = orbit(st.f_perp, int(members[0]), len(members))
                 if set(seq) != {int(v) for v in members}:
                     ok = False
@@ -321,8 +318,7 @@ def test_criterion_7_stable_map_properties(mnn_realizations, next_row_realizatio
                             k = delta(st, fol, x, y)
                             if (pos[x] + k) % m != pos[y]:
                                 ok = False
-            for comp in fol.components:
-                members = fol.component_members(comp.id)
+            for members in groups(fol.component_id, fol.component_size):
                 seq = orbit(st.h_dense, int(members[0]), len(members))
                 if set(seq) != {int(v) for v in members}:
                     ok = False

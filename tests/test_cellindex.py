@@ -69,17 +69,6 @@ def test_ball_matches_brute_force(name, r):
     assert ball(pat, r).tolist() == brute_condenser_marks(pat, r)
 
 
-@pytest.mark.parametrize("name", ["grid_torus_ties", "window_2d", "torus_3d"])
-def test_nearest_on_an_id_subset(name):
-    pat = PATTERNS[name]
-    ids = np.array([7, 0, len(pat) - 1, 7, 3])
-    nn, dist, tied = nearest(pat, ids)
-    want_ids, want_dists, want_ties = brute_nn(pat)
-    assert nn.tolist() == [want_ids[i] for i in ids]
-    assert dist.tolist() == [want_dists[i] for i in ids]
-    assert tied.tolist() == [want_ties[i] for i in ids]
-
-
 def test_sparse_pattern_takes_retry_rounds(monkeypatch):
     radii = []
     candidates = cellindex._candidates

@@ -592,3 +592,31 @@ def test_single_fraction_fails_before_any_file_is_written(tmp_path):
     )
     assert code == EXIT_CONFIG
     assert not out.exists()
+
+
+def _one_config_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_missing_config_file_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.cfg"
+    assert main(["run", "--config", str(missing)]) == EXIT_CONFIG
+    assert "nonexistent.cfg" in _one_config_error(capsys)
+
+
+def test_config_file_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("model = poisson # d\xe9faut\n".encode("latin-1"))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    _one_config_error(capsys)
+
+
+def test_out_naming_a_regular_file_is_config_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    code = main(SMALL_RUN + ["--shift", "mnn", "--seed", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    _one_config_error(capsys)
+    assert out.read_text() == "not a directory\n"

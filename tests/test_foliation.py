@@ -9,6 +9,7 @@ from oracles import (
     brute_descendants,
     brute_foils,
     brute_structure,
+    groups,
     random_map_pattern,
 )
 
@@ -44,9 +45,7 @@ def make_fol(image):
 
 
 def foil_sets(fol):
-    return frozenset(
-        frozenset(int(v) for v in fol.foil_members(f)) for f in range(fol.n_foils)
-    )
+    return frozenset(frozenset(m.tolist()) for m in groups(fol.foil_id, fol.foil_size))
 
 
 def component_sets(labels):
@@ -282,8 +281,8 @@ def test_next_row_foils_subset_of_columns(next_row_realizations):
     r = next_row_realizations[0]
     u = np.asarray(r.pattern.metadata["grid_shift"])
     lat = np.rint(r.pattern.coords - u).astype(int)
-    for f in range(r.foliation.n_foils):
-        cols = np.unique(lat[r.foliation.foil_members(f), 0])
+    for members in groups(r.foliation.foil_id, r.foliation.foil_size):
+        cols = np.unique(lat[members, 0])
         assert cols.size == 1
 
 
@@ -323,19 +322,6 @@ def test_ladder_classifications():
     assert rep3.class_ == CLASS_II
 
 
-def test_classify_with_ladder_overrides_censored():
-    grid = generate(
-        GenSpec(
-            "bernoulli_grid", Domain.window(60, 60, buffer=4.0), seed=53, p=0.5
-        )
-    )
-    fol = strip_foliation(grid)
-    ladder = ladder_diagnostic(grid, "strip", (0.5, 1.0), fol)
-    classes = classify(fol, ladder)
-    for comp, cls in zip(fol.components, classes):
-        assert cls == (ladder.class_ if comp.censored else CLASS_FF)
-
-
 def test_ladder_rejects_the_foliation_of_another_pattern():
     dom = Domain.window(30, 30, buffer=3.0)
     pat = generate(GenSpec("poisson", dom, seed=55, intensity=1.0))
@@ -355,15 +341,3 @@ def test_foliation_json_and_csv():
     csv_text = fol.components_csv()
     assert csv_text.splitlines()[0] == "id,size,cycle_length,n_foils,class"
     assert "FF" in csv_text
-
-
-def test_members_are_the_labelled_points_in_id_order():
-    pat = generate(
-        GenSpec("poisson", Domain.window(40, 40, buffer=3.0), seed=9, intensity=1.0)
-    )
-    fol = foliate(pat, evaluate(pat, "strip"))
-    for f in range(fol.n_foils):
-        assert fol.foil_members(f).tolist() == np.flatnonzero(fol.foil_id == f).tolist()
-    for c in range(len(fol.components)):
-        members = np.flatnonzero(fol.component_id == c)
-        assert fol.component_members(c).tolist() == members.tolist()

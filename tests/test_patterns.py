@@ -5,14 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import _relative
+
+from foliate.generators import GenSpec, generate
 from foliate.patterns import (
     ConfigError,
     Domain,
     PatternError,
     PointPattern,
     crop,
+    displacement,
     distance,
     distances_to,
+    lattice_coords,
     row_ranks,
     translate,
 )
@@ -25,8 +30,6 @@ def test_distance_identity():
 
 def test_distance_agrees_with_distances_to_on_grid_pairs():
     # exact ties must not depend on which metric function is asked
-    from foliate.generators import GenSpec, generate
-
     pat = generate(GenSpec("bernoulli_grid", Domain.torus(20, 20), seed=0, p=0.5))
     coords = pat.coords
     for j in range(len(pat)):
@@ -137,6 +140,35 @@ def test_row_ranks_match_unique_inverse_on_ties(rows):
     assert row_ranks(ints).tolist() == expected.tolist()
 
 
+DISPLACEMENT_CASES = {
+    "grid_torus": GenSpec("bernoulli_grid", Domain.torus(12, 9), seed=30, p=0.5),
+    "poisson_torus": GenSpec("poisson", Domain.torus(10, 8), seed=31, intensity=1.0),
+    "poisson_window": GenSpec(
+        "poisson", Domain.window(10, 8, buffer=1.0), seed=32, intensity=1.0
+    ),
+    "grid_window": GenSpec("bernoulli_grid", Domain.window(12, 9), seed=33, p=0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISPLACEMENT_CASES))
+def test_displacement_matches_oracle(case):
+    pat = generate(DISPLACEMENT_CASES[case])
+    n = len(pat)
+    assert n > 2
+    ids = np.arange(n)
+    per_id = np.random.default_rng(34).permutation(n)
+    lattice = lattice_coords(pat)
+    for ref in (0, n - 1, per_id):
+        got = displacement(pat, ids, ref)
+        refs = np.broadcast_to(ref, n)
+        want = [list(_relative(pat, int(x), int(r))) for x, r in zip(ids, refs)]
+        assert got.tolist() == want
+        assert got.dtype == (np.float64 if lattice is None else np.int64)
+    if case == "grid_torus":  # the exact ints wrap
+        assert np.any(lattice[ids] < lattice[per_id])
+        assert got.min() >= 0
+
+
 def test_pattern_rejects_out_of_domain():
     with pytest.raises(PatternError):
         PointPattern(Domain.torus(5, 5), [[5.0, 1.0]])
@@ -146,7 +178,7 @@ def test_pattern_rejects_out_of_domain():
 
 def test_pattern_point_accessors():
     pat = PointPattern(Domain.window(5, 5), [[1.0, 2.0], [3.0, 4.0]])
-    assert pat.size == 2
+    assert len(pat) == 2
 
 
 GOLDEN = (

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_f_perp, brute_rls_rank, brute_senior_interval, random_map_pattern
+from oracles import (
+    brute_f_perp,
+    brute_rls_rank,
+    brute_senior_interval,
+    groups,
+    random_map_pattern,
+)
 
 from foliate.foliation import foliate
 from foliate.generators import GenSpec, generate
@@ -13,9 +19,7 @@ from foliate.palm import Realization, SeniorIntervalKernel, relative_intensity
 from foliate.patterns import ConfigError, Domain, translate
 from foliate.shifts import ShiftMap, evaluate
 from foliate.stable import (
-    _foil_cycles,
     _preorder,
-    build_f_perp,
     build_rls_order,
     build_stable_maps,
     check_order_preservation,
@@ -144,9 +148,8 @@ def test_preorder_rejects_cycles_of_sons(roots, fathers):
 def test_rls_ranks_are_component_permutations():
     pat, sm, fol = make_case([1, 2, 1, 1, 5, 4, 4])
     rls = build_rls_order(pat, sm, fol)
-    for comp in fol.components:
-        members = fol.component_members(comp.id)
-        assert sorted(rls.rank[members].tolist()) == list(range(comp.size))
+    for members in groups(fol.component_id, fol.component_size):
+        assert sorted(rls.rank[members].tolist()) == list(range(len(members)))
 
 
 # ------------------------------------------------------------- f_perp
@@ -175,8 +178,7 @@ def test_delta_examples():
 def test_delta_sign_consistency_exhaustive():
     pat, sm, fol = make_case([1, 2, 1, 1, 1])
     st_maps = build_stable_maps(pat, sm, fol)
-    for f in range(fol.n_foils):
-        members = fol.foil_members(f)
+    for members in groups(fol.foil_id, fol.foil_size):
         m = len(members)
         for x in members:
             for y in members:
@@ -210,13 +212,11 @@ def test_stable_maps_orbit_properties(image):
     n = len(image)
     assert np.array_equal(np.sort(st_maps.f_perp), np.arange(n))
     assert np.array_equal(np.sort(st_maps.h_dense), np.arange(n))
+    foils = groups(fol.foil_id, fol.foil_size)
+    comps = groups(fol.component_id, fol.component_size)
     for x in range(n):
-        assert set(orbit(st_maps.f_perp, x)) == {
-            int(v) for v in fol.foil_members(fol.foil_id[x])
-        }
-        assert set(orbit(st_maps.h_dense, x)) == {
-            int(v) for v in fol.component_members(fol.component_id[x])
-        }
+        assert set(orbit(st_maps.f_perp, x)) == set(foils[fol.foil_id[x]].tolist())
+        assert set(orbit(st_maps.h_dense, x)) == set(comps[fol.component_id[x]].tolist())
 
 
 @given(functional_maps())
@@ -224,8 +224,9 @@ def test_stable_maps_orbit_properties(image):
 def test_f_perp_delta_identity(image):
     pat, sm, fol = make_case(image)
     st_maps = build_stable_maps(pat, sm, fol)
+    foils = groups(fol.foil_id, fol.foil_size)
     for x in range(len(image)):
-        for y in fol.foil_members(fol.foil_id[x]):
+        for y in foils[fol.foil_id[x]]:
             k = delta(st_maps, fol, x, int(y))
             z = x
             for _ in range(k):
@@ -243,53 +244,41 @@ def test_stable_maps_match_brute_force(case):
     assert st_maps.rls.rank.tolist() == rank
     assert st_maps.f_perp.tolist() == brute_f_perp(pat, image)
     h = list(range(len(image)))
-    for comp in fol.components:
-        members = sorted(fol.component_members(comp.id).tolist(), key=rank.__getitem__)
+    for members in groups(fol.component_id, fol.component_size):
+        members = sorted(members.tolist(), key=rank.__getitem__)
         for a, b in zip(members, members[1:] + members[:1]):
             h[a] = b
     assert st_maps.h_dense.tolist() == h
-    # foils of every other component keyed by royal-line rank instead
-    by_rank = {c.id for c in fol.components if c.id % 2 == 0}
-    points = frozenset(np.flatnonzero(np.isin(fol.component_id, list(by_rank))).tolist())
-    assert build_f_perp(pat, fol, st_maps.rls, by_rank).tolist() == brute_f_perp(
-        pat, image, points, rank
-    )
 
 
 @pytest.mark.parametrize("case", ["grid_torus_next_row", "window_strip"])
 def test_foil_order_follows_f_perp(case):
     pat, sm = oracle_case(case)
     fol = foliate(pat, sm)
-    by_rank = {c for c in range(fol.n_components) if c % 2 == 0}
-    for keyed in (frozenset(), by_rank):
-        st_maps = build_stable_maps(pat, sm, fol, keyed)
-        for f in range(fol.n_foils):
-            members = fol.foil_members(f)
-            pos = st_maps.foil_pos[members]
-            assert sorted(pos.tolist()) == list(range(len(members)))
-            ordered = members[np.argsort(pos)].tolist()
-            assert orbit(st_maps.f_perp, ordered[0], len(ordered)) == ordered
+    st_maps = build_stable_maps(pat, sm, fol)
+    for members in groups(fol.foil_id, fol.foil_size):
+        pos = st_maps.foil_pos[members]
+        assert sorted(pos.tolist()) == list(range(len(members)))
+        ordered = members[np.argsort(pos)].tolist()
+        assert orbit(st_maps.f_perp, ordered[0], len(ordered)) == ordered
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_foil_cycles_of_whole_foils_match_all_points(case):
     pat, sm = oracle_case(case)
     fol = foliate(pat, sm)
-    rls = build_rls_order(pat, sm, fol)
     rng = np.random.default_rng(78)
-    by_rank = {c for c in range(fol.n_components) if c % 2 == 0}
-    for keyed in (frozenset(), by_rank):
-        f_perp, pos = _foil_cycles(pat, fol, rls, keyed)
-        for picked in (
-            np.arange(fol.n_foils),
-            np.arange(0, fol.n_foils, 3),
-            rng.choice(fol.n_foils, size=min(5, fol.n_foils), replace=False),
-            np.zeros(0, dtype=np.int64),
-        ):
-            ids = np.flatnonzero(np.isin(fol.foil_id, picked))
-            got_f_perp, got_pos = foil_cycles(pat, fol, ids, rls, keyed)
-            assert got_f_perp.tolist() == f_perp[ids].tolist()
-            assert got_pos.tolist() == pos[ids].tolist()
+    st_maps = build_stable_maps(pat, sm, fol)
+    for picked in (
+        np.arange(fol.n_foils),
+        np.arange(0, fol.n_foils, 3),
+        rng.choice(fol.n_foils, size=min(5, fol.n_foils), replace=False),
+        np.zeros(0, dtype=np.int64),
+    ):
+        ids = np.flatnonzero(np.isin(fol.foil_id, picked))
+        f_perp, pos = foil_cycles(pat, fol, ids)
+        assert f_perp.tolist() == st_maps.f_perp[ids].tolist()
+        assert pos.tolist() == st_maps.foil_pos[ids].tolist()
 
 
 def whole_map_walk(r, st_maps, x, n=None):
@@ -313,8 +302,9 @@ def test_walk_on_two_foils_matches_whole_map_walk(case):
     assert fids.size
     if case == "window_mnn":  # a non-censored fixed point: its own senior foil
         assert np.any(fol.senior_foil[fids] == fids)
+    foils = groups(fol.foil_id, fol.foil_size)
     for f in fids:
-        members = fol.foil_members(f)
+        members = foils[f]
         for x in {int(members[0]), int(members[-1])}:
             for n in (None, 1, 2):
                 want = whole_map_walk(r, st_maps, x, n)
@@ -335,11 +325,11 @@ def check_senior_interval(pat, sm):
     assert kernel.plus(r).tolist() == [float(v) for v in want["plus"]]
     assert kernel.minus(r).tolist() == [float(v) for v in want["minus"]]
     fids, windings, m_plus = foil_windings(sm, fol, st_maps)
-    got = {int(fol.foil_members(f)[0]): (w, m) for f, w, m in zip(fids, windings, m_plus)}
+    foils = groups(fol.foil_id, fol.foil_size)
+    got = {int(foils[f][0]): (w, m) for f, w, m in zip(fids, windings, m_plus)}
     assert got == want["winding"]
     pos, size = want["pos"], want["size"]
-    for f in range(fol.n_foils):
-        members = fol.foil_members(f)
+    for f, members in enumerate(foils):
         if len(members) > 30:
             continue
         xs, ys = np.meshgrid(members, members)
@@ -373,20 +363,6 @@ def partial_maps(draw):
 def test_senior_interval_random_maps(image):
     pat, sm, _ = make_case(image)
     check_senior_interval(pat, sm)
-
-
-def test_rls_f_perp_mode_on_censored_tree():
-    # condenser-style tree rooted at a dead end; RLS-mode foil successor
-    image = [2, 2, 4, 4, -1, 4]
-    pat, sm, fol = make_case(image)
-    st_maps = build_stable_maps(pat, sm, fol)
-    comp_ids = {int(c) for c in fol.component_id}
-    rls_maps = build_f_perp(pat, fol, st_maps.rls, rls_components=comp_ids)
-    assert np.array_equal(np.sort(rls_maps), np.arange(len(image)))
-    for x in range(len(image)):
-        assert set(orbit(rls_maps, x)) == {
-            int(v) for v in fol.foil_members(fol.foil_id[x])
-        }
 
 
 def test_stable_maps_flow_adapted_on_torus():
