@@ -67,6 +67,19 @@ class ExperimentSpec:
             raise ConfigError("jobs must be >= 1")
         if self.fractions is not None:
             object.__setattr__(self, "fractions", check_fractions(self.fractions))
+        _check_out_dir(self.out)
+
+
+def _check_out_dir(out: str | None) -> None:
+    """Refuse an output directory that cannot be made because its path, or
+    the nearest part of it that exists, is not a directory; checked before
+    any realization is built."""
+    if not out:
+        return
+    path = Path(out)
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"cannot write to {out}: {existing} is not a directory")
 
 
 def seed_for(spec: ExperimentSpec, index: int) -> int:
@@ -298,6 +311,7 @@ def _load_pattern(path: str) -> PointPattern:
 def cmd_foliate(args: argparse.Namespace) -> int:
     from .stable import build_stable_maps, stable_to_json
 
+    _check_out_dir(args.out)
     pattern = _load_pattern(args.pattern)
     shift_map = evaluate(pattern, _shift_kind(args, {}))
     fol = foliate(pattern, shift_map)
@@ -314,13 +328,14 @@ def cmd_foliate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.pattern:
         conf = _read_conf(args)
-        real = Realization.build(_load_pattern(args.pattern), _shift_kind(args, conf))
         n_max = _setting(args, conf, "n_max", 3, int)
         if n_max < 1:
             raise ConfigError("n_max must be >= 1")
+        out = _setting(args, conf, "out")
+        _check_out_dir(out)
+        real = Realization.build(_load_pattern(args.pattern), _shift_kind(args, conf))
         rows = [reduce_realization(real, n_max, verify=True, stats=False)]
         del real  # only the reports outlive the reduction, as in realizations_for
-        out = _setting(args, conf, "out")
     else:
         spec = _experiment_spec(args)
         rows = realizations_for(spec, stats=False)

@@ -43,14 +43,22 @@ FOIL_THRESHOLD = 0.1
 
 
 def _jump(ptr: np.ndarray, val: np.ndarray, op, rounds: int):
-    """Pointer jumping (Wyllie's list ranking), ``rounds`` doublings.
+    """Pointer jumping (Wyllie's list ranking), at most ``rounds`` doublings.
 
     Afterwards ``ptr[x]`` is the 2**rounds-th successor of x, or the terminal
     (``ptr[t] == t``) its walk stops at, and ``val[x]`` folds ``op`` over the
-    values on the way (neutral at terminals)."""
+    values on the way (neutral at terminals).  A round whose ``ptr[ptr]``
+    equals ``ptr`` finds every pointer at a fixed point, and the rounds left
+    would fold only ``val`` there into ``val``, so the jump stops.  That
+    changes nothing when the only cycles are terminals, whose ``val`` is
+    neutral, or when ``ptr`` is a permutation (it is then the identity) and
+    ``op`` is idempotent, as ``np.minimum`` round the cycles."""
     for _ in range(rounds):
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            break
         val = op(val, val[ptr])
-        ptr = ptr[ptr]
+        ptr = nxt
     return ptr, val
 
 

@@ -132,42 +132,84 @@ def eval_mnn(pattern: PointPattern) -> ShiftMap:
     return ShiftMap("mnn", image, censored)
 
 
-def _first_in_band(
-    code: np.ndarray,
-    bucket: np.ndarray,
-    x2: np.ndarray,
-    query: np.ndarray,
-    b: np.ndarray,
+def _descend(
+    table0: np.ndarray,
+    values: np.ndarray,
+    slot: np.ndarray,
     x2_query: np.ndarray,
+    upper: bool,
+    levels: int,
 ) -> np.ndarray:
-    """Per query, the first sorted slot of bucket rank ``b`` whose code
-    exceeds ``query`` and whose second coordinate lies within the half-width
-    of ``x2_query``; -1 when the bucket runs out first."""
-    n = len(code)
-    slot = np.searchsorted(code, query, side="right")
-    found = np.full(len(query), -1, dtype=np.int64)
-    todo = np.arange(len(query))
-    while todo.size:
-        j = slot[todo]
-        live = j < n
-        todo, j = todo[live], j[live]
-        live = bucket[j] == b[todo]
-        todo, j = todo[live], j[live]
-        hit = np.abs(x2[j] - x2_query[todo]) <= STRIP_HALFWIDTH
-        found[todo[hit]] = j[hit]
-        todo = todo[~hit]
-        slot[todo] += 1
-    return found
+    """Per query, the first slot from ``slot`` on whose second coordinate
+    passes the band's upper (``upper``) or lower side, if one lies within
+    2^levels − 1 slots; found by skipping power-of-two blocks that all fail.
+
+    ``table0`` holds the sorted points' ranks into ``values``.  A block's
+    extreme is its range minimum (upper side) or maximum (lower side), one
+    table per level, so the descent takes ``levels`` whole-array rounds.
+    ``d = x2' − x2`` rounds monotonically in x2', so a block whose extreme
+    fails holds no passing slot.  Past the end of the arrays a block is cut
+    to the last full one, which still covers what is left of it.  Where no
+    slot passes, the result is a slot that fails or lies beyond the last.
+    """
+    extreme = np.minimum if upper else np.maximum
+    tables = [table0]
+    while len(tables) < levels:
+        h = 1 << (len(tables) - 1)
+        tables.append(extreme(tables[-1][:-h], tables[-1][h:]))
+    j = slot.copy()
+    for k in reversed(range(levels)):
+        table = tables.pop()
+        d = values[table[np.minimum(j, len(table) - 1)]] - x2_query
+        j += (d > STRIP_HALFWIDTH if upper else d < -STRIP_HALFWIDTH) * (1 << k)
+    return j
+
+
+def _strip_sort(x1: np.ndarray, x2: np.ndarray):
+    """``(order, code, buckets, bucket, ux2, r2)`` of the strip search.
+
+    ``buckets`` are the distinct floor(x2) and ``ux2`` the distinct x2;
+    ``bucket`` and ``r2`` index each point into them.  ``code`` is
+    bucket·(N+1) + dense rank of x1.  ``order`` sorts the points by
+    (floor(x2), x1, x2): the dense rank of code times N+1 plus r2 is an
+    integer below (N+1)², unique because the points are simple, so one
+    ``argsort`` of it gives the lexicographic order.
+    """
+    n = len(x1)
+    ux2, r2 = np.unique(x2, return_inverse=True)
+    rows = np.floor(ux2)
+    new_row = np.r_[True, rows[1:] != rows[:-1]]
+    bucket = (np.cumsum(new_row) - 1)[r2]
+    code = bucket * (n + 1) + np.unique(x1, return_inverse=True)[1]
+    order = np.argsort(np.unique(code, return_inverse=True)[1] * (n + 1) + r2)
+    return order, code, rows[new_row], bucket, ux2, r2
 
 
 def _strip_eval(coords: np.ndarray, domain: Domain) -> tuple[np.ndarray, np.ndarray]:
     """Strip images for one coordinate set; local ids, -1 where censored.
 
-    The points are sorted by (bucket floor(x2), x1, x2) and coded exactly as
-    bucket rank·(N+1) + dense rank of x1, so one ``searchsorted`` per band
-    bucket finds the first point right of each query; the scan then steps
-    every unresolved query one slot per round until the second coordinate
-    fits the band or the bucket ends.
+    **Sort key.**  The points are sorted by (bucket floor(x2), x1, x2) and
+    coded exactly as bucket rank·(N+1) + dense rank of x1 (``_strip_sort``:
+    one ``argsort`` of a unique integer key, no float ``lexsort``).
+
+    **Band search.**  A query's band buckets floor(x2 ∓ ½) are its own
+    bucket or the one next to it (both its own where rounding would skip
+    it).  In its own bucket the first point right of the query is the slot
+    past its run of equal codes; in the next one a ``searchsorted`` on
+    ascending keys finds it.  ``_descend`` then finds the first slot inside
+    the band in ⌈log₂(longest bucket)⌉ rounds, testing one side only: the
+    lower side (d = x2' − x2 ≥ −½) in the lower bucket and the upper side
+    (d ≤ ½) in the upper one.
+
+    **Why the one-sided test is exact.**  A query has x2 ≥ ½.  Below 2⁵²
+    both x2 ∓ ½ are exact, so every x2' in the lower bucket is below
+    x2 + ½ and every x2' in the upper bucket above x2 − ½; monotone
+    rounding then keeps d ≤ ½, or d ≥ −½, true throughout that bucket.
+    From 2⁵² on x2 is an integer, the lower bucket holds nothing above x2
+    and the upper bucket nothing below it (they are x2's own, which holds
+    x2 alone, unless x2 = 2⁵² and the lower one is [2⁵² − 1, 2⁵²)).  So
+    the slot found, when it is still in its bucket, is the first that the
+    exact test |d| ≤ ½ accepts, and that test decides whether there is one.
     """
     n = len(coords)
     image = np.full(n, -1, dtype=np.int64)
@@ -176,26 +218,40 @@ def _strip_eval(coords: np.ndarray, domain: Domain) -> tuple[np.ndarray, np.ndar
         return image, censored
     width, height = domain.extents
     x1, x2 = coords[:, 0], coords[:, 1]
-    rows = np.floor(x2)
-    order = np.lexsort((x2, x1, rows))
-    buckets, bucket = np.unique(rows, return_inverse=True)
-    rank = np.unique(x1, return_inverse=True)[1]
-    code = bucket * (n + 1) + rank
-    s_code, s_bucket, s_x2 = code[order], bucket[order], x2[order]
+    order, code, buckets, bucket, ux2, r2 = _strip_sort(x1, x2)
+    s_code, s_x2 = code[order], x2[order]
+    s_r2 = r2[order].astype(np.min_scalar_type(len(ux2) - 1))
+    sizes = np.bincount(bucket)
+    bucket_end = np.cumsum(sizes)
+    levels = max((int(sizes.max()) - 1).bit_length(), 1)
+    # the slot past each slot's run of equal codes
+    run = np.flatnonzero(np.r_[s_code[1:] != s_code[:-1], True]) + 1
+    run_end = np.repeat(run, np.diff(run, prepend=0))
 
     # part of the band is unobserved; the image may be off-window.  Queries
-    # go in sort order, so the band search and scan read memory in order.
+    # go in sort order, so the keys into a next bucket ascend and the band
+    # search reads memory in order.
     edge = (x2 - STRIP_HALFWIDTH < 0.0) | (x2 + STRIP_HALFWIDTH > height)
-    q = order[~edge[order]]
+    at = np.flatnonzero(~edge[order])
+    q, own = order[at], bucket[order[at]]
+    sides = np.floor(x2[q] - STRIP_HALFWIDTH), np.floor(x2[q] + STRIP_HALFWIDTH)
+    # an odd integer x2 in [2⁵², 2⁵³) rounds x2 ∓ ½ to x2 ∓ 1, past its own
+    # bucket on both sides; its band holds x2 alone
+    wide = sides[1] - sides[0] > 1
+    sides = [np.where(wide, buckets[own], side) for side in sides]
     cands = []
-    for side in (np.floor(x2[q] - STRIP_HALFWIDTH), np.floor(x2[q] + STRIP_HALFWIDTH)):
-        b = np.searchsorted(buckets, side)
-        ok = (b < len(buckets)) & (buckets[np.minimum(b, len(buckets) - 1)] == side)
-        qs, b = q[ok], b[ok]
-        slot = _first_in_band(s_code, s_bucket, s_x2, b * (n + 1) + rank[qs], b, x2[qs])
-        cand = np.full(len(q), -1, dtype=np.int64)
-        cand[ok] = np.where(slot >= 0, order[slot], -1)
-        cands.append(cand)
+    for upper, side in enumerate(sides):
+        step = 2 * upper - 1
+        mine = side == buckets[own]
+        b = np.clip(np.where(mine, own, own + step), 0, len(buckets) - 1)
+        ok = buckets[b] == side
+        slot = np.where(mine, run_end[at], n)
+        nxt = ok & ~mine
+        slot[nxt] = np.searchsorted(s_code, s_code[at[nxt]] + step * (n + 1), side="right")
+        slot = _descend(s_r2, ux2, slot, x2[q], bool(upper), levels)
+        hit = ok & (slot < bucket_end[b])
+        hit[hit] = np.abs(s_x2[slot[hit]] - x2[q[hit]]) <= STRIP_HALFWIDTH
+        cands.append(np.where(hit, order[np.minimum(slot, n - 1)], -1))
     # lexicographic (x1, x2) minimum of the two buckets' candidates; when the
     # buckets coincide both are the same point.  A -1 reads the last point,
     # masked out by the sign tests.

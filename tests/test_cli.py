@@ -620,3 +620,45 @@ def test_out_naming_a_regular_file_is_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
     _one_config_error(capsys)
     assert out.read_text() == "not a directory\n"
+
+
+def _refuse_work(monkeypatch):
+    """Make building a realization or evaluating a shift fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before --out was checked")
+
+    monkeypatch.setattr(cli, "build_realization", refuse)
+    monkeypatch.setattr(cli, "evaluate", refuse)
+    monkeypatch.setattr(palm, "evaluate", refuse)
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "stats", "ladder"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_out_naming_a_file_is_refused_before_any_realization(
+    tmp_path, monkeypatch, capsys, command, below
+):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "sub" if below else taken
+    _refuse_work(monkeypatch)
+    flags = SMALL_RUN[1:] + ["--shift", "mnn", "--out", str(out)]
+    flags += ["--fractions", "0.5,1.0"] if command == "ladder" else ["--realizations", "4"]
+    assert main([command] + flags) == EXIT_CONFIG
+    assert "not a directory" in _one_config_error(capsys)
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "foliate"])
+def test_out_naming_a_file_is_refused_before_the_pattern_is_read(
+    tmp_path, monkeypatch, capsys, command
+):
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(PointPattern(Domain.torus(4, 4), [[1.0, 1.0], [2.0, 3.0]]).to_json())
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    _refuse_work(monkeypatch)
+    argv = [command, "--pattern", str(pattern), "--shift", "mnn", "--out", str(taken)]
+    assert main(argv) == EXIT_CONFIG
+    assert "not a directory" in _one_config_error(capsys)
+    assert taken.read_text() == "not a directory\n"

@@ -1,3 +1,6 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from oracles import (
     random_map_pattern,
 )
 
+from foliate import foliation, stable
 from foliate.foliation import (
     CLASS_FF,
     CLASS_IF,
@@ -191,6 +195,55 @@ def partial_maps(draw):
 def test_structure_matches_brute_force_on_partial_maps(image):
     pat = random_map_pattern(np.random.default_rng(0), len(image))
     assert_structure_matches_brute(pat, image)
+
+
+def _jump_all_rounds(ptr, val, op, rounds):
+    """``foliation._jump`` without the convergence stop."""
+    for _ in range(rounds):
+        val = op(val, val[ptr])
+        ptr = ptr[ptr]
+    return ptr, val
+
+
+def test_jump_stops_once_every_pointer_is_a_terminal():
+    calls = []
+
+    def add(a, b):
+        calls.append(1)
+        return a + b
+
+    ptr, val = foliation._jump(np.array([1, 2, 2]), np.array([1, 1, 0]), add, 10)
+    assert ptr.tolist() == [2, 2, 2] and val.tolist() == [2, 1, 0]
+    assert len(calls) == 1  # the second round finds ptr[ptr] == ptr
+
+
+@st.composite
+def long_partial_maps(draw):
+    # tails into cycles and dead ends, long enough for several rounds
+    n = draw(st.integers(min_value=0, max_value=60))
+    return [draw(st.integers(min_value=-1, max_value=n - 1)) for _ in range(n)]
+
+
+@given(long_partial_maps())
+@settings(max_examples=200, deadline=None)
+def test_jump_stop_matches_all_rounds(image):
+    # every caller of _jump returns the same arrays as with all its rounds
+    image = np.asarray(image, dtype=np.int64)
+    pat = random_map_pattern(np.random.default_rng(0), len(image))
+    sm = make_map(image)
+
+    def outputs():
+        fol = foliate(pat, sm)
+        rank = stable.build_rls_order(pat, sm, fol).rank
+        return [*dataclasses.astuple(fol), *foliation._trees(image), rank]
+
+    fast = outputs()
+    with mock.patch.object(foliation, "_jump", _jump_all_rounds), mock.patch.object(
+        stable, "_jump", _jump_all_rounds
+    ):
+        slow = outputs()
+    for a, b in zip(fast, slow, strict=True):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("image", [[], [0], [-1], [-1] * 5, [1, 2, 0, -1, 3]])

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     brute_condenser_image,
@@ -12,6 +15,7 @@ from oracles import (
     brute_strip_map,
 )
 
+from foliate import shifts
 from foliate.generators import GenSpec, generate
 from foliate.patterns import ConfigError, Domain, PointPattern, translate
 from foliate.shifts import (
@@ -86,6 +90,24 @@ def test_strip_matches_brute_force():
     assert sm.censored.tolist() == censored
 
 
+def quarter_grid(offset, seed, cols=12, rows=28, p=0.6, typed=False):
+    """A thinned grid window whose x2 sit on quarter steps above ``offset``:
+    every point lies on a bucket edge or on a band edge of others.  With
+    ``typed`` every point is a cluster parent of type 0 or 1."""
+    rng = np.random.default_rng(seed)
+    x1, k = np.meshgrid(np.arange(cols) * 0.5, np.arange(rows), indexing="ij")
+    pts = np.stack([x1.ravel(), offset + 0.25 * k.ravel()], axis=1)
+    pts = np.unique(pts[rng.random(len(pts)) < p], axis=0)
+    domain = Domain.window(cols * 0.5 + 1.0, offset + rows * 0.25 + 1.0, buffer=1.0)
+    n = len(pts)
+    meta = {
+        "cluster_parent": np.arange(n),
+        "cluster_type": rng.integers(0, 2, size=n),
+        "cluster_is_parent": np.ones(n, dtype=np.int64),
+    }
+    return PointPattern(domain, pts, meta if typed else {})
+
+
 # the pivot (1, 5.25) has band [4.75, 5.75] over buckets 4 and 5: the
 # candidates at exactly |dx2| = 1/2 in both buckets tie on x1 and the lower
 # x2 wins, and (1.5, 4.74) and (1.5, 5.76) lie just outside; (3, 5.25) sits
@@ -98,6 +120,10 @@ HALF_WIDTH_POINTS = [
 # at 2**52 + 2 the halves round away, so floor(x2 - 1/2) == floor(x2 + 1/2)
 BIG = 2.0**52 + 2.0
 COINCIDING_POINTS = [[1.0, BIG], [2.0, BIG], [3.0, BIG + 1.0], [0.5, BIG], [7.5, BIG]]
+# at the odd 2**52 + 1 the halves round to 2**52 and 2**52 + 2, skipping the
+# point's own bucket on both sides; its band holds 2**52 + 1 alone
+ODD = 2.0**52 + 1.0
+ODD_POINTS = [[1.0, ODD], [2.0, ODD], [1.5, ODD - 1.0], [1.5, ODD + 1.0], [7.5, ODD]]
 
 
 @pytest.mark.parametrize(
@@ -106,8 +132,16 @@ COINCIDING_POINTS = [[1.0, BIG], [2.0, BIG], [3.0, BIG + 1.0], [0.5, BIG], [7.5,
         generate(GenSpec("bernoulli_grid", Domain.window(30, 30, buffer=2.0), seed=38, p=0.5)),
         window_pattern(HALF_WIDTH_POINTS, buffer=1.0),
         PointPattern(Domain.window(8.0, 2.0**53, buffer=1.0), COINCIDING_POINTS),
+        PointPattern(Domain.window(8.0, 2.0**53, buffer=1.0), ODD_POINTS),
+        *(quarter_grid(offset, seed) for offset in (0.0, 2.0**40, 2.0**51) for seed in (1, 2)),
+        *(
+            generate(GenSpec("poisson", Domain.window(25, 25, buffer=2.0), seed=s, intensity=2.0))
+            for s in (41, 42)
+        ),
     ],
-    ids=["grid_x1_ties", "half_width", "coinciding_buckets"],
+    ids=["grid_x1_ties", "half_width", "coinciding_buckets", "odd_past_2_52",
+         "quarter_0_a", "quarter_0_b", "quarter_2e40_a", "quarter_2e40_b", "quarter_2e51_a",
+         "quarter_2e51_b", "poisson_a", "poisson_b"],
 )
 def test_strip_map_matches_brute_force(pat):
     sm = eval_strip(pat)
@@ -125,6 +159,80 @@ def test_strip_half_width_and_coinciding_cases():
     sm = eval_strip(big)
     assert sm.image[:4].tolist() == [1, 4, 2, 0]
     assert sm.censored[4]
+    sm = eval_strip(PointPattern(Domain.window(8.0, 2.0**53, buffer=1.0), ODD_POINTS))
+    assert sm.image[:4].tolist() == [1, 4, 2, 3]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_strip_sort_key_is_the_lexsort_order(seed):
+    # equal x1 across rows and within a bucket, distinct x2 inside buckets
+    rng = np.random.default_rng(seed)
+    pts = np.stack([rng.integers(0, 4, 400) * 0.5, rng.integers(0, 40, 400) * 0.125], axis=1)
+    pts = np.unique(pts, axis=0)
+    x1, x2 = pts[:, 0], pts[:, 1]
+    order, code, buckets, bucket, ux2, r2 = shifts._strip_sort(x1, x2)
+    assert np.array_equal(order, np.lexsort((x2, x1, np.floor(x2))))
+    assert np.array_equal(buckets[bucket], np.floor(x2)) and np.array_equal(ux2[r2], x2)
+    assert np.all(np.diff(code[order]) >= 0)
+
+
+# an x2 near a bucket or band edge: quarter steps, one ulp off them, tiny
+# values and offsets where the halves round
+EDGE_OFFSETS = [0.0, 1e6, 2.0**40, 2.0**51, 2.0**52 - 4.0, 2.0**52, 2.0**53]
+
+
+@st.composite
+def edge_windows(draw):
+    offset = draw(st.sampled_from(EDGE_OFFSETS))
+    n = draw(st.integers(min_value=1, max_value=40))
+    pts = []
+    for _ in range(n):
+        y = offset + draw(st.integers(min_value=0, max_value=24)) * 0.25
+        nudge = draw(st.sampled_from(["", "up", "down", "tiny"]))
+        if nudge == "up":
+            y = math.nextafter(y, math.inf)
+        elif nudge == "down":
+            y = math.nextafter(y, -math.inf)
+        elif nudge == "tiny" and offset == 0.0:
+            y = draw(st.sampled_from([5e-324, 1e-300, 2.0**-54]))
+        pts.append([draw(st.integers(min_value=0, max_value=5)) * 0.5, max(y, 0.0)])
+    pts = np.unique(np.array(pts), axis=0)
+    return PointPattern(Domain.window(4.0, offset + 8.0, buffer=1.0), pts)
+
+
+@given(edge_windows())
+@settings(max_examples=300, deadline=None)
+def test_strip_descent_lands_where_the_exact_test_holds(pat):
+    # wherever the descent lands inside the searched bucket on a slot that
+    # passes its one-sided test, the exact test |x2' - x2| <= 1/2 holds too,
+    # so no scan has to resume from there; and the images are the oracle's
+    landings = []
+
+    def spy(table0, values, slot, x2_query, upper, levels):
+        j = real(table0, values, slot, x2_query, upper, levels)
+        landings.append((values[table0], j, x2_query, upper, levels))
+        return j
+
+    real = shifts._descend
+    shifts._descend = spy
+    try:
+        sm = eval_strip(pat)
+    finally:
+        shifts._descend = real
+    image, censored = brute_strip_map(pat)
+    assert sm.image.tolist() == image
+    assert sm.censored.tolist() == censored
+    longest = int(np.unique(np.floor(pat.coords[:, 1]), return_counts=True)[1].max())
+    for s_x2, j, x2q, upper, levels in landings:
+        assert levels == max(math.ceil(math.log2(longest)), 1)
+        lo, hi = np.floor(x2q - 0.5), np.floor(x2q + 0.5)
+        side = np.where(hi - lo > 1, np.floor(x2q), hi if upper else lo)
+        inside = j < len(s_x2)
+        y, x, side = s_x2[j[inside]], x2q[inside], side[inside]
+        d = y - x
+        one_sided = (d <= 0.5) if upper else (d >= -0.5)
+        landed = one_sided & (np.floor(y) == side)
+        assert np.all(np.abs(d[landed]) <= 0.5)
 
 
 # ---------------------------------------------------------------- mnn
@@ -409,6 +517,15 @@ def test_multitype_unique_type_parent_is_self_or_censored():
 
 def test_multitype_strip_matches_brute_force():
     pat = cluster_pattern()
+    sm = eval_multitype_strip(pat)
+    image, censored = brute_multitype_strip_map(pat)
+    assert sm.image.tolist() == image
+    assert sm.censored.tolist() == censored
+
+
+def test_multitype_strip_matches_brute_force_on_quarter_grid():
+    # two types of parents on bucket and band edges, offset by 2**40
+    pat = quarter_grid(2.0**40, 3, typed=True)
     sm = eval_multitype_strip(pat)
     image, censored = brute_multitype_strip_map(pat)
     assert sm.image.tolist() == image
