@@ -78,18 +78,34 @@ def distance(p: Any, q: Any, dom: Domain) -> float:
         ext = np.asarray(dom.extents)
         d = d % ext
         d = np.minimum(d, ext - d)
-    # the same expression as distances_to, so exact ties agree bit for bit
+    # squares summed in axis order as in distances_to, so on coordinates
+    # inside the domain (where % ext is the identity) exact ties agree bit
+    # for bit
     return float(np.sqrt((d * d).sum()))
 
 
 def distances_to(coords: np.ndarray, x: np.ndarray, dom: Domain) -> np.ndarray:
-    """Distances from every row of ``coords`` to the single point ``x``."""
-    d = np.abs(coords - x)
-    if dom.kind == TORUS:
-        ext = np.asarray(dom.extents)
-        d = d % ext
-        d = np.minimum(d, ext - d)
-    return np.sqrt((d * d).sum(axis=1))
+    """Distances between the rows of ``coords`` and of ``x``, which
+    broadcast (a single point ``x`` serves every row).
+
+    The last axis is the coordinate axis, and the metric runs one axis at a
+    time with the squares summed in axis order, so the transpose of a
+    per-axis layout reads contiguous columns.  On a torus the gap is
+    min(t, extent − t) with t = |a − b|, without the ``t % extent`` of
+    ``distance``: for coordinates in [0, extent), which every pattern and
+    the domain center have, |a − b| is at most max(a, b) exactly, rounds to
+    at most that representable value, and so stays below the extent, where
+    ``% extent`` is the identity.
+    """
+    total = None
+    for k, e in enumerate(dom.extents):
+        t = coords[..., k] - x[..., k]
+        np.abs(t, out=t)
+        if dom.kind == TORUS:
+            np.minimum(t, e - t, out=t)
+        t *= t
+        total = t if total is None else np.add(total, t, out=total)
+    return np.sqrt(total, out=total)
 
 
 def face_distances(coords: np.ndarray, dom: Domain) -> np.ndarray:

@@ -151,17 +151,28 @@ def _descend(
     fails holds no passing slot.  Past the end of the arrays a block is cut
     to the last full one, which still covers what is left of it.  Where no
     slot passes, the result is a slot that fails or lies beyond the last.
+
+    The first slot (the last one when ``slot`` lies past it) is tested
+    before the descent: every block read from ``slot`` on holds it, so when
+    it passes no block is skipped and the query lands on ``slot``.  Only the
+    queries whose first slot fails descend.
     """
+
+    def fails(table, j, x2):
+        d = values[table[np.minimum(j, len(table) - 1)]] - x2
+        return d > STRIP_HALFWIDTH if upper else d < -STRIP_HALFWIDTH
+
     extreme = np.minimum if upper else np.maximum
     tables = [table0]
     while len(tables) < levels:
         h = 1 << (len(tables) - 1)
         tables.append(extreme(tables[-1][:-h], tables[-1][h:]))
     j = slot.copy()
+    rest = np.flatnonzero(fails(table0, slot, x2_query))
+    jr, x2 = j[rest], x2_query[rest]
     for k in reversed(range(levels)):
-        table = tables.pop()
-        d = values[table[np.minimum(j, len(table) - 1)]] - x2_query
-        j += (d > STRIP_HALFWIDTH if upper else d < -STRIP_HALFWIDTH) * (1 << k)
+        jr += fails(tables.pop(), jr, x2) * (1 << k)
+    j[rest] = jr
     return j
 
 

@@ -294,8 +294,7 @@ def _depth(image: list[int], v: int) -> int:
 
 def _plain_distance(a, b, dom: Domain) -> float:
     """Distance by scalar float arithmetic, summing squares in axis order
-    (the rounding of the package metric in two dimensions, so exact ties
-    agree)."""
+    (the rounding of the package metric, so exact ties agree)."""
     total = 0.0
     for x, y, e in zip(a, b, dom.extents):
         t = abs(float(x) - float(y))

@@ -48,8 +48,16 @@ PATTERNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PATTERNS))
-def test_nearest_matches_brute_force(name):
+# every pattern at the module's block size, and again in blocks of 7 queries,
+# which split cell runs and tied groups across blocks
+CASES = [pytest.param(name, cellindex.BLOCK, id=name) for name in sorted(PATTERNS)] + [
+    pytest.param(name, 7, id=f"{name}-block7") for name in sorted(PATTERNS)
+]
+
+
+@pytest.mark.parametrize("name, block", CASES)
+def test_nearest_matches_brute_force(name, block, monkeypatch):
+    monkeypatch.setattr(cellindex, "BLOCK", block)
     pat = PATTERNS[name]
     nn, dist, tied = nearest(pat)
     ids, dists, ties = brute_nn(pat)
@@ -63,21 +71,22 @@ def test_grid_torus_has_ties():
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.5])
-@pytest.mark.parametrize("name", sorted(PATTERNS))
-def test_ball_matches_brute_force(name, r):
+@pytest.mark.parametrize("name, block", CASES)
+def test_ball_matches_brute_force(name, r, block, monkeypatch):
+    monkeypatch.setattr(cellindex, "BLOCK", block)
     pat = PATTERNS[name]
     assert ball(pat, r).tolist() == brute_condenser_marks(pat, r)
 
 
 def test_sparse_pattern_takes_retry_rounds(monkeypatch):
     radii = []
-    candidates = cellindex._candidates
+    pairs = cellindex._pairs
 
     def spy(pattern, r, queries):
         radii.append((r, len(queries)))
-        return candidates(pattern, r, queries)
+        return pairs(pattern, r, queries)
 
-    monkeypatch.setattr(cellindex, "_candidates", spy)
+    monkeypatch.setattr(cellindex, "_pairs", spy)
     nn, dist, _ = nearest(PATTERNS["sparse"])
     # the far point alone is retried at 2r, then capped at the window diagonal
     assert len(radii) > 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import _relative
+from oracles import _plain_distance, _relative
 
 from foliate.generators import GenSpec, generate
 from foliate.patterns import (
@@ -35,6 +35,51 @@ def test_distance_agrees_with_distances_to_on_grid_pairs():
     for j in range(len(pat)):
         row = distances_to(coords, coords[j], pat.domain)
         assert [distance(c, coords[j], pat.domain) for c in coords] == row.tolist()
+
+
+def _coordinate(e: float, torus: bool):
+    """One coordinate in the domain: 0, one ulp below the extent, a lattice
+    point, or any float inside (the extent itself too, on a window)."""
+    return st.one_of(
+        st.just(0.0),
+        st.just(float(np.nextafter(e, 0.0))),
+        st.integers(0, int(np.ceil(e)) - 1).map(float),
+        st.floats(0.0, e, exclude_max=torus),
+    )
+
+
+@st.composite
+def point_rows(draw):
+    dim = draw(st.integers(1, 3))
+    torus = draw(st.booleans())
+    ext = draw(
+        st.lists(
+            st.one_of(st.sampled_from([1.0, 3.0, 4.0, 7.5]), st.floats(0.25, 1e6)),
+            min_size=dim,
+            max_size=dim,
+        )
+    )
+    dom = Domain.torus(*ext) if torus else Domain.window(*ext)
+    rows = draw(st.integers(1, 6))
+    a, b = (
+        [[draw(_coordinate(e, torus)) for e in ext] for _ in range(rows)] for _ in range(2)
+    )
+    return dom, np.array(a), np.array(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_rows())
+def test_distances_to_is_the_plain_distance_bit_for_bit(case):
+    # per axis, squares summed in axis order, and no `% extent` on a torus:
+    # the scalar oracle's bits in one to three dimensions, so lattice ties
+    # stay ties whichever of the metric functions is asked
+    dom, a, b = case
+    want = np.array([_plain_distance(x, y, dom) for x, y in zip(a, b)])
+    assert distances_to(a, b, dom).tobytes() == want.tobytes()
+    assert np.array([distance(x, y, dom) for x, y in zip(a, b)]).tobytes() == want.tobytes()
+    # one point against every row, as the domain center is asked
+    one = np.array([_plain_distance(x, b[0], dom) for x in a])
+    assert distances_to(a, b[0], dom).tobytes() == one.tobytes()
 
 
 def test_distance_torus_wraps():
