@@ -96,23 +96,26 @@ def _step_rank(pattern: PointPattern, cyc: np.ndarray, succ: np.ndarray) -> np.n
     return row_ranks(rows)
 
 
-def _anchors(rank: np.ndarray, csucc: np.ndarray, group: np.ndarray, rounds: int):
+def _anchors(rank: np.ndarray, csucc: np.ndarray, group: np.ndarray, length: int):
     """Per cycle (``group``), the node whose sequence of ranks along ``csucc``
-    is least, or the least-id one on a fully symmetric cycle.
+    is least, or the least-id one on a cycle whose rotations tie.
 
-    Each round keeps, per cycle, the candidates whose rank at the current
-    offset is least and advances them one step; ``rounds`` is the longest
-    cycle's length."""
-    cand = cur = np.argsort(group, kind="stable")
-    for _ in range(rounds):
-        start = np.flatnonzero(_run_starts(group[cand]))
-        if len(start) == len(cand):
-            break
-        val = rank[cur]
-        best = np.repeat(np.minimum.reduceat(val, start), np.diff(np.r_[start, len(cand)]))
-        keep = val == best
-        cand, cur = cand[keep], csucc[cur[keep]]
-    return cand[_run_starts(group[cand])]
+    Prefix doubling: round k ranks the windows of 2^k ranks read from each
+    node, as the pair (own window, window of the 2^(k-1)-th successor).
+    Windows of ``length`` (the longest cycle's) or more compare whole
+    rotations, so ⌈log₂ length⌉ rounds suffice; they stop early once every
+    cycle's least window is held by one node."""
+    m = len(rank)
+    jump = csucc
+    rounds = max(length - 1, 0).bit_length()
+    for k in range(rounds + 1):
+        order = np.argsort(group * m + rank, kind="stable")
+        first = _run_starts(group[order])
+        tie = first[:-1] & ~first[1:] & (rank[order[1:]] == rank[order[:-1]])
+        if k == rounds or not tie.any():
+            return order[first]
+        rank = np.unique(rank * m + rank[jump], return_inverse=True)[1]
+        jump = jump[jump]
 
 
 def _run_starts(g: np.ndarray) -> np.ndarray:

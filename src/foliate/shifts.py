@@ -82,14 +82,8 @@ class ShiftMap:
         return float(self.censored.sum() / n) if n else 0.0
 
     def to_json(self) -> str:
-        """The rows ``{"id", "image" (null when censored), "censored"}``,
-        in the bytes ``json.dumps`` gives for that list of dicts."""
-        rows = zip(self.image.tolist(), self.censored.tolist())
-        return "[" + ", ".join(
-            f'{{"id": {i}, "image": {"null" if c else v}, '
-            f'"censored": {"true" if c else "false"}}}'
-            for i, (v, c) in enumerate(rows)
-        ) + "]"
+        """The rows ``{"id", "image" (null when censored), "censored"}``."""
+        return json_rows(self.image)
 
     @classmethod
     def from_json(cls, text: str, kind: str = "unknown") -> "ShiftMap":
@@ -103,6 +97,19 @@ class ShiftMap:
         return cls(kind, image, censored)
 
 
+def json_rows(image: np.ndarray, tail: str = "") -> str:
+    """The rows ``{"id", "image", "censored"}`` plus the members ``tail``
+    adds, in the bytes ``json.dumps`` gives; a negative image is censored
+    (image null).  One f-string per row measured fastest; a censored row is
+    written with image -1, then its members are replaced in the text."""
+    end = f', "censored": false{tail}}}'
+    rows = (f'{{"id": {i}, "image": {v}{end}' for i, v in enumerate(image.tolist()))
+    text = "[" + ", ".join(rows) + "]"
+    if (image < 0).any():
+        text = text.replace('-1, "censored": false', 'null, "censored": true')
+    return text
+
+
 def eval_mnn(pattern: PointPattern) -> ShiftMap:
     """Mutual nearest neighbor shift: swap mutual pairs, fix everything else.
 
@@ -112,14 +119,8 @@ def eval_mnn(pattern: PointPattern) -> ShiftMap:
     reaches past the observed boundary or into the buffer margin.
     """
     n = len(pattern)
-    image = np.arange(n, dtype=np.int64)
     censored = np.zeros(n, dtype=bool)
-    if n == 0:
-        return ShiftMap("mnn", image, censored)
-    if n == 1:
-        if pattern.domain.kind == WINDOW:
-            return ShiftMap("mnn", np.full(1, -1, np.int64), np.ones(1, bool))
-        return ShiftMap("mnn", image, censored)
+    # a point without a neighbor (nn -1, at distance inf) is fixed, or censored on a window
     nn, nn_dist, tied = nearest(pattern)
     mutual = (~tied) & (~tied[nn]) & (nn[nn] == np.arange(n))
     image = np.where(mutual, nn, np.arange(n))
@@ -386,41 +387,23 @@ def condenser_marks(
     return marks, marks_censored
 
 
-def _nearest_ahead(
-    cand: np.ndarray, query: np.ndarray, metric: str
+def _ahead(
+    pattern: PointPattern, targets: np.ndarray, queries: np.ndarray, metric: str, reach
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per query row, the slot of the nearest row of ``cand`` (sorted
-    lexicographically) among those with a larger first coordinate, and its
-    distance; -1 and inf when there is none.
-
-    One ``searchsorted`` finds the first row ahead, which is the winner
-    under ``first_coordinate``.  Under ``euclidean`` the scan steps every
-    unresolved query one slot per round and keeps a row only when strictly
-    nearer, so ties go to the lexicographically least; a query is done once
-    the first-coordinate gap reaches its best distance, since a float
-    sqrt(gap² + ...) is never below the gap.
-    """
-    n = len(cand)
-    first = np.searchsorted(cand[:, 0], query[:, 0], side="right")
-    slot = np.full(len(query), -1, dtype=np.int64)
-    dist = np.full(len(query), np.inf)
-    todo = np.flatnonzero(first < n)
-    j = first[todo]
-    if metric == "first_coordinate":
-        slot[todo] = j
-        dist[todo] = cand[j, 0] - query[todo, 0]
-        return slot, dist
-    while todo.size:
-        d = np.sqrt(((cand[j] - query[todo]) ** 2).sum(axis=1))
-        better = d < dist[todo]
-        slot[todo[better]] = j[better]
-        dist[todo[better]] = d[better]
-        j = j + 1
-        live = j < n
-        todo, j = todo[live], j[live]
-        live = cand[j, 0] - query[todo, 0] < dist[todo]
-        todo, j = todo[live], j[live]
-    return slot, dist
+    """Per query, the slot in ``targets`` (ids in lexicographic order, so a
+    tie goes to the least point) of its nearest target of larger first
+    coordinate, and its distance; -1 and inf for none, or, for a Euclidean
+    query in 2-D or 3-D, none within ``reach``.  Under ``first_coordinate``,
+    and in 1-D, that is the first target ahead, from one ``searchsorted``."""
+    if metric == "euclidean" and pattern.dimension > 1:
+        return nearest(pattern, targets, queries, ahead=True, reach=reach)[:2]
+    x1 = pattern.coords[:, 0]
+    ahead = np.append(x1[targets], np.inf)
+    slot = np.searchsorted(ahead[:-1], x1[queries], side="right")
+    gap = ahead[slot] - x1[queries]
+    # sqrt(gap²) rounds as the Euclidean metric does in 1-D
+    gap = np.sqrt(gap * gap) if metric == "euclidean" else gap
+    return np.where(slot < len(targets), slot, -1), gap
 
 
 def eval_condenser(
@@ -434,9 +417,9 @@ def eval_condenser(
     "Closest" is Euclidean by default; the first-coordinate reading of the
     rule is available via ``metric="first_coordinate"``.  Points whose own
     mark, or whose winning search region, touches unreliably-marked ground
-    are censored.  The search runs once per mark class over the class
-    above it, sorted lexicographically, and ties go to the
-    lexicographically least point.
+    are censored.  Each mark class searches the class above it, in
+    lexicographic order, so ties go to the lexicographically least point;
+    the censoring test searches the unreliably-marked points.
     """
     if pattern.domain.kind != WINDOW:
         raise ConfigError("condenser shift runs on window domains only")
@@ -444,10 +427,8 @@ def eval_condenser(
         raise ConfigError("condenser metric is euclidean or first_coordinate")
     n = len(pattern)
     image = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return ShiftMap("condenser", image, np.zeros(0, dtype=bool))
     marks, marks_censored = condenser_marks(pattern, ball_radius)
-    coords = pattern.coords
+    coords, ext = pattern.coords, np.asarray(pattern.domain.extents)
     auth = ~marks_censored
     lex = np.lexsort(coords.T[::-1])
     winner = np.full(n, -1, dtype=np.int64)
@@ -455,20 +436,18 @@ def eval_condenser(
     for m in np.unique(marks[auth]):
         q = np.flatnonzero(auth & (marks == m))
         above = lex[(auth & (marks == m + 1))[lex]]
-        slot, dist[q] = _nearest_ahead(coords[above], coords[q], metric)
+        slot, dist[q] = _ahead(pattern, above, q, metric, None)
         winner[q[slot >= 0]] = above[slot[slot >= 0]]
     q = np.flatnonzero(winner >= 0)
-    x, d = coords[q], dist[q, None]
+    x, d = coords[q], dist[q]
     if metric == "euclidean":
-        # winning region must be fully observed
-        lo = x - d
+        # the winning region x1 <= y1 <= x1 + d, |y_k - x_k| <= d is observed
+        lo = x - d[:, None]
         lo[:, 0] = x[:, 0]
-        ext = np.asarray(pattern.domain.extents)
-        seen = ~((lo < 0.0).any(axis=1) | (x + d > ext).any(axis=1))
-        q, x, d = q[seen], x[seen], d[seen]
+        seen = ~((lo < 0.0) | (x + d[:, None] > ext)).any(axis=1)
+        q, d = q[seen], d[seen]
     # a censored-mark point ahead within the distance could be the winner
-    bad = coords[lex[marks_censored[lex]]]
-    ok = _nearest_ahead(bad, x, metric)[1] > d[:, 0]
+    ok = _ahead(pattern, lex[marks_censored[lex]], q, metric, d)[1] > d
     image[q[ok]] = winner[q[ok]]
     return ShiftMap("condenser", image, image < 0)
 

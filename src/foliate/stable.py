@@ -21,7 +21,7 @@ import numpy as np
 
 from .foliation import FoliationResult, _jump
 from .patterns import ConfigError, PointPattern, displacement
-from .shifts import ShiftMap
+from .shifts import ShiftMap, json_rows
 
 
 def _lex_keys(rel: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -203,12 +203,8 @@ def senior_steps(
 
 
 def stable_to_json(table: np.ndarray, role: str) -> str:
-    """The rows ``{"id", "image", "censored": false, "role"}`` of a bijection,
-    in the bytes ``json.dumps`` gives for that list of dicts."""
-    tail = f'"censored": false, "role": {json.dumps(role)}}}'
-    return "[" + ", ".join(
-        f'{{"id": {i}, "image": {v}, {tail}' for i, v in enumerate(table.tolist())
-    ) + "]"
+    """The rows ``{"id", "image", "censored": false, "role"}`` of a bijection."""
+    return json_rows(table, f', "role": {json.dumps(role)}')
 
 
 def orbit(table: np.ndarray, start: int, expect: int | None = None) -> list[int]:

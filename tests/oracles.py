@@ -325,6 +325,37 @@ def brute_nn(pattern: PointPattern) -> tuple[list[int], list[float], list[bool]]
     return ids, dists, tied
 
 
+def brute_nearest(
+    pattern: PointPattern, targets: list[int], queries: list[int] | None, ahead: bool, reach
+) -> tuple[list[int], list[float], list[bool]]:
+    """``cellindex.nearest`` by full scan: per query, the least slot of
+    ``targets`` at the least distance among the targets that count (not the
+    query itself when ``queries`` is None; with ``ahead``, larger first
+    coordinate only), its distance and whether another slot ties it; -1,
+    inf and False when none counts or the least distance exceeds the
+    query's reach."""
+    own = queries is None
+    queries = targets if own else queries
+    out: tuple[list, list, list] = ([], [], [])
+    for k, i in enumerate(queries):
+        p = pattern.coords[i]
+        best, slot, tie = math.inf, -1, False
+        for j, t in enumerate(targets):
+            q = pattern.coords[t]
+            if (own and t == i) or (ahead and not q[0] > p[0]):
+                continue
+            d = _plain_distance(p, q, pattern.domain)
+            if d < best:
+                best, slot, tie = d, j, False
+            elif d == best:
+                tie = True
+        if best > reach[k]:
+            best, slot, tie = math.inf, -1, False
+        for col, v in zip(out, (slot, best, tie)):
+            col.append(v)
+    return out
+
+
 def _strip_rule(
     points: list[tuple[float, float]], ids: list[int], width: float, height: float, buf: float
 ) -> dict[int, int | None]:

@@ -28,7 +28,7 @@ from foliate.foliation import (
     ladder_diagnostic,
 )
 from foliate.generators import GenSpec, generate
-from foliate.patterns import ConfigError, Domain
+from foliate.patterns import ConfigError, Domain, PointPattern
 from foliate.shifts import ShiftMap, evaluate
 
 # the running example: a -> b, b -> c, c -> b, d -> b  (ids 0..3)
@@ -272,6 +272,79 @@ def test_structure_matches_brute_force_on_full_grid_next_row():
     fol = assert_structure_matches_brute(pat, evaluate(pat, "next_row").image.tolist())
     assert all(c.cycle_length > 1 for c in fol.components)
     assert all(c.cycle[0] == min(c.cycle) for c in fol.components)
+
+
+def test_structure_matches_brute_force_on_periodic_torus_cycles():
+    # three cycles on an 18 x 12 torus whose step displacements repeat with
+    # a shorter period: length 18 with period 2, length 9 with period 3 and
+    # length 6 fully symmetric; two tree points hang off them
+    a = [[k, 0 if k % 2 else 2] for k in range(18)]
+    b = [[2 * k, 6 + (0, 1, 3)[k % 3]] for k in range(9)]
+    c = [[3 * k, 4] for k in range(6)]
+    pat = PointPattern(Domain.torus(18, 12), a + b + c + [[1, 10], [5, 11]])
+    image = [(k + 1) % 18 for k in range(18)]
+    image += [18 + (k + 1) % 9 for k in range(9)]
+    image += [27 + (k + 1) % 6 for k in range(6)]
+    fol = assert_structure_matches_brute(pat, image + [3, 20])
+    assert sorted(fol.cycle_length.tolist()) == [6, 9, 18]
+
+
+@st.composite
+def ranked_cycles(draw):
+    lengths = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=5))
+    period = [draw(st.integers(min_value=1, max_value=length)) for length in lengths]
+    letters = draw(st.integers(min_value=1, max_value=3))
+    return lengths, period, letters, draw(st.randoms())
+
+
+@given(ranked_cycles())
+@settings(max_examples=200, deadline=None)
+def test_anchors_are_least_rotations(case):
+    lengths, period, letters, rnd = case
+    csucc, group, rank = [], [], []
+    for g, (length, p) in enumerate(zip(lengths, period)):
+        base = len(csucc)
+        word = [rnd.randrange(letters) for _ in range(p)]
+        csucc += [base + (i + 1) % length for i in range(length)]
+        group += [g] * length
+        rank += [word[i % p] for i in range(length)]
+    want = []
+    for g, length in enumerate(lengths):
+        nodes = [v for v in range(len(group)) if group[v] == g]
+
+        def window(v):
+            out = []
+            for _ in range(length):
+                out.append(rank[v])
+                v = csucc[v]
+            return out
+
+        want.append(min(nodes, key=lambda v: (window(v), v)))
+    got = foliation._anchors(
+        np.array(rank), np.array(csucc), np.array(group), max(lengths)
+    )
+    assert got.tolist() == want
+
+
+def test_anchors_take_log_many_rounds_on_a_full_grid(monkeypatch):
+    # every cycle of next_row on a full 200 x 200 grid torus is symmetric, so
+    # no round separates its nodes: ⌈log₂ 200⌉ = 8 rounds, then least ids
+    pat = generate(GenSpec("bernoulli_grid", Domain.torus(200, 200), seed=3, p=1.0))
+    sm = evaluate(pat, "next_row")
+    checks = []
+    run_starts = foliation._run_starts
+
+    def spy(g):
+        checks.append(len(g))
+        return run_starts(g)
+
+    monkeypatch.setattr(foliation, "_run_starts", spy)
+    fol = foliate(pat, sm)
+    # one check of the least windows before each round and one after the last
+    assert 1 < len(checks) <= 8 + 1
+    assert fol.n_components == 200
+    least = np.unique(fol.component_id, return_index=True)[1]
+    assert np.flatnonzero(fol.entry_position == 0).tolist() == least.tolist()
 
 
 @given(functional_maps())

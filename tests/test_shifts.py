@@ -416,6 +416,18 @@ def test_condenser_marks_match_brute_force(domain):
     assert marks.tolist() == brute_condenser_marks(pat, 1.0)
 
 
+# marks 1 (isolated), 2 (three pairs and the ends of a triple) and 3: the
+# triple's middle point is alone in its class, and every mark-2 point
+# searches it
+ONE_POINT_ABOVE = window_pattern(
+    [[3, 3], [5, 12], [9, 6], [14, 15], [16, 4], [11, 17]]
+    + [[4, 8], [4.5, 8], [12, 10], [12.6, 10.3], [15, 9], [15, 9.7]]
+    + [[7, 14], [7.8, 14], [8.6, 14]],
+    extents=(20.0, 20.0),
+    buffer=2.0,
+)
+
+
 @pytest.mark.parametrize("metric", ["euclidean", "first_coordinate"])
 @pytest.mark.parametrize(
     "spec",
@@ -424,16 +436,24 @@ def test_condenser_marks_match_brute_force(domain):
         GenSpec("poisson", Domain.window(16, 16, buffer=2.0), seed=36, intensity=1.0),
         # unit lattice: exact distance ties between marks and between candidates
         GenSpec("bernoulli_grid", Domain.window(20, 20, buffer=2.0), seed=37, p=0.6),
+        GenSpec("poisson", Domain.window(7, 7, 7, buffer=2.0), seed=38, intensity=1.0),
+        ONE_POINT_ABOVE,
     ],
-    ids=["window_1d", "window_2d", "grid_window_2d"],
+    ids=["window_1d", "window_2d", "grid_window_2d", "window_3d", "one_point_above"],
 )
 def test_condenser_matches_brute_force(spec, metric):
-    pat = generate(spec)
+    pat = spec if isinstance(spec, PointPattern) else generate(spec)
     sm = eval_condenser(pat, 1.0, metric)
     image, censored = brute_condenser_image(pat, 1.0, metric)
     assert (~sm.censored).any()
     assert sm.image.tolist() == image
     assert sm.censored.tolist() == censored
+
+
+def test_one_point_above_is_alone_in_its_class():
+    marks, censored = condenser_marks(ONE_POINT_ABOVE, 1.0)
+    assert not censored.any()
+    assert np.bincount(marks).tolist() == [0, 6, 8, 1]
 
 
 def test_condenser_image_has_next_mark():
