@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -133,9 +132,8 @@ def reduce_realization(
 
 
 def _reduce_indexed(
-    task: tuple[ExperimentSpec, int, bool, bool, bool]
+    spec: ExperimentSpec, index: int, verify: bool, stats: bool, files: bool
 ) -> RealizationReports:
-    spec, index, verify, stats, files = task
     first = files and index == 0
     return reduce_realization(
         build_realization(spec, index),
@@ -146,6 +144,27 @@ def _reduce_indexed(
         pattern=files and spec.save_patterns,
         ladder=(spec.shift, spec.fractions) if first and spec.fractions else None,
     )
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _send_share(conn: Any, reduce_share: Callable[[range], list], share: range) -> None:
+    """A forked worker's body: send ``(True, rows)`` of its share, or
+    ``(False, exception)``, and close the pipe."""
+    try:
+        try:
+            result = (True, reduce_share(share))
+        except Exception as exc:
+            result = (False, exc)
+        conn.send(result)
+    finally:
+        conn.close()
 
 
 def realizations_for(
@@ -160,12 +179,53 @@ def realizations_for(
     in the process that builds it, so one is alive per process at a time.
     With ``files`` the rows also carry the text of ``run``'s components and
     ladder CSVs (realization 0, the ladder under ``fractions``) and pattern
-    files (under ``save_patterns``)."""
-    tasks = [(spec, i, verify, stats, files) for i in range(spec.n_realizations)]
-    if spec.jobs == 1 or spec.n_realizations == 1:
-        return [_reduce_indexed(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-        return list(pool.map(_reduce_indexed, tasks))
+    files (under ``save_patterns``).
+
+    ``min(jobs, realizations, usable CPUs)`` processes share the work: the
+    caller reduces realizations ``i % workers == 0`` and forks one worker
+    for each other residue before it builds any realization.  No worker
+    outlives the call."""
+    n = spec.n_realizations
+    workers = min(spec.jobs, n, usable_cpus())
+
+    def reduce_share(share: range) -> list[RealizationReports]:
+        return [_reduce_indexed(spec, i, verify, stats, files) for i in share]
+
+    if workers == 1:
+        return reduce_share(range(n))
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    forked = []
+    try:
+        for w in range(1, workers):
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            share = range(w, n, workers)
+            proc = ctx.Process(target=_send_share, args=(send_end, reduce_share, share))
+            proc.start()
+            send_end.close()
+            forked.append((proc, recv_end))
+        rows: list[Any] = [None] * n
+        rows[0::workers] = reduce_share(range(0, n, workers))
+        for w, (proc, conn) in enumerate(forked, 1):
+            try:
+                ok, result = conn.recv()  # before join: a large payload fills the pipe
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"the worker for realizations {list(range(w, n, workers))} exited "
+                    f"with code {proc.exitcode} without a result"
+                ) from None
+            proc.join()
+            if not ok:
+                raise result
+            rows[w::workers] = result
+        return rows
+    finally:
+        for proc, conn in forked:
+            proc.terminate()  # a no-op on a worker already joined
+            proc.join()
+            conn.close()
 
 
 def fold(rows: list[RealizationReports], part: str) -> list[StatReport]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -228,19 +229,19 @@ class FoliationResult:
         return json.dumps(obj)
 
     def components_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["id", "size", "cycle_length", "n_foils", "class"])
-        writer.writerows(
+        """One row per component; the columns are ints and a class name,
+        so one ``%`` format gives ``csv.writer``'s bytes."""
+        n = self.n_components
+        cells = itertools.chain.from_iterable(
             zip(
-                range(self.n_components),
+                range(n),
                 self.component_size.tolist(),
                 self.cycle_length.tolist(),
                 self.component_foils.tolist(),
                 classify(self),
             )
         )
-        return out.getvalue()
+        return "id,size,cycle_length,n_foils,class\n" + "%d,%d,%d,%d,%s\n" * n % tuple(cells)
 
 
 def foliate(pattern: PointPattern, shift_map: ShiftMap) -> FoliationResult:

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -246,18 +249,106 @@ def test_run_is_byte_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_jobs_do_not_change_results(tmp_path):
-    common = [
+def test_jobs_do_not_change_results(tmp_path, monkeypatch):
+    # uneven shares and more jobs than realizations, on a strip window with
+    # the ladder and on an mnn torus whose saved patterns overfill a pipe's
+    # buffer; the CPU count is set high so the forked path runs on any host,
+    # and at 1 the run is serial
+    strip = [
         "run", "--model", "poisson", "--intensity", "1", "--window", "30x30",
-        "--buffer", "3", "--shift", "strip", "--seed", "8", "--realizations", "4",
-        "--n-max", "2", "--fractions", "0.5,1.0",
+        "--buffer", "3", "--shift", "strip", "--seed", "8", "--n-max", "2",
+        "--fractions", "0.5,1.0",
     ]
-    for jobs in ("1", "2"):
-        assert main(common + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == EXIT_OK
-    for name in (
-        "verify.csv", "verify.json", "stats.csv", "stats.json", "ladder.csv", "components.csv"
+    mnn = [
+        "run", "--model", "poisson", "--intensity", "1", "--torus", "40x40",
+        "--shift", "mnn", "--seed", "8", "--n-max", "2", "--save-patterns",
+    ]
+    started = []  # one entry per forked worker
+    start = multiprocessing.context.ForkProcess.start
+    monkeypatch.setattr(
+        multiprocessing.context.ForkProcess, "start", lambda p: started.append(p) or start(p)
+    )
+
+    def outputs(common, realizations, jobs, cpus):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        shift = common[common.index("--shift") + 1]
+        out = tmp_path / f"{shift}-{realizations}-{jobs}-{cpus}"
+        argv = common + ["--realizations", str(realizations), "--jobs", str(jobs)]
+        del started[:]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert len(started) == min(jobs, realizations, cpus) - 1
+        assert multiprocessing.active_children() == []
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    for common, names in (
+        (strip, {"ladder.csv"}),
+        (mnn, {f"pattern_{i:04d}.json" for i in range(4)}),
     ):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        for realizations in (4, 5):
+            serial = outputs(common, realizations, 1, 64)
+            assert names | {"components.csv", "verify.csv", "stats.json"} <= set(serial)
+            for jobs in (2, 3, 5):
+                assert outputs(common, realizations, jobs, 64) == serial
+            assert outputs(common, realizations, 5, 1) == serial
+
+
+def _fail_at(monkeypatch, index, fail):
+    """Make ``build_realization`` call ``fail()`` for realization ``index``,
+    and let ``realizations_for`` use two workers: realization 1 (and 3) is
+    then the forked worker's share."""
+    build = cli.build_realization
+    monkeypatch.setattr(
+        cli, "build_realization", lambda spec, i: fail() if i == index else build(spec, i)
+    )
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+
+
+def _raise(exc):
+    raise exc
+
+
+MNN_JOBS2 = [
+    "--model", "poisson", "--intensity", "1", "--torus", "20x20", "--shift", "mnn",
+    "--realizations", "2", "--jobs", "2",
+]
+
+
+def test_config_error_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def fail():
+        raise ConfigError(f"in the caller: {os.getpid() == parent}")
+
+    _fail_at(monkeypatch, 1, fail)
+    assert main(["run", *MNN_JOBS2, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "config error: in the caller: False" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_config_error_in_the_callers_share_exits_2(monkeypatch, capsys):
+    # the worker is still busy when the caller's realization 0 fails: it is
+    # terminated, not waited for
+    _fail_at(monkeypatch, 0, lambda: _raise(ConfigError("bad realization 0")))
+    _fail_at(monkeypatch, 1, lambda: time.sleep(60))
+    t0 = time.perf_counter()
+    assert main(["verify", *MNN_JOBS2]) == EXIT_CONFIG
+    assert time.perf_counter() - t0 < 30
+    assert "config error: bad realization 0" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_exiting_without_a_result_raises(monkeypatch):
+    parent = os.getpid()
+    _fail_at(monkeypatch, 1, lambda: os.getpid() != parent and os._exit(3))
+    spec = ExperimentSpec(
+        gen=GenSpec("poisson", Domain.torus(20, 20), seed=8, intensity=1.0),
+        shift=ShiftKind("mnn"),
+        n_realizations=4,
+        jobs=2,
+    )
+    with pytest.raises(RuntimeError, match=r"realizations \[1, 3\] exited with code 3"):
+        realizations_for(spec)
+    assert multiprocessing.active_children() == []
 
 
 def test_run_builds_each_realization_once(tmp_path, monkeypatch):
