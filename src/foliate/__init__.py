@@ -24,11 +24,9 @@ from .shifts import (
     evaluate,
 )
 from .foliation import (
-    DescendantStats,
     FoliationResult,
     LadderReport,
     classify,
-    descendant_stats,
     foliate,
     ladder_diagnostic,
 )

@@ -115,17 +115,17 @@ def reduce_realization(
     ladder: tuple[ShiftKind, tuple[float, ...]] | None = None,
 ) -> RealizationReports:
     """``r``'s reports, and the texts asked for.  The ``(shift, fractions)``
-    ladder runs first, so its cores are dropped before the descendant table
-    is built."""
+    ladder and the components text come first, so neither one's transient
+    stacks on the descendant walk the reports step through."""
     ladder_text = None
     if ladder is not None:
         ladder_text = ladder_diagnostic(r.pattern, *ladder, r.foliation).csv()
-    r.dstats(max(n_max, *TRANSPORT_ORDERS))  # the one table every report reads
+    components_text = r.foliation.components_csv() if components else None
     return RealizationReports(
         exact_setting=r.is_exact_setting,
         verify=verify_reports(r, n_max) if verify else None,
         stats=stats_reports(r, n_max) if stats else None,
-        components_csv=r.foliation.components_csv() if components else None,
+        components_csv=components_text,
         ladder_csv=ladder_text,
         pattern_json=r.pattern.to_json() if pattern else None,
     )
@@ -247,11 +247,11 @@ def exact_failures(reports: list[StatReport], expect_exact: bool) -> list[str]:
 
 
 def stats_reports(r: Realization, n_max: int) -> list[StatReport]:
-    ds = r.dstats(n_max)
     reports: list[StatReport] = []
     for n in range(1, n_max + 1):
-        reports.append(palm_mean(ds.d[n], r, f"descendants_mean_n{n}"))
-        cousins = np.where(ds.defined[n], ds.l[n], np.nan)
+        images, d, l = r.generation(n)
+        reports.append(palm_mean(d, r, f"descendants_mean_n{n}"))
+        cousins = np.where(images >= 0, l, np.nan)
         reports.append(palm_mean(cousins, r, f"cousins_mean_n{n}"))
     reports.extend(evaporation_profile(r, range(1, n_max + 1)))
     reports.append(relative_intensity_report(r))

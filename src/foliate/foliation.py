@@ -314,45 +314,16 @@ def foliate(pattern: PointPattern, shift_map: ShiftMap) -> FoliationResult:
     )
 
 
-@dataclass(frozen=True)
-class DescendantStats:
-    """Per-point descendant and cousin counts up to a maximal order.
-
-    ``d[n][x]`` counts the points whose n-fold image is x; ``l[n][x]`` is
-    the size of x's order-n cousin set, d_n evaluated at F^n(x).  Row 0 is
-    the identity.
-    """
-
-    max_order: int
-    d: np.ndarray
-    l: np.ndarray
-    images: np.ndarray
-    defined: np.ndarray
-
-
-def descendant_stats(shift_map: ShiftMap, max_order: int) -> DescendantStats:
-    n = len(shift_map)
-    m = int(max_order)
-    if m < 0:
-        raise ConfigError("max_order must be nonnegative")
-    d = np.zeros((m + 1, n), dtype=np.int64)
-    l = np.zeros((m + 1, n), dtype=np.int64)
-    images = np.full((m + 1, n), -1, dtype=np.int64)
-    defined = np.zeros((m + 1, n), dtype=bool)
-    images[0] = np.arange(n)
-    defined[0] = True
-    d[0] = 1
-    l[0] = 1
-    for k in range(1, m + 1):
-        ok = defined[k - 1]
-        nxt = np.full(n, -1, dtype=np.int64)
-        nxt[ok] = shift_map.image[images[k - 1][ok]]
-        images[k] = nxt
-        defined[k] = nxt >= 0
-        if defined[k].any():
-            d[k] = np.bincount(images[k][defined[k]], minlength=n)
-            l[k][defined[k]] = d[k][images[k][defined[k]]]
-    return DescendantStats(max_order=m, d=d, l=l, images=images, defined=defined)
+def next_generation(
+    image: np.ndarray, images: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One order on from the n-fold ``images`` (-1 where undefined): the
+    (n+1)-fold images, d_{n+1} (how many points each is the (n+1)-fold
+    image of) and l_{n+1} = d_{n+1} at each point's (n+1)-fold image, the
+    size of its cousin set (0 where undefined)."""
+    images = np.append(image, -1)[images]  # -1 reads the appended -1
+    d = np.bincount(images + 1, minlength=len(image) + 1)[1:]
+    return images, d, np.append(d, 0)[images]
 
 
 def classify(foliation: FoliationResult) -> tuple[str, ...]:

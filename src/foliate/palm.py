@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .foliation import FoliationResult, descendant_stats, DescendantStats, foliate
+from .foliation import FoliationResult, foliate, next_generation
 from .generators import GenSpec, generate
 from .patterns import TORUS, ConfigError, PointPattern, distances_to
 from .shifts import ShiftKind, ShiftMap, condenser_marks, evaluate
@@ -168,14 +168,14 @@ def fold_reports(
 class Realization:
     """One generated pattern with its evaluated shift and foliation.
 
-    ``dstats`` keeps one descendant table, rebuilt only when a higher order
-    is asked for; a reduction asks for its largest order first, so every
-    report on the realization reads the same table."""
+    ``generation(n)`` gives the order-n descendant walk.  The walk is kept
+    and stepped on one order at a time, only as far as the highest order
+    asked for, so no order is computed twice."""
 
     pattern: PointPattern
     shift_map: ShiftMap
     foliation: FoliationResult
-    _dstats: DescendantStats | None = field(default=None, repr=False)
+    _generations: list = field(default_factory=list, repr=False)
 
     @classmethod
     def build(cls, pattern: PointPattern, kind: ShiftKind | str) -> "Realization":
@@ -200,10 +200,20 @@ class Realization:
     def is_exact_setting(self) -> bool:
         return self.pattern.domain.kind == TORUS and self.shift_map.is_total
 
-    def dstats(self, n_max: int) -> DescendantStats:
-        if self._dstats is None or self._dstats.max_order < n_max:
-            self._dstats = descendant_stats(self.shift_map, n_max)
-        return self._dstats
+    def generation(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The n-fold images (-1 where undefined), d_n and l_n, as
+        ``next_generation`` gives them.  Order 0, the identity, is not kept:
+        no reduction reads it."""
+        if n < 0:
+            raise ConfigError(f"descendant order must be nonnegative, got {n}")
+        if n == 0:
+            ids = np.arange(self.n_points)
+            return ids, np.ones_like(ids), np.ones_like(ids)
+        gens = self._generations  # orders 1, 2, ...
+        while len(gens) < n:
+            images = gens[-1][0] if gens else np.arange(self.n_points)
+            gens.append(next_generation(self.shift_map.image, images))
+        return gens[n - 1]
 
     @cached_property
     def stable(self) -> StableMaps:
@@ -235,19 +245,19 @@ def palm_mean(values: np.ndarray, r: Realization, name: str) -> StatReport:
     )
 
 
-def _images_and_cousins(ds: DescendantStats, n: int) -> tuple[int, float]:
+def _images_and_cousins(gen: tuple) -> tuple[int, float]:
     """The number of distinct n-fold images (the points with d_n > 0) and
     the sum of 1/l_n over the points whose n-fold image is defined."""
-    return int((ds.d[n] > 0).sum()), exact_sum(1.0 / ds.l[n][ds.defined[n]])
+    images, d, l = gen
+    return int((d > 0).sum()), exact_sum(1.0 / l[images >= 0])
 
 
-def _identity_values(ds: DescendantStats, n: int, N: int) -> dict[str, float]:
-    d = ds.d[n]
-    l = ds.l[n]
-    ok = ds.defined[n]
+def _identity_values(gen: tuple, N: int) -> dict[str, float]:
+    images, d, l = gen
+    ok = images >= 0
     if N == 0 or not ok.any():
         return {}
-    n_pos, inv_l = _images_and_cousins(ds, n)
+    n_pos, inv_l = _images_and_cousins(gen)
     inv_l /= N
     sum_d, sum_d2, sum_d3 = power_sums(d, (1, 2, 3))
     sum_l, sum_l2 = power_sums(l[ok], (1, 2))
@@ -279,10 +289,9 @@ def verify_identities(r: Realization, n_max: int) -> list[StatReport]:
     h = square), and the conditional product.  All five hold with zero
     tolerance on a torus with a total map.
     """
-    ds = r.dstats(n_max)
     reports = []
     for n in range(1, n_max + 1):
-        vals = _identity_values(ds, n, r.n_points)
+        vals = _identity_values(r.generation(n), r.n_points)
         for key, target in _IDENTITY_TARGETS.items():
             reports.append(
                 make_report(
@@ -304,15 +313,10 @@ class ShiftIterateKernel:
         self.name = f"edge_indicator_n{self.n}"
 
     def plus(self, r: Realization) -> np.ndarray:
-        ds = r.dstats(self.n)
-        return ds.defined[self.n].astype(float)
+        return (r.generation(self.n)[0] >= 0).astype(float)
 
     def minus(self, r: Realization) -> np.ndarray:
-        ds = r.dstats(self.n)
-        ok = ds.defined[self.n]
-        return np.bincount(
-            ds.images[self.n][ok], minlength=r.n_points
-        ).astype(float)
+        return r.generation(self.n)[1].astype(float)  # d_n
 
 
 class SeniorIntervalKernel:
@@ -375,13 +379,12 @@ def evaporation_profile(r: Realization, n_list: Sequence[int]) -> list[StatRepor
     """Survival profile: the fraction of points still hit by the n-fold
     image, alongside the mean reciprocal cousin count.  The two sequences
     coincide exactly on a total map."""
-    ds = r.dstats(max(n_list, default=0))
     N = r.n_points
     reports = []
     for n in n_list:
         p_hat, inv_l = [], []
         if N:
-            images, cousins = _images_and_cousins(ds, n)
+            images, cousins = _images_and_cousins(r.generation(n))
             p_hat, inv_l = [float(images) / N], [cousins / N]
         reports.append(
             make_report(f"survival_fraction_n{n}", p_hat, n=n, exactable=False)

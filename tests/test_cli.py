@@ -424,19 +424,19 @@ def test_realizations_for_keeps_reports_only():
     assert all(row.verify is None and row.pattern_json is None for row in rows)
 
 
-def test_reduction_builds_one_descendant_table(monkeypatch):
-    orders = []
-    build = palm.descendant_stats
+def test_reduction_steps_each_order_once(monkeypatch):
+    steps = []
+    step = palm.next_generation
     monkeypatch.setattr(
-        palm, "descendant_stats", lambda sm, m: orders.append(m) or build(sm, m)
+        palm, "next_generation", lambda image, images: steps.append(1) or step(image, images)
     )
     gen = GenSpec("poisson", Domain.torus(20, 20), seed=8, intensity=1.0)
     for n_max in (1, 5):
         for verify, stats in ((True, True), (True, False), (False, True)):
-            orders.clear()
+            steps.clear()
             r = palm.Realization.from_spec(gen, "mnn")
-            reduce_realization(r, n_max, verify=verify, stats=stats)
-            assert orders == [max(n_max, 3)]
+            reduce_realization(r, n_max, verify=verify, stats=stats, components=True)
+            assert len(steps) == (max(n_max, 3) if verify else n_max)
 
 
 def test_ladder_subcommand(tmp_path):

@@ -23,7 +23,6 @@ from foliate.foliation import (
     CLASS_II,
     CLASS_UNKNOWN,
     classify,
-    descendant_stats,
     foliate,
     ladder_diagnostic,
 )
@@ -122,24 +121,35 @@ def test_foils_star_with_loop():
     assert fol.components[0].n_foils == fol.components[0].cycle_length == 1
 
 
-def test_descendant_stats_example():
-    ds = descendant_stats(make_map(EX_IMAGE), 2)
-    assert ds.d[1].tolist() == brute_descendants(EX_IMAGE, 1) == [0, 3, 1, 0]
-    assert ds.l[1][0] == 3  # l_1(a) = d_1(b)
-    ds_cycle = descendant_stats(make_map([1, 2, 0]), 3)
-    assert np.all(ds_cycle.d[1:] == 1)
-    assert np.all(ds_cycle.l[1:] == 1)
-    ds_star = descendant_stats(make_map([2, 2, 2]), 1)
-    assert ds_star.d[1].tolist() == [0, 0, 3]
-    assert ds_star.l[1][0] == 3
+def walk(image, m):
+    """Orders 0..m of the descendant walk on ``image``, stepped by
+    ``next_generation``: the images, d and l, one row per order."""
+    image = np.asarray(image, dtype=np.int64)
+    ids = np.arange(len(image))
+    gens = [(ids, np.ones_like(ids), np.ones_like(ids))]
+    for _ in range(m):
+        gens.append(foliation.next_generation(image, gens[-1][0]))
+    return [np.array(rows) for rows in zip(*gens)]
+
+
+def test_next_generation_example():
+    _, d, l = walk(EX_IMAGE, 2)
+    assert d[1].tolist() == brute_descendants(EX_IMAGE, 1) == [0, 3, 1, 0]
+    assert l[1][0] == 3  # l_1(a) = d_1(b)
+    _, d_cycle, l_cycle = walk([1, 2, 0], 3)
+    assert np.all(d_cycle[1:] == 1)
+    assert np.all(l_cycle[1:] == 1)
+    _, d_star, l_star = walk([2, 2, 2], 1)
+    assert d_star[1].tolist() == [0, 0, 3]
+    assert l_star[1][0] == 3
 
 
 def test_descendant_sum_counts_defined_points():
     image = [1, 2, -1, 1]
-    ds = descendant_stats(make_map(image), 3)
+    _, d, _ = walk(image, 3)
     for n in range(1, 4):
         defined = sum(1 for x in range(4) if _iter_ok(image, x, n))
-        assert ds.d[n].sum() == defined
+        assert d[n].sum() == defined
 
 
 def _iter_ok(image, x, n):
@@ -351,15 +361,14 @@ def test_anchors_take_log_many_rounds_on_a_full_grid(monkeypatch):
 @settings(max_examples=200, deadline=None)
 def test_counting_identities_random_total_maps(image):
     n = len(image)
-    sm = make_map(image)
-    ds = descendant_stats(sm, 3)
+    images, d, l = walk(image, 3)
     for k in range(1, 4):
-        assert ds.d[k].sum() == n
+        assert d[k].sum() == n
         # sum of 1/l equals the size of the k-fold image
-        inv = sum(1.0 / ds.l[k][x] for x in range(n))
-        assert abs(inv - np.unique(ds.images[k]).size) < 1e-9
-        assert int(ds.l[k].sum()) == int((ds.d[k] ** 2).sum())
-        assert int((ds.l[k] ** 2).sum()) == int((ds.d[k] ** 3).sum())
+        inv = sum(1.0 / l[k][x] for x in range(n))
+        assert abs(inv - np.unique(images[k]).size) < 1e-9
+        assert int(l[k].sum()) == int((d[k] ** 2).sum())
+        assert int((l[k] ** 2).sum()) == int((d[k] ** 3).sum())
 
 
 @given(functional_maps())
@@ -374,10 +383,9 @@ def test_cycle_restriction_is_bijection(image):
 
 def test_l_n_nondecreasing_on_total_maps():
     pat = generate(GenSpec("poisson", Domain.torus(15, 15), seed=42, intensity=1.0))
-    sm = evaluate(pat, "mnn")
-    ds = descendant_stats(sm, 5)
+    _, _, l = walk(evaluate(pat, "mnn").image, 5)
     for n in range(1, 5):
-        assert np.all(ds.l[n + 1] >= ds.l[n])
+        assert np.all(l[n + 1] >= l[n])
 
 
 def test_censored_component_flag_and_unknown_class():

@@ -3,10 +3,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import random_map_pattern
+from oracles import brute_descendants, iterate, random_map_pattern
 
 from foliate.foliation import foliate
 from foliate.generators import GenSpec, generate
@@ -51,7 +51,7 @@ def test_palm_mean_constant():
 
 def test_palm_mean_d1_is_one_on_total_maps(mnn_realizations):
     [rep] = fold_reports(
-        [[palm_mean(r.dstats(1).d[1], r, "d1")] for r in mnn_realizations[:5]], True
+        [[palm_mean(r.generation(1)[1], r, "d1")] for r in mnn_realizations[:5]], True
     )
     assert rep.realizations == 5
     assert all(abs(v - 1.0) < 1e-12 for v in rep.per_realization)
@@ -59,7 +59,7 @@ def test_palm_mean_d1_is_one_on_total_maps(mnn_realizations):
 
 def test_palm_mean_inverse_cousins_example():
     r = example_realization()
-    rep = palm_mean(1.0 / r.dstats(1).l[1], r, "inv_l1")
+    rep = palm_mean(1.0 / r.generation(1)[2], r, "inv_l1")
     assert abs(rep.mean - 0.5) < 1e-12  # equals |F(support)| / N = 2/4
 
 
@@ -77,9 +77,9 @@ def test_palm_mean_drops_unusable_realizations():
 def test_identities_on_example_map():
     r = example_realization()
     reports = {rep.name: rep for rep in verify_identities(r, 1)}
-    ds = r.dstats(1)
-    assert ds.l[1].mean() == 2.5
-    assert float((ds.d[1] ** 2).mean()) == 2.5
+    _, d, l = r.generation(1)
+    assert l.mean() == 2.5
+    assert float((d ** 2).mean()) == 2.5
     assert reports["size_bias_identity_n1"].per_realization == [0.0]
     assert reports["descendant_mean_n1"].mean == 1.0
 
@@ -119,6 +119,40 @@ def test_mass_transport_rejects_negative_kernel():
 
     with pytest.raises(ConfigError):
         check_mass_transport(Negative(), example_realization())
+
+
+def test_negative_orders_are_refused():
+    r = example_realization()
+    r.generation(3)  # stored orders that a negative index would read
+    with pytest.raises(ConfigError):
+        evaporation_profile(r, [-1, 2])
+    with pytest.raises(ConfigError):
+        check_mass_transport(ShiftIterateKernel(-2), r)
+
+
+@st.composite
+def partial_maps_and_orders(draw):
+    n = draw(st.integers(min_value=0, max_value=14))
+    image = [draw(st.integers(min_value=-1, max_value=n - 1)) for _ in range(n)]
+    return image, draw(st.lists(st.integers(0, 8), min_size=1, max_size=6))
+
+
+@given(partial_maps_and_orders())
+@example(([1, 2, -1, 1, 4], [4, 1, 6, 0]))
+@settings(max_examples=200, deadline=None)
+def test_generation_matches_brute_force_in_any_order(case):
+    image, orders = case
+    pat = random_map_pattern(np.random.default_rng(0), len(image))
+    arr = np.asarray(image, dtype=np.int64)
+    sm = ShiftMap("mnn", arr, arr < 0)
+    r = Realization(pat, sm, foliate(pat, sm))
+    for n in orders:
+        images, d, l = r.generation(n)
+        want_images = [iterate(image, x, n) for x in range(len(image))]
+        want_d = brute_descendants(image, n)
+        assert images.tolist() == want_images
+        assert d.tolist() == want_d
+        assert l.tolist() == [want_d[y] if y >= 0 else 0 for y in want_images]
 
 
 def test_evaporation_identity_map():
@@ -242,7 +276,7 @@ def _reports(r):
     return [
         *verify_identities(r, 2),
         check_mass_transport(ShiftIterateKernel(2), r),
-        palm_mean(r.dstats(2).d[2], r, "d2"),
+        palm_mean(r.generation(2)[1], r, "d2"),
         relative_intensity_report(r),
     ]
 
