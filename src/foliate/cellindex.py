@@ -76,8 +76,8 @@ def _pairs(domain: Domain, table, queries, ring: int, ahead: bool = False):
         if not torus:
             below[qcell - ring <= 0] = np.inf
             above[qcell + ring >= (bins - 1)[:, None]] = np.inf
-        if ahead:  # rows in lower cells along the first axis are behind
-            below[0] = np.inf
+            if ahead:  # on a window, rows in lower cells along the first axis are behind
+                below[0] = np.inf
         cover = np.minimum(below, above)
         cover[span] = np.inf
         cover = cover.min(axis=0) - 1e-9 * float(ext.max())

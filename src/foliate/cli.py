@@ -67,6 +67,8 @@ class ExperimentSpec:
         if self.fractions is not None:
             object.__setattr__(self, "fractions", check_fractions(self.fractions))
         _check_out_dir(self.out)
+        if self.fractions is not None and self.gen.domain.kind != WINDOW:
+            raise ConfigError("fractions (the ladder) are only defined on window domains")
 
 
 def _check_out_dir(out: str | None) -> None:
@@ -338,12 +340,13 @@ def _fractions(text: str) -> tuple[float, ...]:
 
 def _experiment_spec(args: argparse.Namespace) -> ExperimentSpec:
     conf = _read_conf(args)
+    ladder = "fractions" in vars(args)  # verify and stats ignore fractions
     return ExperimentSpec(
         gen=_gen_spec(args, conf),
         shift=_shift_kind(args, conf),
         n_realizations=_setting(args, conf, "realizations", 1, int),
         n_max=_setting(args, conf, "n_max", 3, int),
-        fractions=_setting(args, conf, "fractions", to=_fractions),
+        fractions=_setting(args, conf, "fractions", to=_fractions) if ladder else None,
         out=_setting(args, conf, "out"),
         jobs=_setting(args, conf, "jobs", 1, int),
         save_patterns=bool(getattr(args, "save_patterns", False)),

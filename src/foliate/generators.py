@@ -219,15 +219,13 @@ def convert(value: Any, to: Callable[[Any], Any], key: str) -> Any:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
 
-def spec_from_config(conf: Mapping[str, Any], **overrides: Any) -> GenSpec:
+def spec_from_config(conf: Mapping[str, Any]) -> GenSpec:
     """Build a GenSpec from a flat config mapping.
 
     Recognized keys: model, domain (torus|window), extents (WxH), buffer,
     seed, intensity, p, parent_intensity, mark_circle_radius, mark_intensity.
-    Keyword overrides win over the mapping (used for --seed).
     """
     data = {str(k): v for k, v in conf.items()}
-    data.update({k: v for k, v in overrides.items() if v is not None})
 
     def get(key: str, to: Callable[[Any], Any], default: Any) -> Any:
         return convert(data.get(key, default), to, key)

@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -70,94 +70,64 @@ def power_sums(values: np.ndarray, powers: Sequence[int]) -> list[int]:
 
 @dataclass
 class StatReport:
-    """One named statistic aggregated over realizations."""
+    """One named statistic: its value and censoring fraction on each
+    realization it used, the points used and the realizations dropped.  The
+    mean, stderr, exactness and censoring fraction are read off these."""
 
     name: str
     per_realization: list[float]
-    mean: float
-    stderr: float
-    exact: bool
-    n_points_used: int
-    censoring_fraction: float
+    exactable: bool = True
+    n_points_used: int = 0
+    censoring_values: list[float] = field(default_factory=list)
     n: int | None = None
     target: float | None = None
     dropped: int = 0
-    # censoring fractions of the realizations the statistic averaged over,
-    # kept so that per-realization reports fold exactly (see fold_reports)
-    censoring_values: list[float] = field(default_factory=list)
 
     @property
     def realizations(self) -> int:
         return len(self.per_realization)
 
+    @property
+    def mean(self) -> float:
+        vals = self.per_realization
+        return math.fsum(vals) / len(vals) if vals else float("nan")
 
-def make_report(
-    name: str,
-    values: Sequence[float],
-    *,
-    target: float | None = None,
-    exactable: bool = True,
-    n: int | None = None,
-    points: int = 0,
-    censoring: Sequence[float] = (),
-    dropped: int = 0,
-) -> StatReport:
-    """``censoring`` lists the censoring fraction of each realization the
-    statistic averages over; the report carries their mean."""
-    vals = [float(v) for v in values]
-    cens = [float(c) for c in censoring]
-    if vals:
-        mean = math.fsum(vals) / len(vals)
-        if len(vals) >= 2:
-            var = math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
-            stderr = math.sqrt(var / len(vals))
-        else:
-            stderr = 0.0
-    else:
-        mean = float("nan")
-        stderr = float("nan")
-    exact = (
-        exactable
-        and target is not None
-        and bool(vals)
-        and all(abs(v - target) < EXACT_TOL for v in vals)
-    )
-    return StatReport(
-        name=name,
-        per_realization=vals,
-        mean=mean,
-        stderr=stderr,
-        exact=exact,
-        n_points_used=points,
-        censoring_fraction=(sum(cens) / len(cens) if cens else 0.0),
-        n=n,
-        target=target,
-        dropped=dropped,
-        censoring_values=cens,
-    )
+    @property
+    def stderr(self) -> float:
+        vals, mean = self.per_realization, self.mean
+        if len(vals) < 2:
+            return 0.0 if vals else float("nan")
+        return math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1) / len(vals))
+
+    @property
+    def exact(self) -> bool:
+        vals, target = self.per_realization, self.target
+        ok = self.exactable and target is not None and bool(vals)
+        return ok and all(abs(v - target) < EXACT_TOL for v in vals)
+
+    @property
+    def censoring_fraction(self) -> float:
+        cens = self.censoring_values
+        return sum(cens) / len(cens) if cens else 0.0
 
 
-def fold_reports(
-    rows: Sequence[Sequence[StatReport]], exactable: bool
-) -> list[StatReport]:
+def fold_reports(rows: Sequence[Sequence[StatReport]], exactable: bool) -> list[StatReport]:
     """Merge per-realization report lists into whole-run reports.
 
     ``rows`` holds one list per realization, in index order, each with the
     same report names in the same order, as made by the statistics below
-    on that realization.  Values are concatenated, points and drops summed,
-    censoring averaged over the realizations each statistic used, and
-    exactness recomputed with ``exactable`` (all realizations in the exact
-    setting).  This is the only place realizations are merged.
+    on that realization.  Values and censoring fractions are concatenated,
+    points and drops summed, and ``exactable`` (all realizations in the
+    exact setting) set; the derived figures follow from these.  This is the
+    only place realizations are merged.
     """
     return [
-        make_report(
-            reps[0].name,
-            [v for rep in reps for v in rep.per_realization],
-            target=reps[0].target,
+        replace(
+            reps[0],
+            per_realization=[v for rep in reps for v in rep.per_realization],
             exactable=exactable,
-            n=reps[0].n,
-            points=sum(rep.n_points_used for rep in reps),
-            censoring=[c for rep in reps for c in rep.censoring_values],
+            n_points_used=sum(rep.n_points_used for rep in reps),
+            censoring_values=[c for rep in reps for c in rep.censoring_values],
             dropped=sum(rep.dropped for rep in reps),
         )
         for reps in zip(*rows)
@@ -226,8 +196,8 @@ class Realization:
 def _all_points(r: Realization) -> dict:
     """Report fields of a statistic taken over every point of ``r``."""
     return {
-        "points": r.n_points,
-        "censoring": [r.censoring_fraction],
+        "n_points_used": r.n_points,
+        "censoring_values": [r.censoring_fraction],
         "exactable": r.is_exact_setting,
     }
 
@@ -239,10 +209,9 @@ def palm_mean(values: np.ndarray, r: Realization, name: str) -> StatReport:
     mask = (~r.shift_map.censored) & np.isfinite(v)
     k = int(mask.sum())
     if k == 0:
-        return make_report(name, [], dropped=1)
-    return make_report(
-        name, [exact_sum(v[mask]) / k], points=k, censoring=[r.censoring_fraction]
-    )
+        return StatReport(name, [], dropped=1)
+    mean = exact_sum(v[mask]) / k
+    return StatReport(name, [mean], n_points_used=k, censoring_values=[r.censoring_fraction])
 
 
 def _images_and_cousins(gen: tuple) -> tuple[int, float]:
@@ -294,7 +263,7 @@ def verify_identities(r: Realization, n_max: int) -> list[StatReport]:
         vals = _identity_values(r.generation(n), r.n_points)
         for key, target in _IDENTITY_TARGETS.items():
             reports.append(
-                make_report(
+                StatReport(
                     f"{key}_n{n}",
                     [vals[key]] if vals else [],
                     target=target,
@@ -367,7 +336,7 @@ def check_mass_transport(kernel, r: Realization) -> StatReport:
     minus = kernel.minus(r)
     if np.any(plus < 0) or np.any(minus < 0):
         raise ConfigError("transport kernel must be nonnegative")
-    return make_report(
+    return StatReport(
         getattr(kernel, "name", "kernel"),
         [exact_sum(plus) - exact_sum(minus)],
         target=0.0,
@@ -387,10 +356,10 @@ def evaporation_profile(r: Realization, n_list: Sequence[int]) -> list[StatRepor
             images, cousins = _images_and_cousins(r.generation(n))
             p_hat, inv_l = [float(images) / N], [cousins / N]
         reports.append(
-            make_report(f"survival_fraction_n{n}", p_hat, n=n, exactable=False)
+            StatReport(f"survival_fraction_n{n}", p_hat, n=n, exactable=False)
         )
         reports.append(
-            make_report(
+            StatReport(
                 f"survival_vs_cousins_n{n}",
                 [a - b for a, b in zip(p_hat, inv_l)],
                 target=0.0,
@@ -467,7 +436,7 @@ def relative_intensity_report(r: Realization, mode: str = "auto") -> StatReport:
     """The estimate at the typical point's foil; a realization without a
     feasible estimate is dropped and counted."""
     est = relative_intensity(r, mode=mode)
-    return make_report(
+    return StatReport(
         "relative_intensity",
         [] if est is None else [est],
         dropped=int(est is None),
@@ -496,7 +465,7 @@ def condenser_intensity_reports(
         ratio = float(((marks == k + 1) & auth).sum()) / denom if denom else None
         for name, value in (("intensity", est), ("count_ratio", ratio)):
             reports.append(
-                make_report(
+                StatReport(
                     f"condenser_{name}_k{k}",
                     [] if value is None else [value],
                     n=k,

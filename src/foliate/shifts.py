@@ -1,9 +1,9 @@
 """Point-shift evaluation on finite patterns.
 
 Each evaluator restricts the corresponding translation-invariant shift to
-one realization and returns a ShiftMap: per point, either the id of its
-image or a censoring flag meaning the image cannot be determined from the
-observed window alone.  Censoring is conservative: whenever unseen points
+one realization and returns a ShiftMap: per point, the id of its image,
+or -1 (censored) when the image cannot be determined from the observed
+window alone.  Censoring is conservative: whenever unseen points
 outside the window could change the outcome, the point is flagged rather
 than guessed.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,26 +52,28 @@ class ShiftKind:
 
 @dataclass(frozen=True)
 class ShiftMap:
-    """Evaluated shift on one pattern: image id per point, -1 when censored."""
+    """Evaluated shift on one pattern, a partial map of its points: image id
+    per point, -1 where censored; ``censored`` is ``image < 0``."""
 
-    kind: str
     image: np.ndarray
-    censored: np.ndarray
 
     def __post_init__(self) -> None:
         img = np.array(self.image, dtype=np.int64, copy=True)
-        cen = np.array(self.censored, dtype=bool, copy=True)
-        if img.shape != cen.shape or img.ndim != 1:
-            raise ConfigError("image and censored must be matching 1-d arrays")
-        if np.any((img < 0) != cen) or np.any(img >= len(img)):
-            raise ConfigError("image ids must be valid exactly off the censored set")
+        if img.ndim != 1:
+            raise ConfigError("the image must be a 1-d array")
+        if np.any(img < -1) or np.any(img >= len(img)):
+            raise ConfigError("image ids must lie in [-1, N)")
         img.setflags(write=False)
-        cen.setflags(write=False)
         object.__setattr__(self, "image", img)
-        object.__setattr__(self, "censored", cen)
 
     def __len__(self) -> int:
         return self.image.shape[0]
+
+    @cached_property
+    def censored(self) -> np.ndarray:
+        censored = self.image < 0
+        censored.setflags(write=False)
+        return censored
 
     @property
     def is_total(self) -> bool:
@@ -86,15 +89,18 @@ class ShiftMap:
         return json_rows(self.image)
 
     @classmethod
-    def from_json(cls, text: str, kind: str = "unknown") -> "ShiftMap":
-        """Inverse of ``to_json``; the rows may come in any id order."""
+    def from_json(cls, text: str) -> "ShiftMap":
+        """Inverse of ``to_json``; the rows may come in any id order.  A row
+        whose ``censored`` disagrees with its ``image`` being null is refused."""
         rows = json.loads(text)
         ids = np.array([row["id"] for row in rows], dtype=np.int64)
         image = np.full(len(rows), -1, dtype=np.int64)
         censored = np.zeros(len(rows), dtype=bool)
         censored[ids] = [row["censored"] for row in rows]
         image[ids] = [-1 if row["image"] is None else row["image"] for row in rows]
-        return cls(kind, image, censored)
+        if np.any((image < 0) != censored):
+            raise ConfigError("a row is censored exactly when its image is null")
+        return cls(image)
 
 
 def json_rows(image: np.ndarray, tail: str = "") -> str:
@@ -119,7 +125,6 @@ def eval_mnn(pattern: PointPattern) -> ShiftMap:
     reaches past the observed boundary or into the buffer margin.
     """
     n = len(pattern)
-    censored = np.zeros(n, dtype=bool)
     # a point without a neighbor (nn -1, at distance inf) is fixed, or censored on a window
     nn, nn_dist, tied = nearest(pattern)
     mutual = (~tied) & (~tied[nn]) & (nn[nn] == np.arange(n))
@@ -128,9 +133,8 @@ def eval_mnn(pattern: PointPattern) -> ShiftMap:
         face = face_distances(pattern.coords, pattern.domain)
         unsafe = face < np.maximum(pattern.domain.buffer, nn_dist)
         # a tied point whose own ball is observed is a certain fixed point
-        censored = unsafe | (~tied & unsafe[nn])
-        image = np.where(censored, -1, image)
-    return ShiftMap("mnn", image, censored)
+        image[unsafe | (~tied & unsafe[nn])] = -1
+    return ShiftMap(image)
 
 
 def _descend(
@@ -197,7 +201,7 @@ def _strip_sort(x1: np.ndarray, x2: np.ndarray):
     return order, code, rows[new_row], bucket, ux2, r2
 
 
-def _strip_eval(coords: np.ndarray, domain: Domain) -> tuple[np.ndarray, np.ndarray]:
+def _strip_eval(coords: np.ndarray, domain: Domain) -> np.ndarray:
     """Strip images for one coordinate set; local ids, -1 where censored.
 
     **Sort key.**  The points are sorted by (bucket floor(x2), x1, x2) and
@@ -225,9 +229,8 @@ def _strip_eval(coords: np.ndarray, domain: Domain) -> tuple[np.ndarray, np.ndar
     """
     n = len(coords)
     image = np.full(n, -1, dtype=np.int64)
-    censored = np.zeros(n, dtype=bool)
     if n == 0:
-        return image, censored
+        return image
     width, height = domain.extents
     x1, x2 = coords[:, 0], coords[:, 1]
     order, code, buckets, bucket, ux2, r2 = _strip_sort(x1, x2)
@@ -274,12 +277,10 @@ def _strip_eval(coords: np.ndarray, domain: Domain) -> tuple[np.ndarray, np.ndar
     best = np.where(take_hi, hi, lo)
 
     image[q] = best
-    empty = q[best < 0]
-    near_right = width - x1[empty] < domain.buffer
-    image[empty[~near_right]] = empty[~near_right]
-    censored[edge] = True
-    censored[empty[near_right]] = True
-    return image, censored
+    # an empty observed band fixes the query, unless near the right edge
+    fixed = q[(best < 0) & (width - x1[q] >= domain.buffer)]
+    image[fixed] = fixed
+    return image
 
 
 def eval_strip(pattern: PointPattern) -> ShiftMap:
@@ -294,8 +295,7 @@ def eval_strip(pattern: PointPattern) -> ShiftMap:
         raise ConfigError("strip shift runs on window domains only")
     if pattern.dimension != 2:
         raise ConfigError("strip shift is planar (dimension 2)")
-    image, censored = _strip_eval(pattern.coords, pattern.domain)
-    return ShiftMap("strip", image, censored)
+    return ShiftMap(_strip_eval(pattern.coords, pattern.domain))
 
 
 def eval_multitype_strip(pattern: PointPattern) -> ShiftMap:
@@ -314,19 +314,15 @@ def eval_multitype_strip(pattern: PointPattern) -> ShiftMap:
     ptype = np.asarray(meta["cluster_type"], dtype=np.int64)
     is_parent = np.asarray(meta["cluster_is_parent"], dtype=np.int64).astype(bool)
     image = np.full(n, -1, dtype=np.int64)
-    censored = np.zeros(n, dtype=bool)
     children = ~is_parent
-    orphan = children & (parent < 0)
-    image[children] = parent[children]
-    image[orphan] = -1
-    censored[orphan] = True
+    # an orphan (parent id negative) is censored
+    image[children] = np.maximum(parent[children], -1)
     for t in np.unique(ptype[is_parent]):
         sub = np.flatnonzero(is_parent & (ptype == t))
-        loc_img, loc_cen = _strip_eval(pattern.coords[sub], pattern.domain)
+        loc_img = _strip_eval(pattern.coords[sub], pattern.domain)
         ok = loc_img >= 0
         image[sub[ok]] = sub[loc_img[ok]]
-        censored[sub[~ok]] = True
-    return ShiftMap("multitype_strip", image, censored)
+    return ShiftMap(image)
 
 
 def eval_next_row(pattern: PointPattern) -> ShiftMap:
@@ -345,7 +341,7 @@ def eval_next_row(pattern: PointPattern) -> ShiftMap:
     n = len(pattern)
     image = np.full(n, -1, dtype=np.int64)
     if n == 0:
-        return ShiftMap("next_row", image, np.zeros(0, dtype=bool))
+        return ShiftMap(image)
     torus = pattern.domain.kind == TORUS
     # column key: lattice column plus any trailing coordinates; the target
     # key is the next column, modular on a torus
@@ -358,23 +354,21 @@ def eval_next_row(pattern: PointPattern) -> ShiftMap:
     column, target = column[:n], column[n:]
     occupied = np.zeros(2 * n, dtype=bool)
     occupied[column] = True
-    censored = ~occupied[target]
 
     row = lattice[:, 1] - lattice[:, 1].min()
     height = int(row.max()) + 1
     order = np.lexsort((row, column))
     code = (column * height + row)[order]
-    q = np.flatnonzero(~censored)
+    q = np.flatnonzero(occupied[target])  # an empty target column censors
     slot = np.searchsorted(code, target[q] * height + row[q], side="left")
     off_top = (slot == n) | (column[order[np.minimum(slot, n - 1)]] != target[q])
     if torus:
         # the search ran off the column's top: wrap to its lowest row
         slot[off_top] = np.searchsorted(code, target[q[off_top]] * height, side="left")
     else:
-        censored[q[off_top]] = True
         q, slot = q[~off_top], slot[~off_top]
     image[q] = order[slot]
-    return ShiftMap("next_row", image, censored)
+    return ShiftMap(image)
 
 
 def condenser_marks(
@@ -449,7 +443,7 @@ def eval_condenser(
     # a censored-mark point ahead within the distance could be the winner
     ok = _ahead(pattern, lex[marks_censored[lex]], q, metric, d)[1] > d
     image[q[ok]] = winner[q[ok]]
-    return ShiftMap("condenser", image, image < 0)
+    return ShiftMap(image)
 
 
 def evaluate(pattern: PointPattern, kind: ShiftKind | str) -> ShiftMap:

@@ -2,8 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Hypothesis loads its "ci" profile where CI is set: derandomized, so every
+# push replays the same draws.  The nightly job runs this profile with
+# --hypothesis-seed for fresh, reproducible ones.
+settings.register_profile("nightly", parent=settings.get_profile("ci"), derandomize=False)
 
 from foliate.generators import GenSpec
 from foliate.palm import Realization

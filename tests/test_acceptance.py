@@ -108,7 +108,7 @@ def test_criterion_3_foil_oracle_equivalence():
         n = int(rng.integers(1, 13))
         image = rng.integers(0, n, size=n)
         pat = random_map_pattern(rng, n)
-        sm = ShiftMap("mnn", image, np.zeros(n, bool))
+        sm = ShiftMap(image)
         fol = foliate(pat, sm)
         mine = frozenset(frozenset(m.tolist()) for m in groups(fol.foil_id, fol.foil_size))
         if mine != brute_foils(image.tolist()):
@@ -210,7 +210,7 @@ def test_criterion_6_relative_intensity():
     # (a) finite-foil example: senior/junior size ratio, exactly
     rng = np.random.default_rng(0)
     pat = random_map_pattern(rng, 4)
-    sm = ShiftMap("mnn", np.array([1, 2, 1, 1]), np.zeros(4, bool))
+    sm = ShiftMap(np.array([1, 2, 1, 1]))
     r0 = Realization(pat, sm, foliate(pat, sm))
     ok_a = abs(relative_intensity(r0, 0, mode="ratio") - 1.0 / 3.0) < EXACT
 

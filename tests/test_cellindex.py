@@ -155,8 +155,24 @@ AHEAD_EDGE = (
 )
 
 
+# on a torus a target ahead can be nearest through the seam, below the
+# query's cell: 2.2 is 0.8 from 0, nearer than 1.3
+AHEAD_SEAM = (
+    PointPattern(Domain.torus(3), np.array([[0], [1.3], [1.35], [1.45], [2.2]])),
+    [0, 1, 2, 3, 4], None, True, None,
+)
+# the tie of 1 and 2 (at distance 1 from 0, the latter through the seam)
+AHEAD_SEAM_TIE = (
+    PointPattern(Domain.torus(3), np.array([[0], [.25], [.5], [.75], [1], [1.25], [1.5], [2]])),
+    [0, 4, 5, 6, 7], None, True, None,
+)
+
+
 @given(neighbor_queries(), st.sampled_from([1, 3, cellindex.BLOCK]))
 @example(AHEAD_EDGE, cellindex.BLOCK)
+@example(AHEAD_SEAM, 1)
+@example(AHEAD_SEAM, cellindex.BLOCK)
+@example(AHEAD_SEAM_TIE, 3)
 @settings(max_examples=300, deadline=None)
 def test_nearest_of_subsets_matches_brute_force(case, block):
     pattern, targets, queries, ahead, reach = case

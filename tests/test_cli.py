@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ def test_foliate_stage_roundtrip(tmp_path):
         ]
     )
     assert code == EXIT_OK
-    sm = ShiftMap.from_json((out / "shiftmap.json").read_text(), kind="mnn")
+    sm = ShiftMap.from_json((out / "shiftmap.json").read_text())
     assert len(sm) == len(PointPattern.from_json(pattern_file.read_text()))
     obj = json.loads((out / "foliation.json").read_text())
     assert obj["schema_version"] == 1
@@ -683,6 +684,28 @@ def test_single_fraction_fails_before_any_file_is_written(tmp_path):
     )
     assert code == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ladder"])
+def test_fractions_on_a_torus_are_refused_before_any_work(tmp_path, monkeypatch, capsys, command):
+    _refuse_work(monkeypatch)
+    out = tmp_path / "out"
+    flags = SMALL_RUN[1:] + ["--shift", "mnn", "--fractions", "0.5,1.0", "--out", str(out)]
+    assert main([command] + flags) == EXIT_CONFIG
+    assert "window" in _one_config_error(capsys)
+    assert not out.exists()
+
+
+def test_readme_config_runs_everywhere(tmp_path, monkeypatch, capsys):
+    """The README's example config, shrunk to a 10 x 10 torus and one
+    realization, runs under every subcommand that reads a config."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    conf = readme.split("with flags winning on conflict:\n\n```\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(conf.replace("50x50", "10x10").replace("realizations = 20", "realizations = 1"))
+    monkeypatch.chdir(tmp_path)
+    for command in ("run", "verify", "stats"):
+        assert main([command, "--config", str(cfg)]) == EXIT_OK, capsys.readouterr().err
 
 
 def _one_config_error(capsys) -> str:

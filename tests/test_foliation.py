@@ -34,11 +34,8 @@ from foliate.shifts import ShiftMap, evaluate
 EX_IMAGE = [1, 2, 1, 1]
 
 
-def make_map(image, censored=None):
-    image = np.asarray(image, dtype=np.int64)
-    if censored is None:
-        censored = image < 0
-    return ShiftMap("mnn", image, np.asarray(censored, dtype=bool))
+def make_map(image):
+    return ShiftMap(np.asarray(image, dtype=np.int64))
 
 
 def make_fol(image):

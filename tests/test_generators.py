@@ -142,5 +142,3 @@ def test_spec_from_config(tmp_path):
     assert spec.domain.extents == (20.0, 20.0)
     assert spec.intensity == 2.0
     assert spec.seed == 77
-    override = spec_from_config(read_config(cfg), seed=5)
-    assert override.seed == 5

@@ -11,15 +11,16 @@ from oracles import brute_descendants, iterate, random_map_pattern
 from foliate.foliation import foliate
 from foliate.generators import GenSpec, generate
 from foliate.palm import (
+    EXACT_TOL,
     Realization,
     SeniorIntervalKernel,
     ShiftIterateKernel,
+    StatReport,
     check_mass_transport,
     condenser_intensity_reports,
     evaporation_profile,
     exact_sum,
     fold_reports,
-    make_report,
     palm_mean,
     power_sums,
     relative_intensity,
@@ -38,7 +39,7 @@ EX_IMAGE = [1, 2, 1, 1]
 def example_realization():
     rng = np.random.default_rng(0)
     pat = random_map_pattern(rng, 4)
-    sm = ShiftMap("mnn", np.asarray(EX_IMAGE, np.int64), np.zeros(4, bool))
+    sm = ShiftMap(np.asarray(EX_IMAGE, np.int64))
     return Realization(pat, sm, foliate(pat, sm))
 
 
@@ -66,7 +67,7 @@ def test_palm_mean_inverse_cousins_example():
 def test_palm_mean_drops_unusable_realizations():
     rng = np.random.default_rng(1)
     pat = random_map_pattern(rng, 2)
-    sm = ShiftMap("mnn", np.array([-1, -1]), np.array([True, True]))
+    sm = ShiftMap(np.array([-1, -1]))
     r = Realization(pat, sm, foliate(pat, sm))
     rows = [[palm_mean(np.ones(x.n_points), x, "one")] for x in (r, example_realization())]
     [rep] = fold_reports(rows, False)
@@ -87,7 +88,7 @@ def test_identities_on_example_map():
 def test_identities_exact_on_pure_cycle():
     rng = np.random.default_rng(2)
     pat = random_map_pattern(rng, 5)
-    sm = ShiftMap("mnn", np.array([1, 2, 3, 4, 0]), np.zeros(5, bool))
+    sm = ShiftMap(np.array([1, 2, 3, 4, 0]))
     r = Realization(pat, sm, foliate(pat, sm))
     for rep in verify_identities(r, 3):
         assert abs(rep.mean - rep.target) < 1e-12
@@ -144,7 +145,7 @@ def test_generation_matches_brute_force_in_any_order(case):
     image, orders = case
     pat = random_map_pattern(np.random.default_rng(0), len(image))
     arr = np.asarray(image, dtype=np.int64)
-    sm = ShiftMap("mnn", arr, arr < 0)
+    sm = ShiftMap(arr)
     r = Realization(pat, sm, foliate(pat, sm))
     for n in orders:
         images, d, l = r.generation(n)
@@ -158,7 +159,7 @@ def test_generation_matches_brute_force_in_any_order(case):
 def test_evaporation_identity_map():
     rng = np.random.default_rng(3)
     pat = random_map_pattern(rng, 4)
-    sm = ShiftMap("mnn", np.arange(4), np.zeros(4, bool))
+    sm = ShiftMap(np.arange(4))
     r = Realization(pat, sm, foliate(pat, sm))
     reps = evaporation_profile(r, [1, 2, 3])
     for rep in reps:
@@ -212,7 +213,7 @@ def test_relative_intensity_next_row_matches_column_oracle(next_row_realizations
 def test_relative_intensity_report_counts_drops():
     rng = np.random.default_rng(4)
     pat = random_map_pattern(rng, 1)
-    sm = ShiftMap("mnn", np.array([-1]), np.ones(1, bool))
+    sm = ShiftMap(np.array([-1]))
     degenerate = Realization(pat, sm, foliate(pat, sm))
     rows = [[relative_intensity_report(r)] for r in (degenerate, example_realization())]
     [rep] = fold_reports(rows, False)
@@ -245,7 +246,7 @@ def test_stderr_scaling_with_realizations():
 
 
 def test_report_csv_and_json_shape():
-    rep = make_report("thing", [1.0, 1.0], target=1.0, n=2)
+    rep = StatReport("thing", [1.0, 1.0], n=2, target=1.0)
     text = reports_csv([rep])
     lines = text.splitlines()
     assert lines[0] == "name,n,mean,stderr,exact,realizations,censoring_fraction"
@@ -268,7 +269,7 @@ def _window_realizations():
     ]
     pat = generate(GenSpec("poisson", Domain.window(10, 10, buffer=1.0), seed=83, intensity=0.5))
     n = len(pat)
-    sm = ShiftMap("strip", np.full(n, -1, np.int64), np.ones(n, bool))
+    sm = ShiftMap(np.full(n, -1, np.int64))
     return [strip[0], Realization(pat, sm, foliate(pat, sm)), strip[1]]
 
 
@@ -305,6 +306,59 @@ def test_fold_reports_merges_realizations(mnn_realizations):
     assert d2.censoring_fraction == sum(r.censoring_fraction for r in live) / 2
     assert folded["relative_intensity"].dropped >= 1
     assert not any(rep.exact for rep in folded.values())
+
+
+def _figures(vals, cens, target, exactable):
+    """Mean, stderr, exactness and censoring fraction of a whole-run report,
+    by the formulas written out in full."""
+    if vals:
+        mean = math.fsum(vals) / len(vals)
+        if len(vals) >= 2:
+            var = math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
+            stderr = math.sqrt(var / len(vals))
+        else:
+            stderr = 0.0
+    else:
+        mean = stderr = float("nan")
+    exact = (
+        exactable
+        and target is not None
+        and bool(vals)
+        and all(abs(v - target) < EXACT_TOL for v in vals)
+    )
+    return mean, stderr, exact, (sum(cens) / len(cens) if cens else 0.0)
+
+
+_report_value = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-13, 1.0, 1.0 + 1e-13])
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(_report_value, max_size=2),
+            st.lists(st.floats(0.0, 1.0), max_size=1),
+            st.integers(0, 10**6),
+            st.integers(0, 1),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from([None, 0.0, 1.0]),
+    st.booleans(),
+)
+def test_fold_reports_figures_match_their_formulas(parts, target, exactable):
+    rows = [
+        [StatReport("s", vals, n_points_used=k, censoring_values=cens, target=target, dropped=d)]
+        for vals, cens, k, d in parts
+    ]
+    (folded,) = fold_reports(rows, exactable)
+    vals = [v for p in parts for v in p[0]]
+    cens = [c for p in parts for c in p[1]]
+    got = (folded.mean, folded.stderr, folded.exact, folded.censoring_fraction)
+    assert repr(got) == repr(_figures(vals, cens, target, exactable))
+    assert folded.per_realization == vals and folded.realizations == len(vals)
+    assert folded.n_points_used == sum(p[2] for p in parts)
+    assert folded.dropped == sum(p[3] for p in parts)
 
 
 def test_condenser_reports_on_a_realization_without_points():

@@ -562,9 +562,9 @@ def test_multitype_requires_annotations():
 
 
 def test_shiftmap_serialization_roundtrip():
-    sm = ShiftMap("mnn", np.array([1, 0, -1]), np.array([False, False, True]))
+    sm = ShiftMap(np.array([1, 0, -1]))
     text = sm.to_json()
-    again = ShiftMap.from_json(text, kind="mnn")
+    again = ShiftMap.from_json(text)
     assert np.array_equal(again.image, sm.image)
     assert np.array_equal(again.censored, sm.censored)
     assert '"image": null' in text
@@ -584,11 +584,10 @@ def _dict_rows_json(sm):
 
 
 WRITER_MAPS = [
-    ShiftMap("mnn", np.zeros(0, np.int64), np.zeros(0, bool)),
-    ShiftMap("mnn", np.array([0]), np.array([False])),
-    ShiftMap("mnn", np.array([-1, -1, -1]), np.array([True, True, True])),
-    ShiftMap("strip", np.array([3, -1, 1, 3, -1, 12, 0, 0, 9, 9, 2, 0, 11]),
-             np.array([False, True] + [False] * 2 + [True] + [False] * 8)),
+    ShiftMap(np.zeros(0, np.int64)),
+    ShiftMap(np.array([0])),
+    ShiftMap(np.array([-1, -1, -1])),
+    ShiftMap(np.array([3, -1, 1, 3, -1, 12, 0, 0, 9, 9, 2, 0, 11])),
 ]
 
 
@@ -598,14 +597,29 @@ def test_shiftmap_json_bytes_and_shuffled_roundtrip(sm):
     assert text == _dict_rows_json(sm)
     rows = json.loads(text)
     np.random.default_rng(len(sm)).shuffle(rows)
-    again = ShiftMap.from_json(json.dumps(rows), kind=sm.kind)
+    again = ShiftMap.from_json(json.dumps(rows))
     assert np.array_equal(again.image, sm.image)
     assert np.array_equal(again.censored, sm.censored)
 
 
-def test_shiftmap_rejects_inconsistency():
+@pytest.mark.parametrize(
+    "image", [[1, 0, -5], [1, 0, 3], [[1, 0], [0, 1]]], ids=["below_-1", "id_N", "2d"]
+)
+def test_shiftmap_rejects_a_malformed_image(image):
     with pytest.raises(ConfigError):
-        ShiftMap("mnn", np.array([1, -1]), np.array([False, False]))
+        ShiftMap(np.array(image))
+
+
+@pytest.mark.parametrize(
+    "row",
+    [{"id": 3, "image": 3, "censored": True}, {"id": 3, "image": None, "censored": False}],
+    ids=["image_censored", "null_uncensored"],
+)
+def test_shiftmap_from_json_rejects_a_row_against_its_censored_flag(row):
+    rows = json.loads(ShiftMap(np.array([1, 0, -1, 3])).to_json())
+    rows[3] = row
+    with pytest.raises(ConfigError):
+        ShiftMap.from_json(json.dumps(rows))
 
 
 def test_flow_adaptedness_on_torus():

@@ -82,7 +82,7 @@ def oracle_case(case):
         image = chain_and_star(len(pat))
     else:
         return pat, evaluate(pat, shift)
-    return pat, ShiftMap("mnn", image, np.zeros(len(pat), bool))
+    return pat, ShiftMap(image)
 
 EX_IMAGE = [1, 2, 1, 1]  # a -> b, b -> c, c -> b, d -> b with lex a < b < c < d
 
@@ -90,7 +90,7 @@ EX_IMAGE = [1, 2, 1, 1]  # a -> b, b -> c, c -> b, d -> b with lex a < b < c < d
 def make_case(image):
     rng = np.random.default_rng(0)
     pat = random_map_pattern(rng, len(image))
-    sm = ShiftMap("mnn", np.asarray(image, np.int64), np.asarray(image) < 0)
+    sm = ShiftMap(np.asarray(image, np.int64))
     return pat, sm, foliate(pat, sm)
 
 
