@@ -14,12 +14,12 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from .foliation import check_fractions, foliate, ladder_diagnostic
-from .generators import GenSpec, convert, generate, read_config, spec_from_config
+from .generators import MODELS, GenSpec, generate
 from .palm import (
     Realization,
     ShiftIterateKernel,
@@ -33,7 +33,7 @@ from .palm import (
     reports_json,
     verify_identities,
 )
-from .patterns import TORUS, WINDOW, ConfigError, PointPattern
+from .patterns import TORUS, WINDOW, ConfigError, Domain, PointPattern
 from .shifts import SHIFT_NAMES, ShiftKind, evaluate
 
 EXIT_OK = 0
@@ -276,85 +276,135 @@ def write_report_files(out: Path, stem: str, reports: list[StatReport]) -> None:
     _write(out / f"{stem}.json", reports_json(reports))
 
 
-def _read_conf(args: argparse.Namespace) -> dict:
-    """The ``--config`` file's keys (empty without one)."""
-    if getattr(args, "config", None):
-        return read_config(args.config)
-    return {}
-
-
-def _setting(
-    args: argparse.Namespace,
-    conf: dict,
-    key: str,
-    default: Any = None,
-    to: Callable[[Any], Any] | None = None,
-) -> Any:
-    """A setting from its flag, else the config file, else ``default``.
-
-    Only ``None`` counts as unset, so an explicit 0 is kept.  ``to``
-    converts the value; one that does not convert is a config error.
-    """
-    val = getattr(args, key, None)
-    if val is None:
-        val = conf.get(key, default)
-    return val if to is None or val is None else convert(val, to, key)
-
-
-def _shift_kind(args: argparse.Namespace, conf: dict) -> ShiftKind:
-    """The shift from the flags, falling back to the config file."""
-    shift = _setting(args, conf, "shift", to=str)
-    if shift is None:
-        raise ConfigError("a shift is required (--shift)")
-    return ShiftKind(
-        shift,
-        ball_radius=_setting(args, conf, "ball_radius", 1.0, float),
-        condenser_metric=_setting(args, conf, "condenser_metric", "euclidean", str),
-    )
-
-
-def _resolve_seed(args: argparse.Namespace, conf: dict) -> int:
-    return _setting(args, conf, "seed", os.environ.get("FOLIATE_SEED", 0), int)
-
-
-def _gen_spec(args: argparse.Namespace, conf: dict) -> GenSpec:
-    conf = dict(conf)
-    if getattr(args, "torus", None):
-        conf["domain"] = TORUS
-        conf["extents"] = args.torus
-    if getattr(args, "window", None):
-        conf["domain"] = WINDOW
-        conf["extents"] = args.window
-    for key in ("model", "buffer", "intensity", "p", "parent_intensity", "mark_intensity",
-                "mark_circle_radius"):
-        val = getattr(args, key, None)
-        if val is not None:
-            conf[key] = val
-    conf["seed"] = _resolve_seed(args, conf)
-    return spec_from_config(conf)
+def parse_extents(text: str) -> tuple[float, ...]:
+    """'50x50' or '10000' -> extents tuple."""
+    try:
+        return tuple(float(part) for part in str(text).lower().split("x"))
+    except ValueError as exc:
+        raise ConfigError(f"bad extents {text!r}") from exc
 
 
 def _fractions(text: str) -> tuple[float, ...]:
     return tuple(float(f) for f in str(text).split(","))
 
 
+# Every setting, keyed by its flag's dest, which is also its config key, with
+# the converter its flag value and its config value both pass through.  The
+# spec classes hold the defaults.
+SETTINGS: dict[str, Callable[[Any], Any]] = {
+    "model": str,
+    "domain": str,
+    "extents": parse_extents,
+    "buffer": float,
+    "seed": int,
+    "intensity": float,
+    "p": float,
+    "parent_intensity": float,
+    "mark_circle_radius": float,
+    "mark_intensity": float,
+    "shift": str,
+    "ball_radius": float,
+    "condenser_metric": str,
+    "realizations": int,
+    "n_max": int,
+    "fractions": _fractions,
+    "out": str,
+    "jobs": int,
+}
+
+GEN_SETTINGS = (
+    "model", "seed", "intensity", "p", "parent_intensity", "mark_circle_radius", "mark_intensity"
+)
+# the ExperimentSpec field of each run setting
+RUN_FIELDS = {
+    "realizations": "n_realizations",
+    "n_max": "n_max",
+    "fractions": "fractions",
+    "out": "out",
+    "jobs": "jobs",
+}
+
+
+def convert(value: Any, to: Callable[[Any], Any], key: str) -> Any:
+    """``to(value)``; a value that does not convert is a config error."""
+    try:
+        return to(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key}: {value!r}") from exc
+
+
+def read_config(path: str | Path) -> dict[str, str]:
+    """Parse a ``key = value`` UTF-8 config file; '#' starts a comment.  A
+    file that cannot be read as UTF-8 text, or that names a key outside
+    ``SETTINGS``, is a config error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    out: dict[str, str] = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"bad config line: {raw!r}")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
+    unknown = [key for key in out if key not in SETTINGS]
+    if unknown:
+        raise ConfigError(f"unknown config key: {', '.join(unknown)}")
+    return out
+
+
+def _given(args: argparse.Namespace) -> dict[str, Any]:
+    """The settings given, each from its flag, else the ``--config`` file,
+    converted by ``SETTINGS``.  Only ``None`` counts as unset, so an
+    explicit 0 is kept; a value that does not convert is a config error."""
+    conf = read_config(args.config) if getattr(args, "config", None) else {}
+    flags = {key: val for key, val in vars(args).items() if key in SETTINGS and val is not None}
+    return {key: convert(val, SETTINGS[key], key) for key, val in {**conf, **flags}.items()}
+
+
+def _pick(given: dict[str, Any], keys: Iterable[str]) -> dict[str, Any]:
+    return {key: given[key] for key in keys if key in given}
+
+
+def _require(given: dict[str, Any], key: str) -> Any:
+    if key not in given:
+        raise ConfigError(f"missing setting: {key}")
+    return given[key]
+
+
+def _shift_kind(given: dict[str, Any]) -> ShiftKind:
+    return ShiftKind(_require(given, "shift"), **_pick(given, ("ball_radius", "condenser_metric")))
+
+
+def _gen_spec(given: dict[str, Any]) -> GenSpec:
+    """The generator spec; without a seed setting the seed is ``FOLIATE_SEED``
+    when that is set, else GenSpec's default."""
+    _require(given, "model")
+    extents = _require(given, "extents")
+    domain = Domain(given.get("domain", TORUS), extents, **_pick(given, ("buffer",)))
+    gen = _pick(given, GEN_SETTINGS)
+    if "seed" not in gen and "FOLIATE_SEED" in os.environ:
+        gen["seed"] = convert(os.environ["FOLIATE_SEED"], int, "seed")
+    return GenSpec(domain=domain, **gen)
+
+
 def _experiment_spec(args: argparse.Namespace) -> ExperimentSpec:
-    conf = _read_conf(args)
-    ladder = "fractions" in vars(args)  # verify and stats ignore fractions
+    given = _given(args)
+    if "fractions" not in vars(args):  # verify and stats ignore fractions
+        given.pop("fractions", None)
     return ExperimentSpec(
-        gen=_gen_spec(args, conf),
-        shift=_shift_kind(args, conf),
-        n_realizations=_setting(args, conf, "realizations", 1, int),
-        n_max=_setting(args, conf, "n_max", 3, int),
-        fractions=_setting(args, conf, "fractions", to=_fractions) if ladder else None,
-        out=_setting(args, conf, "out"),
-        jobs=_setting(args, conf, "jobs", 1, int),
+        gen=_gen_spec(given),
+        shift=_shift_kind(given),
         save_patterns=bool(getattr(args, "save_patterns", False)),
+        **{RUN_FIELDS[key]: val for key, val in _pick(given, RUN_FIELDS).items()},
     )
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    pattern = generate(_gen_spec(args, _read_conf(args)))
+    pattern = generate(_gen_spec(_given(args)))
     text = pattern.to_json()
     if args.out:
         _write(Path(args.out), text)
@@ -376,7 +426,7 @@ def cmd_foliate(args: argparse.Namespace) -> int:
 
     _check_out_dir(args.out)
     pattern = _load_pattern(args.pattern)
-    shift_map = evaluate(pattern, _shift_kind(args, {}))
+    shift_map = evaluate(pattern, _shift_kind(_given(args)))
     fol = foliate(pattern, shift_map)
     out = Path(args.out)
     _write(out / "shiftmap.json", shift_map.to_json())
@@ -390,13 +440,13 @@ def cmd_foliate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.pattern:
-        conf = _read_conf(args)
-        n_max = _setting(args, conf, "n_max", 3, int)
+        given = _given(args)
+        n_max = given.get("n_max", ExperimentSpec.n_max)
         if n_max < 1:
             raise ConfigError("n_max must be >= 1")
-        out = _setting(args, conf, "out")
+        out = given.get("out")
         _check_out_dir(out)
-        real = Realization.build(_load_pattern(args.pattern), _shift_kind(args, conf))
+        real = Realization.build(_load_pattern(args.pattern), _shift_kind(given))
         rows = [reduce_realization(real, n_max, verify=True, stats=False)]
         del real  # only the reports outlive the reduction, as in realizations_for
     else:
@@ -464,29 +514,45 @@ def cmd_run(args: argparse.Namespace) -> int:
     return run(_experiment_spec(args))
 
 
+class _DomainFlag(argparse.Action):
+    """``--torus`` or ``--window``: the domain kind ``const`` and its extents."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.domain = self.const
+        namespace.extents = values
+
+
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--model", choices=("poisson", "bernoulli_grid", "poisson_cluster"))
-    p.add_argument("--torus", help="torus extents, e.g. 50x50")
-    p.add_argument("--window", help="window extents, e.g. 200x200")
-    p.add_argument("--buffer", type=float, help="window censoring margin")
-    p.add_argument("--intensity", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--parent-intensity", dest="parent_intensity", type=float)
-    p.add_argument("--mark-intensity", dest="mark_intensity", type=float)
-    p.add_argument("--mark-radius", dest="mark_circle_radius", type=float)
-    p.add_argument("--seed", type=int, help="base seed (FOLIATE_SEED as fallback)")
+    p.add_argument("--model", choices=MODELS)
+    domain = p.add_mutually_exclusive_group()
+    domain.add_argument("--torus", dest="extents", action=_DomainFlag, const=TORUS,
+                        help="torus extents, e.g. 50x50")
+    domain.add_argument("--window", dest="extents", action=_DomainFlag, const=WINDOW,
+                        help="window extents, e.g. 200x200")
+    p.add_argument("--buffer", help="window censoring margin")
+    p.add_argument("--intensity")
+    p.add_argument("--p")
+    p.add_argument("--parent-intensity", dest="parent_intensity")
+    p.add_argument("--mark-intensity", dest="mark_intensity")
+    p.add_argument("--mark-radius", dest="mark_circle_radius")
+    p.add_argument("--seed", help="base seed (FOLIATE_SEED as fallback)")
 
 
 def _add_shift_flags(p: argparse.ArgumentParser, required: bool = False) -> None:
     p.add_argument("--shift", required=required, choices=list(SHIFT_NAMES))
-    p.add_argument("--ball-radius", dest="ball_radius", type=float, default=None)
+    p.add_argument("--ball-radius", dest="ball_radius")
     p.add_argument(
-        "--condenser-metric",
-        dest="condenser_metric",
-        choices=("euclidean", "first_coordinate"),
-        default=None,
+        "--condenser-metric", dest="condenser_metric", choices=("euclidean", "first_coordinate")
     )
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of the commands that fold realizations into reports."""
+    p.add_argument("--realizations")
+    p.add_argument("--n-max", dest="n_max")
+    p.add_argument("--jobs")
+    p.add_argument("--out", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,19 +577,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gen_flags(p)
     _add_shift_flags(p)
     p.add_argument("--pattern", help="analyze one pattern file instead of generating")
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--out", help="output directory")
+    _add_run_flags(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("stats", help="palm statistics and intensities")
     _add_gen_flags(p)
     _add_shift_flags(p)
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--out", help="output directory")
+    _add_run_flags(p)
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("ladder", help="nested-core growth diagnostic")
@@ -536,11 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline with reports")
     _add_gen_flags(p)
     _add_shift_flags(p)
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
+    _add_run_flags(p)
     p.add_argument("--fractions")
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--out", help="output directory")
     p.add_argument("--save-patterns", action="store_true")
     p.set_defaults(fn=cmd_run)
     return parser

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .patterns import TORUS, WINDOW, ConfigError, Domain, PointPattern
+from .patterns import TORUS, ConfigError, Domain, PointPattern
 
 RNG_ALGORITHM = "pcg64"
 
@@ -28,7 +26,7 @@ class GenSpec:
 
     model: str
     domain: Domain
-    seed: int
+    seed: int = 0
     intensity: float = 1.0
     p: float = 0.5
     parent_intensity: float = 1.0
@@ -182,70 +180,3 @@ _GENERATORS = {
 
 def generate(spec: GenSpec) -> PointPattern:
     return _GENERATORS[spec.model](spec)
-
-
-def read_config(path: str | Path) -> dict[str, str]:
-    """Parse a ``key = value`` UTF-8 config file; '#' starts a comment.  A
-    file that cannot be read as UTF-8 text is a config error."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    out: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line: {raw!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
-    return out
-
-
-def parse_extents(text: str) -> tuple[float, ...]:
-    """'50x50' or '10000' -> extents tuple."""
-    try:
-        return tuple(float(part) for part in str(text).lower().split("x"))
-    except ValueError as exc:
-        raise ConfigError(f"bad extents {text!r}") from exc
-
-
-def convert(value: Any, to: Callable[[Any], Any], key: str) -> Any:
-    """``to(value)``; a value that does not convert is a config error."""
-    try:
-        return to(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key}: {value!r}") from exc
-
-
-def spec_from_config(conf: Mapping[str, Any]) -> GenSpec:
-    """Build a GenSpec from a flat config mapping.
-
-    Recognized keys: model, domain (torus|window), extents (WxH), buffer,
-    seed, intensity, p, parent_intensity, mark_circle_radius, mark_intensity.
-    """
-    data = {str(k): v for k, v in conf.items()}
-
-    def get(key: str, to: Callable[[Any], Any], default: Any) -> Any:
-        return convert(data.get(key, default), to, key)
-
-    try:
-        model = str(data["model"])
-        kind = str(data.get("domain", TORUS))
-        extents = parse_extents(data["extents"])
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc.args[0]}") from exc
-    if kind not in (TORUS, WINDOW):
-        raise ConfigError(f"unknown domain kind {kind!r}")
-    domain = Domain(kind, extents, get("buffer", float, 0.0))
-    return GenSpec(
-        model=model,
-        domain=domain,
-        seed=get("seed", int, 0),
-        intensity=get("intensity", float, 1.0),
-        p=get("p", float, 0.5),
-        parent_intensity=get("parent_intensity", float, 1.0),
-        mark_circle_radius=get("mark_circle_radius", float, 1.0),
-        mark_intensity=get("mark_intensity", float, 1.0),
-    )

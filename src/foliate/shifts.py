@@ -90,10 +90,13 @@ class ShiftMap:
 
     @classmethod
     def from_json(cls, text: str) -> "ShiftMap":
-        """Inverse of ``to_json``; the rows may come in any id order.  A row
-        whose ``censored`` disagrees with its ``image`` being null is refused."""
+        """Inverse of ``to_json``; the rows may come in any id order, but their
+        ids must be 0..N-1, each once.  A row whose ``censored`` disagrees
+        with its ``image`` being null is refused."""
         rows = json.loads(text)
         ids = np.array([row["id"] for row in rows], dtype=np.int64)
+        if not np.array_equal(np.sort(ids), np.arange(len(rows))):
+            raise ConfigError("row ids must be 0..N-1, each exactly once")
         image = np.full(len(rows), -1, dtype=np.int64)
         censored = np.zeros(len(rows), dtype=bool)
         censored[ids] = [row["censored"] for row in rows]

@@ -207,25 +207,6 @@ def stable_to_json(table: np.ndarray, role: str) -> str:
     return json_rows(table, f', "role": {json.dumps(role)}')
 
 
-def orbit(table: np.ndarray, start: int, expect: int | None = None) -> list[int]:
-    """Cycle of ``table`` through ``start``; the table must be a permutation.
-
-    With ``expect`` the cycle must have exactly that many points (the foil or
-    component it is meant to cover).
-    """
-    limit = len(table) if expect is None else expect
-    out = [int(start)]
-    z = int(table[start])
-    while z != start:
-        if len(out) >= limit:
-            raise ConfigError(f"orbit of {start} does not close within {limit} points")
-        out.append(z)
-        z = int(table[z])
-    if expect is not None and len(out) != expect:
-        raise ConfigError(f"orbit of {start} has {len(out)} points, expected {expect}")
-    return out
-
-
 def foil_windings(
     shift_map: ShiftMap, foliation: FoliationResult, stable: StableMaps
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

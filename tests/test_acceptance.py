@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from conftest import MNN_SEED, NEXT_ROW_SEED
-from oracles import brute_foils, groups, random_map_pattern
+from oracles import brute_cycle, brute_foils, groups, random_map_pattern
 
 from foliate.cli import main
 from foliate.foliation import (
@@ -35,7 +35,7 @@ from foliate.palm import (
 )
 from foliate.patterns import Domain
 from foliate.shifts import ShiftMap, condenser_marks
-from foliate.stable import check_order_preservation, delta, orbit
+from foliate.stable import check_order_preservation, delta
 
 EXACT = 1e-12
 
@@ -299,10 +299,11 @@ def test_criterion_7_stable_map_properties(mnn_realizations, next_row_realizatio
             ):
                 ok = False
             fol = r.foliation
+            f_perp, h_dense = st.f_perp.tolist(), st.h_dense.tolist()
             # orbits cover foils and components exactly
             for members in groups(fol.foil_id, fol.foil_size):
-                seq = orbit(st.f_perp, int(members[0]), len(members))
-                if set(seq) != {int(v) for v in members}:
+                seq = brute_cycle(f_perp, int(members[0]))
+                if len(seq) != len(members) or set(seq) != {int(v) for v in members}:
                     ok = False
                 if len(members) <= 50:
                     # exhaustive pair check of the step-count identity
@@ -319,8 +320,8 @@ def test_criterion_7_stable_map_properties(mnn_realizations, next_row_realizatio
                             if (pos[x] + k) % m != pos[y]:
                                 ok = False
             for members in groups(fol.component_id, fol.component_size):
-                seq = orbit(st.h_dense, int(members[0]), len(members))
-                if set(seq) != {int(v) for v in members}:
+                seq = brute_cycle(h_dense, int(members[0]))
+                if len(seq) != len(members) or set(seq) != {int(v) for v in members}:
                     ok = False
             if not check_order_preservation(r.pattern, r.shift_map, fol, st):
                 ok = False

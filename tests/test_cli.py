@@ -13,6 +13,7 @@ from foliate.cli import (
     EXIT_OK,
     ExperimentSpec,
     main,
+    parse_extents,
     realizations_for,
     reduce_realization,
 )
@@ -661,6 +662,128 @@ def test_unparseable_config_value_is_config_error(tmp_path, line, capsys):
     assert line.split()[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--seed", "x"], ["--realizations", "two"], ["--intensity", "lots"]],
+    ids=["seed", "realizations", "intensity"],
+)
+def test_unparseable_flag_value_is_config_error(flags, capsys):
+    assert main(SMALL_RUN + ["--shift", "mnn"] + flags) == EXIT_CONFIG
+    assert flags[0].lstrip("-") in _one_config_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "lines, named",
+    [("intensty = 5\nrealisations = 3\n", "intensty"), ("save_patterns = true\n", "save_patterns")],
+    ids=["typos", "flag_only"],
+)
+def test_unknown_config_key_is_config_error(tmp_path, capsys, lines, named):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("model = poisson\nextents = 10x10\nshift = mnn\n" + lines)
+    assert main(["verify", "--config", str(cfg)]) == EXIT_CONFIG
+    assert named in _one_config_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "--model", "poisson"], SMALL_RUN[:3] + ["--shift", "mnn"]],
+    ids=["generate", "run"],
+)
+def test_torus_and_window_together_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--torus", "12x12", "--window", "10x10"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_parse_extents():
+    assert parse_extents("50x50") == (50.0, 50.0)
+    assert parse_extents("10000") == (10000.0,)
+    with pytest.raises(ConfigError):
+        parse_extents("50xfoo")
+
+
+# The settings a `run` resolves on top of BASE_SETTINGS: each one's flags,
+# its config value, and the spec field that holds it.
+BASE_SETTINGS = {"model": "poisson", "domain": "window", "extents": "20x20", "shift": "mnn"}
+SETTING_CASES = {
+    "model": (["--model", "bernoulli_grid"], "bernoulli_grid", lambda s: s.gen.model),
+    "domain": (["--torus", "20x20"], "torus", lambda s: s.gen.domain.kind),
+    "extents": (["--window", "30x20"], "30x20", lambda s: s.gen.domain.extents),
+    "buffer": (["--buffer", "2"], "2", lambda s: s.gen.domain.buffer),
+    "seed": (["--seed", "9"], "9", lambda s: s.gen.seed),
+    "intensity": (["--intensity", "2.5"], "2.5", lambda s: s.gen.intensity),
+    "p": (["--p", "0.25"], "0.25", lambda s: s.gen.p),
+    "parent_intensity": (["--parent-intensity", "0.5"], "0.5", lambda s: s.gen.parent_intensity),
+    "mark_circle_radius": (["--mark-radius", "1.5"], "1.5", lambda s: s.gen.mark_circle_radius),
+    "mark_intensity": (["--mark-intensity", "3"], "3", lambda s: s.gen.mark_intensity),
+    "shift": (["--shift", "strip"], "strip", lambda s: s.shift.name),
+    "ball_radius": (["--ball-radius", "2"], "2", lambda s: s.shift.ball_radius),
+    "condenser_metric": (
+        ["--condenser-metric", "first_coordinate"],
+        "first_coordinate",
+        lambda s: s.shift.condenser_metric,
+    ),
+    "realizations": (["--realizations", "3"], "3", lambda s: s.n_realizations),
+    "n_max": (["--n-max", "5"], "5", lambda s: s.n_max),
+    "fractions": (["--fractions", "0.5,1.0"], "0.5,1.0", lambda s: s.fractions),
+    "out": (["--out", "outdir"], "outdir", lambda s: s.out),
+    "jobs": (["--jobs", "2"], "2", lambda s: s.jobs),
+}
+# What an unset setting resolves to: the spec classes' defaults, and the
+# torus domain kind; model, extents and shift have none.
+SETTING_DEFAULTS = {
+    "domain": "torus",
+    "buffer": Domain.buffer,
+    "seed": GenSpec.seed,
+    "intensity": GenSpec.intensity,
+    "p": GenSpec.p,
+    "parent_intensity": GenSpec.parent_intensity,
+    "mark_circle_radius": GenSpec.mark_circle_radius,
+    "mark_intensity": GenSpec.mark_intensity,
+    "ball_radius": ShiftKind.ball_radius,
+    "condenser_metric": ShiftKind.condenser_metric,
+    "realizations": ExperimentSpec.n_realizations,
+    "n_max": ExperimentSpec.n_max,
+    "fractions": ExperimentSpec.fractions,
+    "out": ExperimentSpec.out,
+    "jobs": ExperimentSpec.jobs,
+}
+
+
+def _resolved_run(monkeypatch, tmp_path, conf, flags=()):
+    """The ExperimentSpec `run` resolves from ``conf`` as a config file and
+    ``flags``, or the exit code when it is refused."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FOLIATE_SEED", raising=False)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("".join(f"{key} = {val}\n" for key, val in conf.items()))
+    specs = []
+    monkeypatch.setattr(cli, "run", lambda spec: specs.append(spec) or EXIT_OK)
+    code = main(["run", "--config", str(cfg), *flags])
+    return specs[0] if code == EXIT_OK else code
+
+
+@pytest.mark.parametrize("key", list(cli.SETTINGS))
+def test_flag_and_config_line_resolve_alike(key, tmp_path, monkeypatch):
+    flags, value, held = SETTING_CASES[key]
+    by_flag = _resolved_run(monkeypatch, tmp_path, BASE_SETTINGS, flags)
+    by_config = _resolved_run(monkeypatch, tmp_path, {**BASE_SETTINGS, key: value})
+    assert by_flag == by_config
+    assert held(by_flag) != held(_resolved_run(monkeypatch, tmp_path, BASE_SETTINGS))
+
+
+@pytest.mark.parametrize("key", list(cli.SETTINGS))
+def test_unset_setting_takes_the_spec_default(key, tmp_path, monkeypatch, capsys):
+    conf = {k: v for k, v in BASE_SETTINGS.items() if k != key}
+    spec = _resolved_run(monkeypatch, tmp_path, conf)
+    if key in SETTING_DEFAULTS:
+        assert SETTING_CASES[key][2](spec) == SETTING_DEFAULTS[key]
+    else:
+        assert spec == EXIT_CONFIG
+        assert key in _one_config_error(capsys)
+
+
 def test_single_fraction_fails_before_any_file_is_written(tmp_path):
     out = tmp_path / "out"
     code = main(
@@ -696,11 +819,20 @@ def test_fractions_on_a_torus_are_refused_before_any_work(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def _readme_config() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return readme.split("with flags winning on conflict:\n\n```\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_names_every_setting():
+    lines = [line.lstrip("# ") for line in _readme_config().splitlines()]
+    assert sorted(line.split("=")[0].strip() for line in lines) == sorted(cli.SETTINGS)
+
+
 def test_readme_config_runs_everywhere(tmp_path, monkeypatch, capsys):
     """The README's example config, shrunk to a 10 x 10 torus and one
     realization, runs under every subcommand that reads a config."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    conf = readme.split("with flags winning on conflict:\n\n```\n", 1)[1].split("```", 1)[0]
+    conf = _readme_config()
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(conf.replace("50x50", "10x10").replace("realizations = 20", "realizations = 1"))
     monkeypatch.chdir(tmp_path)

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import ks_statistic
 
-from foliate.generators import GenSpec, generate, parse_extents, spec_from_config
+from foliate.generators import GenSpec, generate
 from foliate.patterns import ConfigError, Domain, distance
 
 
@@ -120,25 +120,3 @@ def test_uniform_marginals_ks():
     for axis, extent in enumerate(pat.domain.extents):
         stat = ks_statistic(pat.coords[:, axis] / extent)
         assert stat < 1.63 / math.sqrt(n)
-
-
-def test_parse_extents():
-    assert parse_extents("50x50") == (50.0, 50.0)
-    assert parse_extents("10000") == (10000.0,)
-    with pytest.raises(ConfigError):
-        parse_extents("50xfoo")
-
-
-def test_spec_from_config(tmp_path):
-    cfg = tmp_path / "gen.cfg"
-    cfg.write_text(
-        "# comment\nmodel = poisson\ndomain = torus\nextents = 20x20\n"
-        "intensity = 2.0\nseed = 77\n"
-    )
-    from foliate.generators import read_config
-
-    spec = spec_from_config(read_config(cfg))
-    assert spec.model == "poisson"
-    assert spec.domain.extents == (20.0, 20.0)
-    assert spec.intensity == 2.0
-    assert spec.seed == 77

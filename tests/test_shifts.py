@@ -611,14 +611,20 @@ def test_shiftmap_rejects_a_malformed_image(image):
 
 
 @pytest.mark.parametrize(
-    "row",
-    [{"id": 3, "image": 3, "censored": True}, {"id": 3, "image": None, "censored": False}],
-    ids=["image_censored", "null_uncensored"],
+    "row, match",
+    [
+        ({"id": 3, "image": 3, "censored": True}, "censored"),
+        ({"id": 3, "image": None, "censored": False}, "censored"),
+        ({"id": 5, "image": 3, "censored": False}, "ids"),
+        ({"id": -1, "image": 3, "censored": False}, "ids"),
+        ({"id": 2, "image": 3, "censored": False}, "ids"),
+    ],
+    ids=["image_censored", "null_uncensored", "id_N_or_more", "id_-1", "repeated_id"],
 )
-def test_shiftmap_from_json_rejects_a_row_against_its_censored_flag(row):
+def test_shiftmap_from_json_rejects_a_row_against_its_censored_flag(row, match):
     rows = json.loads(ShiftMap(np.array([1, 0, -1, 3])).to_json())
     rows[3] = row
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=match):
         ShiftMap.from_json(json.dumps(rows))
 
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    brute_cycle,
     brute_f_perp,
     brute_rls_rank,
     brute_senior_interval,
@@ -26,7 +27,6 @@ from foliate.stable import (
     delta,
     foil_cycles,
     foil_windings,
-    orbit,
     stable_to_json,
 )
 
@@ -190,7 +190,7 @@ def test_delta_sign_consistency_exhaustive():
 def test_h_dense_is_component_cycle():
     pat, sm, fol = make_case([1, 2, 1, 1])
     st_maps = build_stable_maps(pat, sm, fol)
-    assert sorted(orbit(st_maps.h_dense, 0)) == [0, 1, 2, 3]
+    assert sorted(brute_cycle(st_maps.h_dense.tolist(), 0)) == [0, 1, 2, 3]
     # composing |C| times is the identity
     z = np.arange(4)
     for _ in range(4):
@@ -214,9 +214,10 @@ def test_stable_maps_orbit_properties(image):
     assert np.array_equal(np.sort(st_maps.h_dense), np.arange(n))
     foils = groups(fol.foil_id, fol.foil_size)
     comps = groups(fol.component_id, fol.component_size)
+    f_perp, h_dense = st_maps.f_perp.tolist(), st_maps.h_dense.tolist()
     for x in range(n):
-        assert set(orbit(st_maps.f_perp, x)) == set(foils[fol.foil_id[x]].tolist())
-        assert set(orbit(st_maps.h_dense, x)) == set(comps[fol.component_id[x]].tolist())
+        assert set(brute_cycle(f_perp, x)) == set(foils[fol.foil_id[x]].tolist())
+        assert set(brute_cycle(h_dense, x)) == set(comps[fol.component_id[x]].tolist())
 
 
 @given(functional_maps())
@@ -260,7 +261,7 @@ def test_foil_order_follows_f_perp(case):
         pos = st_maps.foil_pos[members]
         assert sorted(pos.tolist()) == list(range(len(members)))
         ordered = members[np.argsort(pos)].tolist()
-        assert orbit(st_maps.f_perp, ordered[0], len(ordered)) == ordered
+        assert brute_cycle(st_maps.f_perp.tolist(), ordered[0]) == ordered
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
