@@ -57,8 +57,7 @@ def main() -> None:
         [
             condenser_intensity_reports(Realization.from_spec(spec, "condenser"), ks)
             for spec in specs
-        ],
-        exactable=False,
+        ]
     )
     print("k,walk_mean,walk_stderr,walk_dropped,count_ratio_mean,target")
     for k, walk, ratio in zip(ks, reports[::2], reports[1::2]):

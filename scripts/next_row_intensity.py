@@ -37,7 +37,7 @@ def main() -> None:
     ]
     print("realizations,mean,stderr")
     for count in (args.realizations // 4, args.realizations // 2, args.realizations):
-        [rep] = fold_reports(rows[:count], exactable=False)
+        [rep] = fold_reports(rows[:count])
         print(f"{count},{rep.mean!r},{rep.stderr!r}")
 
 

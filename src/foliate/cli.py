@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from .shifts import SHIFT_NAMES, ShiftKind, evaluate
 EXIT_OK = 0
 EXIT_EXACT_FAILURE = 1
 EXIT_CONFIG = 2
+
+T = TypeVar("T")
 
 # orders of the edge-indicator kernels checked by mass transport
 TRANSPORT_ORDERS = (1, 2, 3)
@@ -92,62 +94,6 @@ def build_realization(spec: ExperimentSpec, index: int) -> Realization:
     return Realization.from_spec(gen, spec.shift)
 
 
-@dataclass(frozen=True)
-class RealizationReports:
-    """What a run keeps of one realization: its single-realization reports,
-    plus the components CSV, ladder CSV and pattern JSON when they are to be
-    written."""
-
-    exact_setting: bool
-    verify: list[StatReport] | None = None
-    stats: list[StatReport] | None = None
-    components_csv: str | None = None
-    ladder_csv: str | None = None
-    pattern_json: str | None = None
-
-
-def reduce_realization(
-    r: Realization,
-    n_max: int,
-    *,
-    verify: bool,
-    stats: bool,
-    components: bool = False,
-    pattern: bool = False,
-    ladder: tuple[ShiftKind, tuple[float, ...]] | None = None,
-) -> RealizationReports:
-    """``r``'s reports, and the texts asked for.  The ``(shift, fractions)``
-    ladder and the components text come first, so neither one's transient
-    stacks on the descendant walk the reports step through."""
-    ladder_text = None
-    if ladder is not None:
-        ladder_text = ladder_diagnostic(r.pattern, *ladder, r.foliation).csv()
-    components_text = r.foliation.components_csv() if components else None
-    return RealizationReports(
-        exact_setting=r.is_exact_setting,
-        verify=verify_reports(r, n_max) if verify else None,
-        stats=stats_reports(r, n_max) if stats else None,
-        components_csv=components_text,
-        ladder_csv=ladder_text,
-        pattern_json=r.pattern.to_json() if pattern else None,
-    )
-
-
-def _reduce_indexed(
-    spec: ExperimentSpec, index: int, verify: bool, stats: bool, files: bool
-) -> RealizationReports:
-    first = files and index == 0
-    return reduce_realization(
-        build_realization(spec, index),
-        spec.n_max,
-        verify=verify,
-        stats=stats,
-        components=first,
-        pattern=files and spec.save_patterns,
-        ladder=(spec.shift, spec.fractions) if first and spec.fractions else None,
-    )
-
-
 def usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -169,19 +115,11 @@ def _send_share(conn: Any, reduce_share: Callable[[range], list], share: range) 
         conn.close()
 
 
-def realizations_for(
-    spec: ExperimentSpec,
-    *,
-    verify: bool = True,
-    stats: bool = True,
-    files: bool = False,
-) -> list[RealizationReports]:
-    """Every realization's reports, in index order regardless of the worker
-    count.  Each realization is built, reduced to its reports and dropped
-    in the process that builds it, so one is alive per process at a time.
-    With ``files`` the rows also carry the text of ``run``'s components and
-    ladder CSVs (realization 0, the ladder under ``fractions``) and pattern
-    files (under ``save_patterns``).
+def realizations_for(spec: ExperimentSpec, reduce: Callable[[Realization, int], T]) -> list[T]:
+    """``reduce(r, i)`` of every realization ``r`` by its index ``i``, in
+    index order regardless of the worker count.  Each realization is built,
+    reduced and dropped in the process that builds it, so one is alive per
+    process at a time.
 
     ``min(jobs, realizations, usable CPUs)`` processes share the work: the
     caller reduces realizations ``i % workers == 0`` and forks one worker
@@ -190,8 +128,8 @@ def realizations_for(
     n = spec.n_realizations
     workers = min(spec.jobs, n, usable_cpus())
 
-    def reduce_share(share: range) -> list[RealizationReports]:
-        return [_reduce_indexed(spec, i, verify, stats, files) for i in share]
+    def reduce_share(share: range) -> list[T]:
+        return [reduce(build_realization(spec, i), i) for i in share]
 
     if workers == 1:
         return reduce_share(range(n))
@@ -230,22 +168,9 @@ def realizations_for(
             conn.close()
 
 
-def fold(rows: list[RealizationReports], part: str) -> list[StatReport]:
-    """The whole-run ``verify`` or ``stats`` reports of the reduced rows."""
-    return fold_reports(
-        [getattr(row, part) for row in rows], all(row.exact_setting for row in rows)
-    )
-
-
 def verify_reports(r: Realization, n_max: int) -> list[StatReport]:
     transport = [check_mass_transport(ShiftIterateKernel(n), r) for n in TRANSPORT_ORDERS]
     return verify_identities(r, n_max) + transport
-
-
-def exact_failures(reports: list[StatReport], expect_exact: bool) -> list[str]:
-    if not expect_exact:
-        return []
-    return [rep.name for rep in reports if rep.target is not None and not rep.exact]
 
 
 def stats_reports(r: Realization, n_max: int) -> list[StatReport]:
@@ -271,9 +196,25 @@ def _write(path: Path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def write_report_files(out: Path, stem: str, reports: list[StatReport]) -> None:
-    _write(out / f"{stem}.csv", reports_csv(reports))
-    _write(out / f"{stem}.json", reports_json(reports))
+def write_report_files(out: str | Path | None, stem: str, reports: list[StatReport]) -> None:
+    """Write ``stem``.csv and ``stem``.json under ``out``; without ``out``,
+    the CSV to stdout."""
+    if not out:
+        sys.stdout.write(reports_csv(reports))
+        return
+    _write(Path(out) / f"{stem}.csv", reports_csv(reports))
+    _write(Path(out) / f"{stem}.json", reports_json(reports))
+
+
+def exit_code(reports: list[StatReport]) -> int:
+    """Name on stderr each report that is exactable and has a target but is
+    not exact: an exact identity that failed.  1 if there is one, else 0."""
+    failures = [
+        rep.name for rep in reports if rep.exactable and rep.target is not None and not rep.exact
+    ]
+    for name in failures:
+        sys.stderr.write(f"exact identity failed: {name}\n")
+    return EXIT_EXACT_FAILURE if failures else EXIT_OK
 
 
 def parse_extents(text: str) -> tuple[float, ...]:
@@ -447,30 +388,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         out = given.get("out")
         _check_out_dir(out)
         real = Realization.build(_load_pattern(args.pattern), _shift_kind(given))
-        rows = [reduce_realization(real, n_max, verify=True, stats=False)]
+        rows = [verify_reports(real, n_max)]
         del real  # only the reports outlive the reduction, as in realizations_for
     else:
         spec = _experiment_spec(args)
-        rows = realizations_for(spec, stats=False)
+        rows = realizations_for(spec, lambda r, i: verify_reports(r, spec.n_max))
         out = spec.out
-    reports = fold(rows, "verify")
-    failures = exact_failures(reports, all(row.exact_setting for row in rows))
-    if out:
-        write_report_files(Path(out), "verify", reports)
-    else:
-        sys.stdout.write(reports_csv(reports))
-    for name in failures:
-        sys.stderr.write(f"exact identity failed: {name}\n")
-    return EXIT_EXACT_FAILURE if failures else EXIT_OK
+    reports = fold_reports(rows)
+    write_report_files(out, "verify", reports)
+    return exit_code(reports)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     spec = _experiment_spec(args)
-    reports = fold(realizations_for(spec, verify=False), "stats")
-    if spec.out:
-        write_report_files(Path(spec.out), "stats", reports)
-    else:
-        sys.stdout.write(reports_csv(reports))
+    rows = realizations_for(spec, lambda r, i: stats_reports(r, spec.n_max))
+    write_report_files(spec.out, "stats", fold_reports(rows))
     return EXIT_OK
 
 
@@ -492,22 +424,38 @@ def run(spec: ExperimentSpec) -> int:
 
     Writes the same files the staged subcommands would; returns the exit
     status (0 unless an exact identity fails on exact-setting data)."""
-    out = Path(spec.out) if spec.out else None
-    rows = realizations_for(spec, stats=out is not None, files=out is not None)
-    reports = fold(rows, "verify")
-    failures = exact_failures(reports, all(row.exact_setting for row in rows))
-    if out is not None:
-        write_report_files(out, "verify", reports)
-        write_report_files(out, "stats", fold(rows, "stats"))
-        _write(out / "components.csv", rows[0].components_csv)
-        if spec.save_patterns:
-            for i, row in enumerate(rows):
-                _write(out / f"pattern_{i:04d}.json", row.pattern_json)
-        if spec.fractions:
-            _write(out / "ladder.csv", rows[0].ladder_csv)
-    for name in failures:
-        sys.stderr.write(f"exact identity failed: {name}\n")
-    return EXIT_EXACT_FAILURE if failures else EXIT_OK
+    if not spec.out:
+        rows = realizations_for(spec, lambda r, i: verify_reports(r, spec.n_max))
+        return exit_code(fold_reports(rows))
+    out = Path(spec.out)
+
+    def reduce(r: Realization, i: int) -> tuple:
+        """``r``'s verify and stats reports and its output texts.  Realization
+        0's ladder and components texts come first, so neither one's
+        transient stacks on the descendant walk."""
+        first = i == 0
+        ladder = (ladder_diagnostic(r.pattern, spec.shift, spec.fractions, r.foliation).csv()
+                  if first and spec.fractions else None)
+        components = r.foliation.components_csv() if first else None
+        return (
+            verify_reports(r, spec.n_max),
+            stats_reports(r, spec.n_max),
+            components,
+            ladder,
+            r.pattern.to_json() if spec.save_patterns else None,
+        )
+
+    verify, stats, components, ladders, patterns = zip(*realizations_for(spec, reduce))
+    reports = fold_reports(verify)
+    write_report_files(out, "verify", reports)
+    write_report_files(out, "stats", fold_reports(stats))
+    _write(out / "components.csv", components[0])
+    if spec.save_patterns:
+        for i, text in enumerate(patterns):
+            _write(out / f"pattern_{i:04d}.json", text)
+    if spec.fractions:
+        _write(out / "ladder.csv", ladders[0])
+    return exit_code(reports)
 
 
 def cmd_run(args: argparse.Namespace) -> int:

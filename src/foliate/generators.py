@@ -53,8 +53,9 @@ class GenSpec:
         else:
             if not (np.isfinite(self.parent_intensity) and self.parent_intensity > 0):
                 raise ConfigError("parent intensity must be positive")
-            if self.mark_circle_radius <= 0 or self.mark_intensity <= 0:
-                raise ConfigError("mark circle radius and intensity must be positive")
+            marks = (self.mark_circle_radius, self.mark_intensity)
+            if not all(np.isfinite(v) and v > 0 for v in marks):
+                raise ConfigError("mark circle radius and intensity must be positive and finite")
             if self.domain.dimension != 2:
                 raise ConfigError("cluster model is planar (dimension 2)")
 

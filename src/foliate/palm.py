@@ -111,21 +111,21 @@ class StatReport:
         return sum(cens) / len(cens) if cens else 0.0
 
 
-def fold_reports(rows: Sequence[Sequence[StatReport]], exactable: bool) -> list[StatReport]:
+def fold_reports(rows: Sequence[Sequence[StatReport]]) -> list[StatReport]:
     """Merge per-realization report lists into whole-run reports.
 
     ``rows`` holds one list per realization, in index order, each with the
     same report names in the same order, as made by the statistics below
     on that realization.  Values and censoring fractions are concatenated,
-    points and drops summed, and ``exactable`` (all realizations in the
-    exact setting) set; the derived figures follow from these.  This is the
-    only place realizations are merged.
+    points and drops summed, and a report is exactable when it is on every
+    realization; the derived figures follow from these.  This is the only
+    place realizations are merged.
     """
     return [
         replace(
             reps[0],
             per_realization=[v for rep in reps for v in rep.per_realization],
-            exactable=exactable,
+            exactable=all(rep.exactable for rep in reps),
             n_points_used=sum(rep.n_points_used for rep in reps),
             censoring_values=[c for rep in reps for c in rep.censoring_values],
             dropped=sum(rep.dropped for rep in reps),
@@ -167,7 +167,8 @@ class Realization:
         return self.shift_map.censoring_fraction
 
     @property
-    def is_exact_setting(self) -> bool:
+    def exactable(self) -> bool:
+        """A torus with a total map: the counting identities are theorems."""
         return self.pattern.domain.kind == TORUS and self.shift_map.is_total
 
     def generation(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,7 +199,7 @@ def _all_points(r: Realization) -> dict:
     return {
         "n_points_used": r.n_points,
         "censoring_values": [r.censoring_fraction],
-        "exactable": r.is_exact_setting,
+        "exactable": r.exactable,
     }
 
 
@@ -363,7 +364,7 @@ def evaporation_profile(r: Realization, n_list: Sequence[int]) -> list[StatRepor
                 f"survival_vs_cousins_n{n}",
                 [a - b for a, b in zip(p_hat, inv_l)],
                 target=0.0,
-                exactable=r.is_exact_setting,
+                exactable=r.exactable,
                 n=n,
             )
         )

@@ -45,7 +45,7 @@ class Domain:
         buf = float(self.buffer)
         if self.kind == TORUS and buf != 0.0:
             raise ConfigError("a torus takes no censoring buffer")
-        if buf < 0.0 or buf >= min(ext) / 2.0:
+        if not 0.0 <= buf < min(ext) / 2.0:
             raise ConfigError("buffer must satisfy 0 <= buffer < min(extent)/2")
         object.__setattr__(self, "buffer", buf)
 

@@ -44,8 +44,8 @@ class ShiftKind:
     def __post_init__(self) -> None:
         if self.name not in SHIFT_NAMES:
             raise ConfigError(f"unknown shift {self.name!r}")
-        if self.ball_radius <= 0:
-            raise ConfigError("ball radius must be positive")
+        if not (np.isfinite(self.ball_radius) and self.ball_radius > 0):
+            raise ConfigError("ball radius must be positive and finite")
         if self.condenser_metric not in ("euclidean", "first_coordinate"):
             raise ConfigError("condenser metric is euclidean or first_coordinate")
 
@@ -91,16 +91,21 @@ class ShiftMap:
     @classmethod
     def from_json(cls, text: str) -> "ShiftMap":
         """Inverse of ``to_json``; the rows may come in any id order, but their
-        ids must be 0..N-1, each once.  A row whose ``censored`` disagrees
-        with its ``image`` being null is refused."""
+        ids must be 0..N-1, each once.  A row whose id or image is not an
+        integer, or whose ``censored`` disagrees with its ``image`` being
+        null, is refused."""
         rows = json.loads(text)
-        ids = np.array([row["id"] for row in rows], dtype=np.int64)
+        ids = [row["id"] for row in rows]
+        images = [-1 if row["image"] is None else row["image"] for row in rows]
+        if any(type(v) is not int for v in ids + images):
+            raise ConfigError("row ids and images must be integers")
+        ids = np.array(ids, dtype=np.int64)
         if not np.array_equal(np.sort(ids), np.arange(len(rows))):
             raise ConfigError("row ids must be 0..N-1, each exactly once")
         image = np.full(len(rows), -1, dtype=np.int64)
         censored = np.zeros(len(rows), dtype=bool)
         censored[ids] = [row["censored"] for row in rows]
-        image[ids] = [-1 if row["image"] is None else row["image"] for row in rows]
+        image[ids] = images
         if np.any((image < 0) != censored):
             raise ConfigError("a row is censored exactly when its image is null")
         return cls(image)

@@ -70,8 +70,7 @@ def test_criterion_1_exact_palm_identities():
     worst = 0.0
     ok = True
     for reals in (mnn, nr):
-        exactable = all(r.is_exact_setting for r in reals)
-        reports = fold_reports([verify_identities(r, 5) for r in reals], exactable)
+        reports = fold_reports([verify_identities(r, 5) for r in reals])
         for rep in reports:
             disc = max(abs(v - rep.target) for v in rep.per_realization)
             worst = max(worst, disc)
@@ -87,10 +86,9 @@ def test_criterion_2_mass_transport(mnn_realizations, next_row_realizations):
     t0 = time.monotonic()
     ok = True
     for reals in (mnn_realizations, next_row_realizations):
-        exactable = all(r.is_exact_setting for r in reals)
         for n in (1, 2, 3):
             [rep] = fold_reports(
-                [[check_mass_transport(ShiftIterateKernel(n), r)] for r in reals], exactable
+                [[check_mass_transport(ShiftIterateKernel(n), r)] for r in reals]
             )
             if not rep.exact or any(v != 0.0 for v in rep.per_realization):
                 ok = False
@@ -222,9 +220,7 @@ def test_criterion_6_relative_intensity():
         )
         for i in range(100)
     ]
-    [rep_b] = fold_reports(
-        [[relative_intensity_report(r, mode="walk")] for r in nr_reals], exactable=False
-    )
+    [rep_b] = fold_reports([[relative_intensity_report(r, mode="walk")] for r in nr_reals])
     ok_b = abs(rep_b.mean - 1.0) <= 3 * rep_b.stderr
     # the walk at the typical point reproduces the direct point-count oracle
     # exactly: class sizes under N-fold iterate equality, computed from the
@@ -259,9 +255,7 @@ def test_criterion_6_relative_intensity():
         for i in range(100)
     ]
     ks = (1, 2, 3)
-    by_k = fold_reports(
-        [condenser_intensity_reports(r, ks) for r in cond_reals], exactable=False
-    )
+    by_k = fold_reports([condenser_intensity_reports(r, ks) for r in cond_reals])
     ok_c = True
     details = []
     for k, walk, ratio in zip(ks, by_k[::2], by_k[1::2]):

@@ -15,7 +15,6 @@ from foliate.cli import (
     main,
     parse_extents,
     realizations_for,
-    reduce_realization,
 )
 from foliate.generators import GenSpec
 from foliate.patterns import ConfigError, Domain, PointPattern
@@ -349,7 +348,7 @@ def test_worker_exiting_without_a_result_raises(monkeypatch):
         jobs=2,
     )
     with pytest.raises(RuntimeError, match=r"realizations \[1, 3\] exited with code 3"):
-        realizations_for(spec)
+        realizations_for(spec, lambda r, i: r.n_points)
     assert multiprocessing.active_children() == []
 
 
@@ -409,21 +408,19 @@ def test_run_builds_no_whole_pattern_stable_maps(tmp_path, monkeypatch):
     assert calls == {"build_stable_maps": 1, "build_rls_order": 1}
 
 
-def test_realizations_for_keeps_reports_only():
+def test_realizations_for_returns_each_reduction_in_index_order(monkeypatch):
     spec = ExperimentSpec(
         gen=GenSpec("poisson", Domain.torus(20, 20), seed=8, intensity=1.0),
         shift=ShiftKind("mnn"),
-        n_realizations=3,
-        n_max=2,
+        n_realizations=5,
+        jobs=3,
     )
-    rows = realizations_for(spec, stats=False)
-    for row in rows:
-        assert row.exact_setting and row.stats is None
-        assert row.components_csv is None and row.pattern_json is None
-        assert all(rep.realizations == 1 for rep in row.verify)
-    rows = realizations_for(spec, verify=False, files=True)
-    assert [row.components_csv is not None for row in rows] == [True, False, False]
-    assert all(row.verify is None and row.pattern_json is None for row in rows)
+    sizes = [cli.build_realization(spec, i).n_points for i in range(5)]
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        rows = realizations_for(spec, lambda r, i: (i, r.n_points))
+        assert rows == list(enumerate(sizes))
+        assert multiprocessing.active_children() == []
 
 
 def test_reduction_steps_each_order_once(monkeypatch):
@@ -437,7 +434,10 @@ def test_reduction_steps_each_order_once(monkeypatch):
         for verify, stats in ((True, True), (True, False), (False, True)):
             steps.clear()
             r = palm.Realization.from_spec(gen, "mnn")
-            reduce_realization(r, n_max, verify=verify, stats=stats, components=True)
+            if verify:
+                cli.verify_reports(r, n_max)
+            if stats:
+                cli.stats_reports(r, n_max)
             assert len(steps) == (max(n_max, 3) if verify else n_max)
 
 
@@ -644,6 +644,37 @@ def test_explicit_zero_is_config_error(tmp_path, flags, capsys):
     assert code == EXIT_CONFIG
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_a_failed_exact_identity_exits_1_on_a_torus_only(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(palm._IDENTITY_TARGETS, "descendant_mean", 2.0)
+    failed = "".join(f"exact identity failed: descendant_mean_n{n}\n" for n in (1, 2))
+    torus = SMALL_RUN[1:] + ["--shift", "mnn", "--n-max", "2", "--realizations", "2"]
+    for argv in (["run", *torus], ["run", *torus, "--out", str(tmp_path)], ["verify", *torus]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == failed
+    window = ["--model", "poisson", "--intensity", "1", "--window", "30x30", "--shift", "strip"]
+    assert main(["verify", *window]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+WINDOW_RUN = ["run", "--intensity", "1", "--window", "30x30", "--buffer", "3"]
+CLUSTER_RUN = [*WINDOW_RUN, "--model", "poisson_cluster", "--shift", "multitype_strip"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*WINDOW_RUN, "--model", "poisson", "--shift", "condenser", "--ball-radius", "nan"],
+        [*CLUSTER_RUN, "--mark-radius", "nan"],
+        [*CLUSTER_RUN, "--mark-intensity", "inf"],
+        [*WINDOW_RUN, "--model", "poisson", "--shift", "strip", "--buffer", "nan"],
+    ],
+    ids=["ball_radius", "mark_radius", "mark_intensity", "buffer"],
+)
+def test_non_finite_setting_is_config_error(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    _one_config_error(capsys)
 
 
 def test_unparseable_env_seed_is_config_error(monkeypatch, capsys):

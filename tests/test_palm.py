@@ -52,7 +52,7 @@ def test_palm_mean_constant():
 
 def test_palm_mean_d1_is_one_on_total_maps(mnn_realizations):
     [rep] = fold_reports(
-        [[palm_mean(r.generation(1)[1], r, "d1")] for r in mnn_realizations[:5]], True
+        [[palm_mean(r.generation(1)[1], r, "d1")] for r in mnn_realizations[:5]]
     )
     assert rep.realizations == 5
     assert all(abs(v - 1.0) < 1e-12 for v in rep.per_realization)
@@ -70,7 +70,7 @@ def test_palm_mean_drops_unusable_realizations():
     sm = ShiftMap(np.array([-1, -1]))
     r = Realization(pat, sm, foliate(pat, sm))
     rows = [[palm_mean(np.ones(x.n_points), x, "one")] for x in (r, example_realization())]
-    [rep] = fold_reports(rows, False)
+    [rep] = fold_reports(rows)
     assert rep.dropped == 1
     assert rep.realizations == 1
 
@@ -104,7 +104,7 @@ def test_identities_not_exact_flagged_on_window():
 def test_mass_transport_indicator_kernels(mnn_realizations):
     for n in (1, 3):
         rows = [[check_mass_transport(ShiftIterateKernel(n), r)] for r in mnn_realizations[:5]]
-        [rep] = fold_reports(rows, True)
+        [rep] = fold_reports(rows)
         assert rep.exact
         assert rep.per_realization == [0.0] * 5
 
@@ -216,7 +216,7 @@ def test_relative_intensity_report_counts_drops():
     sm = ShiftMap(np.array([-1]))
     degenerate = Realization(pat, sm, foliate(pat, sm))
     rows = [[relative_intensity_report(r)] for r in (degenerate, example_realization())]
-    [rep] = fold_reports(rows, False)
+    [rep] = fold_reports(rows)
     assert rep.dropped == 1
     assert rep.realizations == 1
 
@@ -237,7 +237,7 @@ def test_stderr_scaling_with_realizations():
             ]
             for i in range(count)
         ]
-        return fold_reports(rows, False)[0]
+        return fold_reports(rows)[0]
 
     r1 = batch(50, 7000)
     r2 = batch(100, 7000)
@@ -284,14 +284,16 @@ def _reports(r):
 
 def test_fold_reports_merges_realizations(mnn_realizations):
     torus = mnn_realizations[:3]
-    for rep in fold_reports([_reports(r) for r in torus], True):
+    for rep in fold_reports([_reports(r) for r in torus]):
         if rep.target is not None:
             assert rep.exact and rep.realizations == 3
-    assert not any(rep.exact for rep in fold_reports([_reports(r) for r in torus], False))
 
     windows = _window_realizations()
+    # one window realization makes a report inexact on the whole run
+    mixed = fold_reports([_reports(r) for r in (*torus, windows[0])])
+    assert not any(rep.exact for rep in mixed)
     rows = [_reports(r) for r in windows]
-    folded = {rep.name: rep for rep in fold_reports(rows, False)}
+    folded = {rep.name: rep for rep in fold_reports(rows)}
     live = [windows[0], windows[2]]  # the all-censored one has no usable point
     # a statistic over every point counts all three realizations ...
     mean_d = folded["descendant_mean_n1"]
@@ -339,21 +341,27 @@ _report_value = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-13, 1.0, 1
             st.lists(st.floats(0.0, 1.0), max_size=1),
             st.integers(0, 10**6),
             st.integers(0, 1),
+            st.booleans(),
         ),
         min_size=1,
         max_size=6,
     ),
     st.sampled_from([None, 0.0, 1.0]),
-    st.booleans(),
 )
-def test_fold_reports_figures_match_their_formulas(parts, target, exactable):
+def test_fold_reports_figures_match_their_formulas(parts, target):
     rows = [
-        [StatReport("s", vals, n_points_used=k, censoring_values=cens, target=target, dropped=d)]
-        for vals, cens, k, d in parts
+        [
+            StatReport(
+                "s", vals, exactable=flag, n_points_used=k, censoring_values=cens,
+                target=target, dropped=d,
+            )
+        ]
+        for vals, cens, k, d, flag in parts
     ]
-    (folded,) = fold_reports(rows, exactable)
+    (folded,) = fold_reports(rows)
     vals = [v for p in parts for v in p[0]]
     cens = [c for p in parts for c in p[1]]
+    exactable = all(p[4] for p in parts)
     got = (folded.mean, folded.stderr, folded.exact, folded.censoring_fraction)
     assert repr(got) == repr(_figures(vals, cens, target, exactable))
     assert folded.per_realization == vals and folded.realizations == len(vals)
@@ -374,7 +382,7 @@ def test_condenser_reports_on_a_realization_without_points():
         GenSpec("poisson", Domain.window(500.0, buffer=2.0), seed=5, intensity=0.5),
         "condenser",
     )
-    folded = fold_reports([condenser_intensity_reports(live), reports], False)
+    folded = fold_reports([condenser_intensity_reports(live), reports])
     for rep, one in zip(folded, condenser_intensity_reports(live)):
         assert rep.per_realization == one.per_realization
         assert rep.dropped == one.dropped + 1

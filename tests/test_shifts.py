@@ -618,8 +618,14 @@ def test_shiftmap_rejects_a_malformed_image(image):
         ({"id": 5, "image": 3, "censored": False}, "ids"),
         ({"id": -1, "image": 3, "censored": False}, "ids"),
         ({"id": 2, "image": 3, "censored": False}, "ids"),
+        ({"id": 3, "image": 1.7, "censored": False}, "integers"),
+        ({"id": 3.2, "image": 3, "censored": False}, "integers"),
+        ({"id": 3, "image": True, "censored": False}, "integers"),
     ],
-    ids=["image_censored", "null_uncensored", "id_N_or_more", "id_-1", "repeated_id"],
+    ids=[
+        "image_censored", "null_uncensored", "id_N_or_more", "id_-1", "repeated_id",
+        "float_image", "float_id", "bool_image",
+    ],
 )
 def test_shiftmap_from_json_rejects_a_row_against_its_censored_flag(row, match):
     rows = json.loads(ShiftMap(np.array([1, 0, -1, 3])).to_json())
