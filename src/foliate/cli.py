@@ -358,7 +358,7 @@ def _load_pattern(path: str) -> PointPattern:
     """Read a pattern file; an unreadable or invalid one is a config error."""
     try:
         return PointPattern.from_json(Path(path).read_text())
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"cannot load pattern {path}: {exc}") from exc
 
 

@@ -72,10 +72,8 @@ def _clamp_torus(coords: np.ndarray, ext: np.ndarray) -> np.ndarray:
     return np.minimum(coords, np.nextafter(ext, 0.0))
 
 
-def gen_poisson(spec: GenSpec) -> PointPattern:
+def _poisson(spec: GenSpec) -> PointPattern:
     """Homogeneous Poisson sample: Poisson count, i.i.d. uniform positions."""
-    if spec.model != "poisson":
-        raise ConfigError("spec model is not poisson")
     rng = _rng(spec.seed)
     n = int(rng.poisson(spec.intensity * spec.domain.volume))
     ext = np.asarray(spec.domain.extents)
@@ -91,14 +89,12 @@ def gen_poisson(spec: GenSpec) -> PointPattern:
     return PointPattern(spec.domain, coords, meta)
 
 
-def gen_bernoulli_grid(spec: GenSpec) -> PointPattern:
+def _bernoulli_grid(spec: GenSpec) -> PointPattern:
     """Integer lattice, uniformly shifted, each site kept with probability p.
 
     The uniform shift is stored in the metadata so row/column membership can
     be recovered by subtracting it and rounding, instead of parsing floats.
     """
-    if spec.model != "bernoulli_grid":
-        raise ConfigError("spec model is not bernoulli_grid")
     rng = _rng(spec.seed)
     d = spec.domain.dimension
     ext = np.asarray(spec.domain.extents)
@@ -121,7 +117,7 @@ def gen_bernoulli_grid(spec: GenSpec) -> PointPattern:
     return PointPattern(spec.domain, coords, meta)
 
 
-def gen_poisson_cluster(spec: GenSpec) -> PointPattern:
+def _poisson_cluster(spec: GenSpec) -> PointPattern:
     """Poisson parents, each dressed with a Poisson number of satellites
     placed uniformly on a circle around it.
 
@@ -130,8 +126,6 @@ def gen_poisson_cluster(spec: GenSpec) -> PointPattern:
     its cluster); children falling off a window are clipped, on a torus they
     wrap.
     """
-    if spec.model != "poisson_cluster":
-        raise ConfigError("spec model is not poisson_cluster")
     rng = _rng(spec.seed)
     ext = np.asarray(spec.domain.extents)
     n_parents = int(rng.poisson(spec.parent_intensity * spec.domain.volume))
@@ -173,9 +167,9 @@ def gen_poisson_cluster(spec: GenSpec) -> PointPattern:
 
 
 _GENERATORS = {
-    "poisson": gen_poisson,
-    "bernoulli_grid": gen_bernoulli_grid,
-    "poisson_cluster": gen_poisson_cluster,
+    "poisson": _poisson,
+    "bernoulli_grid": _bernoulli_grid,
+    "poisson_cluster": _poisson_cluster,
 }
 
 

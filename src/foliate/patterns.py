@@ -66,36 +66,19 @@ class Domain:
         return float(np.prod(self.extents))
 
 
-def distance(p: Any, q: Any, dom: Domain) -> float:
-    """Metric distance between two points: quotient metric on a torus,
-    Euclidean on a window."""
-    a = np.asarray(p, dtype=float)
-    b = np.asarray(q, dtype=float)
-    if a.shape != (dom.dimension,) or b.shape != (dom.dimension,):
-        raise ConfigError("dimension mismatch")
-    d = np.abs(a - b)
-    if dom.kind == TORUS:
-        ext = np.asarray(dom.extents)
-        d = d % ext
-        d = np.minimum(d, ext - d)
-    # squares summed in axis order as in distances_to, so on coordinates
-    # inside the domain (where % ext is the identity) exact ties agree bit
-    # for bit
-    return float(np.sqrt((d * d).sum()))
-
-
 def distances_to(coords: np.ndarray, x: np.ndarray, dom: Domain) -> np.ndarray:
     """Distances between the rows of ``coords`` and of ``x``, which
     broadcast (a single point ``x`` serves every row).
 
-    The last axis is the coordinate axis, and the metric runs one axis at a
-    time with the squares summed in axis order, so the transpose of a
-    per-axis layout reads contiguous columns.  On a torus the gap is
-    min(t, extent − t) with t = |a − b|, without the ``t % extent`` of
-    ``distance``: for coordinates in [0, extent), which every pattern and
-    the domain center have, |a − b| is at most max(a, b) exactly, rounds to
-    at most that representable value, and so stays below the extent, where
-    ``% extent`` is the identity.
+    The metric is the quotient metric on a torus and Euclidean on a
+    window.  The last axis is the coordinate axis, and the metric runs one
+    axis at a time with the squares summed in axis order, so the transpose
+    of a per-axis layout reads contiguous columns.  On a torus the gap is
+    min(t, extent − t) with t = |a − b|, with no ``t % extent``: for
+    coordinates in [0, extent), which every pattern and the domain center
+    have, |a − b| is at most max(a, b) exactly, rounds to at most that
+    representable value, and so stays below the extent, where ``% extent``
+    is the identity.
     """
     total = None
     for k, e in enumerate(dom.extents):
@@ -200,7 +183,7 @@ class PointPattern:
         coords = np.asarray(obj["points"], dtype=float)
         if coords.size == 0:
             coords = coords.reshape(0, int(obj["dimension"]))
-        meta = _metadata_from_jsonable(obj.get("metadata", {}))
+        meta = _metadata_from_jsonable(obj.get("metadata", {}), domain.dimension)
         return cls(domain, coords, meta)
 
 
@@ -224,15 +207,29 @@ def _jsonable_metadata(meta: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
-def _metadata_from_jsonable(meta: dict[str, Any]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for key, val in meta.items():
-        if key in _META_INT_ARRAYS:
-            out[key] = np.asarray(val, dtype=np.int64)
-        elif key == "grid_shift":
-            out[key] = tuple(float(v) for v in val)
-        else:
-            out[key] = val
+def _metadata_from_jsonable(meta: Any, dimension: int) -> dict[str, Any]:
+    """A pattern file's metadata, refused with ``PatternError`` unless it
+    is an object whose cluster arrays are flat lists of 64-bit integers and
+    whose ``grid_shift`` is ``dimension`` numbers in [0, 1), the range that
+    ``generate`` and ``crop`` keep it in."""
+    if not isinstance(meta, dict):
+        raise PatternError("metadata must be an object")
+    out = dict(meta)
+    for key in _META_INT_ARRAYS:
+        if key in meta:
+            val = meta[key]
+            if not isinstance(val, list) or not all(
+                type(v) is int and -(2**63) <= v < 2**63 for v in val
+            ):
+                raise PatternError(f"{key} must be a flat list of 64-bit integers")
+            out[key] = np.array(val, dtype=np.int64)
+    if "grid_shift" in meta:
+        u = meta["grid_shift"]
+        if not isinstance(u, list) or len(u) != dimension or not all(
+            type(v) in (int, float) and 0.0 <= v < 1.0 for v in u
+        ):
+            raise PatternError(f"grid_shift must be {dimension} numbers in [0, 1)")
+        out["grid_shift"] = tuple(float(v) for v in u)
     return out
 
 
@@ -261,29 +258,6 @@ def displacement(pattern: PointPattern, ids: np.ndarray, ref) -> np.ndarray:
     if pattern.domain.kind == TORUS:
         rel = rel % np.asarray(pattern.domain.extents, dtype=p.dtype)
     return rel
-
-
-def translate(pattern: PointPattern, t: Any) -> PointPattern:
-    """Translate a torus pattern by ``t`` (wrapping), keeping point ids.
-
-    Grid metadata is shifted along so lattice row/column recovery stays
-    exact after the move.
-    """
-    if pattern.domain.kind != TORUS:
-        raise ConfigError("translation is only defined on torus domains")
-    ext = np.asarray(pattern.domain.extents)
-    tv = np.asarray(t, dtype=float)
-    if tv.shape != (pattern.dimension,):
-        raise ConfigError("dimension mismatch")
-    coords = (pattern.coords + tv) % ext
-    # float mod can land exactly on the upper face; wrap it home
-    coords = np.where(coords >= ext, 0.0, coords)
-    meta = dict(pattern.metadata)
-    if "grid_shift" in meta:
-        u = (np.asarray(meta["grid_shift"], dtype=float) + tv) % 1.0
-        u = np.where(u >= 1.0, 0.0, u)
-        meta["grid_shift"] = tuple(float(v) for v in u)
-    return PointPattern(pattern.domain, coords, meta)
 
 
 def crop(pattern: PointPattern, fraction: float) -> PointPattern:

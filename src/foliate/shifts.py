@@ -10,7 +10,6 @@ than guessed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -87,28 +86,6 @@ class ShiftMap:
     def to_json(self) -> str:
         """The rows ``{"id", "image" (null when censored), "censored"}``."""
         return json_rows(self.image)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShiftMap":
-        """Inverse of ``to_json``; the rows may come in any id order, but their
-        ids must be 0..N-1, each once.  A row whose id or image is not an
-        integer, or whose ``censored`` disagrees with its ``image`` being
-        null, is refused."""
-        rows = json.loads(text)
-        ids = [row["id"] for row in rows]
-        images = [-1 if row["image"] is None else row["image"] for row in rows]
-        if any(type(v) is not int for v in ids + images):
-            raise ConfigError("row ids and images must be integers")
-        ids = np.array(ids, dtype=np.int64)
-        if not np.array_equal(np.sort(ids), np.arange(len(rows))):
-            raise ConfigError("row ids must be 0..N-1, each exactly once")
-        image = np.full(len(rows), -1, dtype=np.int64)
-        censored = np.zeros(len(rows), dtype=bool)
-        censored[ids] = [row["censored"] for row in rows]
-        image[ids] = images
-        if np.any((image < 0) != censored):
-            raise ConfigError("a row is censored exactly when its image is null")
-        return cls(image)
 
 
 def json_rows(image: np.ndarray, tail: str = "") -> str:

@@ -223,13 +223,3 @@ def foil_windings(
     fids = np.flatnonzero(foliation.senior_foil >= 0)
     m_plus = foliation.foil_size[foliation.senior_foil[fids]]
     return fids, total[fids].astype(np.int64) // m_plus, m_plus
-
-
-def check_order_preservation(
-    pattern: PointPattern,
-    shift_map: ShiftMap,
-    foliation: FoliationResult,
-    stable: StableMaps,
-) -> bool:
-    """True when no foil's image walk backtracks (winding 0 or 1 per foil)."""
-    return bool(np.all(foil_windings(shift_map, foliation, stable)[1] <= 1))

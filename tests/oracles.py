@@ -11,7 +11,48 @@ import math
 
 import numpy as np
 
-from foliate.patterns import Domain, PointPattern, distance
+from foliate.patterns import TORUS, ConfigError, Domain, PointPattern
+
+
+def distance(p, q, dom: Domain) -> float:
+    """Metric distance between two points: quotient metric on a torus,
+    Euclidean on a window."""
+    a = np.asarray(p, dtype=float)
+    b = np.asarray(q, dtype=float)
+    if a.shape != (dom.dimension,) or b.shape != (dom.dimension,):
+        raise ConfigError("dimension mismatch")
+    d = np.abs(a - b)
+    if dom.kind == TORUS:
+        ext = np.asarray(dom.extents)
+        d = d % ext
+        d = np.minimum(d, ext - d)
+    # squares summed in axis order as in patterns.distances_to, so on
+    # coordinates inside the domain (where % ext is the identity) exact ties
+    # agree bit for bit
+    return float(np.sqrt((d * d).sum()))
+
+
+def translate(pattern: PointPattern, t) -> PointPattern:
+    """Translate a torus pattern by ``t`` (wrapping), keeping point ids.
+
+    Grid metadata is shifted along so lattice row/column recovery stays
+    exact after the move.
+    """
+    if pattern.domain.kind != TORUS:
+        raise ConfigError("translation is only defined on torus domains")
+    ext = np.asarray(pattern.domain.extents)
+    tv = np.asarray(t, dtype=float)
+    if tv.shape != (pattern.dimension,):
+        raise ConfigError("dimension mismatch")
+    coords = (pattern.coords + tv) % ext
+    # float mod can land exactly on the upper face; wrap it home
+    coords = np.where(coords >= ext, 0.0, coords)
+    meta = dict(pattern.metadata)
+    if "grid_shift" in meta:
+        u = (np.asarray(meta["grid_shift"], dtype=float) + tv) % 1.0
+        u = np.where(u >= 1.0, 0.0, u)
+        meta["grid_shift"] = tuple(float(v) for v in u)
+    return PointPattern(pattern.domain, coords, meta)
 
 
 def iterate(image: list[int], x: int, k: int) -> int:

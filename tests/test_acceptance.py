@@ -35,7 +35,7 @@ from foliate.palm import (
 )
 from foliate.patterns import Domain
 from foliate.shifts import ShiftMap, condenser_marks
-from foliate.stable import check_order_preservation, delta
+from foliate.stable import delta, foil_windings
 
 EXACT = 1e-12
 
@@ -317,7 +317,7 @@ def test_criterion_7_stable_map_properties(mnn_realizations, next_row_realizatio
                 seq = brute_cycle(h_dense, int(members[0]))
                 if len(seq) != len(members) or set(seq) != {int(v) for v in members}:
                     ok = False
-            if not check_order_preservation(r.pattern, r.shift_map, fol, st):
+            if not (foil_windings(r.shift_map, fol, st)[1] <= 1).all():
                 ok = False
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 60.0

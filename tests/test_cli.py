@@ -18,7 +18,7 @@ from foliate.cli import (
 )
 from foliate.generators import GenSpec
 from foliate.patterns import ConfigError, Domain, PointPattern
-from foliate.shifts import ShiftKind, ShiftMap
+from foliate.shifts import ShiftKind
 
 
 def test_generate_writes_pattern(tmp_path):
@@ -93,8 +93,8 @@ def test_foliate_stage_roundtrip(tmp_path):
         ]
     )
     assert code == EXIT_OK
-    sm = ShiftMap.from_json((out / "shiftmap.json").read_text())
-    assert len(sm) == len(PointPattern.from_json(pattern_file.read_text()))
+    rows = json.loads((out / "shiftmap.json").read_text())
+    assert len(rows) == len(PointPattern.from_json(pattern_file.read_text()))
     obj = json.loads((out / "foliation.json").read_text())
     assert obj["schema_version"] == 1
     lines = (out / "components.csv").read_text().splitlines()
@@ -589,6 +589,13 @@ def _pattern_file(points, extents=(10.0, 10.0), metadata=None) -> dict:
     return obj
 
 
+def _cluster_file(**arrays) -> dict:
+    """A two-point cluster pattern file (a parent and its child), with the
+    given cluster arrays in place of the valid ones."""
+    meta = {"cluster_parent": [-1, 0], "cluster_type": [1, 1], "cluster_is_parent": [1, 0]}
+    return _pattern_file([[1.0, 1.0], [2.0, 2.0]], metadata={**meta, **arrays})
+
+
 @pytest.mark.parametrize(
     "shift, obj",
     [
@@ -613,6 +620,14 @@ def _pattern_file(points, extents=(10.0, 10.0), metadata=None) -> dict:
                 },
             ),
         ),
+        ("multitype_strip", _cluster_file(cluster_parent=[-1, 10**20])),
+        ("multitype_strip", _cluster_file(cluster_is_parent=[1, 0.5])),
+        ("multitype_strip", _cluster_file(cluster_is_parent=[True, False])),
+        ("mnn", _pattern_file([[1.0, 1.0], [2.0, 2.0]], metadata=[1])),
+        ("next_row", _pattern_file([[1.5, 1.5], [2.5, 1.5]], metadata={"grid_shift": [0.5] * 3})),
+        ("next_row", _pattern_file([[1.5, 1.5], [2.5, 1.5]], metadata={"grid_shift": [1e300, 0.5]})),
+        ("mnn", '{"points": ' + "[" * 10**5 + "]" * 10**5 + "}"),
+        ("mnn", _pattern_file([[10**400, 1.0], [2.0, 2.0]])),
     ],
     ids=[
         "ragged_points",
@@ -620,11 +635,19 @@ def _pattern_file(points, extents=(10.0, 10.0), metadata=None) -> dict:
         "null_extents",
         "cluster_type_missing",
         "short_cluster_arrays",
+        "cluster_parent_past_int64",
+        "float_cluster_flag",
+        "boolean_cluster_flags",
+        "metadata_not_an_object",
+        "grid_shift_of_three_on_a_plane",
+        "grid_shift_past_one",
+        "deeply_nested_points",
+        "coordinate_past_float",
     ],
 )
 def test_foliate_on_bad_pattern_file_is_config_error(tmp_path, capsys, shift, obj):
     pattern_file = tmp_path / "bad.json"
-    pattern_file.write_text(json.dumps(obj))
+    pattern_file.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     code = main(
         ["foliate", "--pattern", str(pattern_file), "--shift", shift, "--out", str(tmp_path)]
     )

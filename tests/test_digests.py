@@ -45,6 +45,12 @@ COMMANDS = {
         "--window", "20x20", "--buffer", "2", "--shift", "strip", "--n-max", "3",
         "--seed", "17", "--realizations", "2", "--save-patterns",
     ],
+    # the cluster model and its metadata in the saved pattern files
+    "cluster_multitype_strip": [
+        "run", "--model", "poisson_cluster", "--window", "30x30", "--buffer", "2",
+        "--shift", "multitype_strip", "--seed", "18", "--realizations", "2",
+        "--n-max", "3", "--save-patterns",
+    ],
 }
 
 DIGESTS = {
@@ -103,6 +109,28 @@ DIGESTS = {
         "h_dense.json": "8633992ac4d34d030961901495b057ca7182fefb7d760cb6d66fa20e4108cb2b",
         "shiftmap.json": "ef1ac1600687015597a6cb89deb29595de9aca0c2cb5ba708ebbc4a21eaf4484",
     },
+    "cluster_multitype_strip": {
+        "components.csv": "80e621ad48c10675e6ba0f5cbf97744b1493c361c29b00b24eb74c4b7de382c2",
+        "pattern_0000.json": "eff9c7e174125cb198515167f41edb4c5662dd7aafd68a869e07e14c4f4d099c",
+        "pattern_0001.json": "37a85d47f4d17b6368b1a4550bba2a9464987d2167713498d8bc6642c3b0c2a1",
+        "stats.csv": "8aa47bf1a58064851335fd871e4a14b169d4560b935c0d812f7b1422c33a6563",
+        "stats.json": "b624845a9dee7af6559d88c345dbfde9372e8fcf3fc0e8d35d3c3fc7c5de8831",
+        "verify.csv": "398a0bf32d02cb0fa8afaff399f2778a147271c1a19d16a888eaee8db5ac6bbd",
+        "verify.json": "5dc0b47148419c678a219688643af565cfafbd35fe4f432ac0db1d1bdc5486d0",
+    },
+    # verify --pattern on cluster_multitype_strip's pattern_0000.json
+    "cluster_pattern_verify": {
+        "verify.csv": "aee84b87be4a23722d0e1f908be7eccff899cf423aabfd9e56168b36cfd1c52c",
+        "verify.json": "5423262daab3de3b69763c5f3f6498036a5140f91b7f30835a61effd6176c3f7",
+    },
+    # a censored window: foliation.json, f_perp.json and h_dense.json with dead ends
+    "strip_window_foliate": {
+        "components.csv": "d520684ab24e0693ee935a8689475ff203d9e26cfd99a4c3331c2214379fade2",
+        "f_perp.json": "4f86d267c6728019ad18018bc86810903aa93704db850ea728d33e0b60a898ee",
+        "foliation.json": "63c77d2e21ed9240f63217796ea488c9482f843ba20f702f09187bb462974c27",
+        "h_dense.json": "b05a91a2d7ca6f140fde2963b9c4fa9432187923513725cd661a8cbdf975652d",
+        "shiftmap.json": "e644e58594812c65592680555086546eee6e78b73c6213d63303458d3966aa31",
+    },
 }
 
 
@@ -116,14 +144,37 @@ def test_run_result_digests(tmp_path, name):
     assert digests(tmp_path) == DIGESTS[name]
 
 
-def test_grid_foliate_next_row_digests(tmp_path):
-    pattern = tmp_path / "grid.json"
+def foliate_digests(tmp_path, generate, shift):
+    """Digests of ``foliate --shift shift`` on the pattern file written by
+    the ``generate`` command with the flags ``generate``."""
+    pattern = tmp_path / "pattern.json"
     out = tmp_path / "out"
-    assert main([
-        "generate", "--model", "bernoulli_grid", "--p", "0.5", "--torus", "10x20",
-        "--seed", "14", "--out", str(pattern),
-    ]) == EXIT_OK
+    assert main(["generate", *generate, "--out", str(pattern)]) == EXIT_OK
     assert main(
-        ["foliate", "--pattern", str(pattern), "--shift", "next_row", "--out", str(out)]
+        ["foliate", "--pattern", str(pattern), "--shift", shift, "--out", str(out)]
     ) == EXIT_OK
-    assert digests(out) == DIGESTS["grid_next_row"]
+    return digests(out)
+
+
+def test_grid_foliate_next_row_digests(tmp_path):
+    grid = ["--model", "bernoulli_grid", "--p", "0.5", "--torus", "10x20", "--seed", "14"]
+    assert foliate_digests(tmp_path, grid, "next_row") == DIGESTS["grid_next_row"]
+
+
+def test_window_foliate_strip_digests(tmp_path):
+    window = [
+        "--model", "poisson", "--intensity", "1", "--window", "40x40", "--buffer", "2",
+        "--seed", "19",
+    ]
+    assert foliate_digests(tmp_path, window, "strip") == DIGESTS["strip_window_foliate"]
+
+
+def test_verify_cluster_pattern_digests(tmp_path):
+    runs = tmp_path / "run"
+    out = tmp_path / "out"
+    assert main(COMMANDS["cluster_multitype_strip"] + ["--out", str(runs)]) == EXIT_OK
+    assert main([
+        "verify", "--pattern", str(runs / "pattern_0000.json"),
+        "--shift", "multitype_strip", "--out", str(out),
+    ]) == EXIT_OK
+    assert digests(out) == DIGESTS["cluster_pattern_verify"]

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ks_statistic
+from oracles import distance, ks_statistic
 
 from foliate.generators import GenSpec, generate
-from foliate.patterns import ConfigError, Domain, distance
+from foliate.patterns import ConfigError, Domain
 
 
 def test_poisson_near_zero_intensity():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import _plain_distance, _relative
+from oracles import _plain_distance, _relative, distance, translate
 
 from foliate.generators import GenSpec, generate
 from foliate.patterns import (
@@ -15,11 +15,9 @@ from foliate.patterns import (
     PointPattern,
     crop,
     displacement,
-    distance,
     distances_to,
     lattice_coords,
     row_ranks,
-    translate,
 )
 
 

@@ -12,18 +12,18 @@ from oracles import (
     brute_senior_interval,
     groups,
     random_map_pattern,
+    translate,
 )
 
 from foliate.foliation import foliate
 from foliate.generators import GenSpec, generate
 from foliate.palm import Realization, SeniorIntervalKernel, relative_intensity
-from foliate.patterns import ConfigError, Domain, translate
+from foliate.patterns import ConfigError, Domain
 from foliate.shifts import ShiftMap, evaluate
 from foliate.stable import (
     _preorder,
     build_rls_order,
     build_stable_maps,
-    check_order_preservation,
     delta,
     foil_cycles,
     foil_windings,
@@ -385,9 +385,7 @@ def test_stable_maps_flow_adapted_on_torus():
 
 def test_order_preservation_on_realizations(mnn_realizations, next_row_realizations):
     for r in (mnn_realizations[0], next_row_realizations[0]):
-        assert check_order_preservation(
-            r.pattern, r.shift_map, r.foliation, r.stable
-        )
+        assert (foil_windings(r.shift_map, r.foliation, r.stable)[1] <= 1).all()
 
 
 def test_order_preservation_on_censored_condenser():
@@ -396,7 +394,7 @@ def test_order_preservation_on_censored_condenser():
     sm = evaluate(pat, "condenser")
     fol = foliate(pat, sm)
     st_maps = build_stable_maps(pat, sm, fol)
-    assert check_order_preservation(pat, sm, fol, st_maps)
+    assert (foil_windings(sm, fol, st_maps)[1] <= 1).all()
 
 
 def test_stable_serialization():
