@@ -26,6 +26,12 @@ def _cells(x: np.ndarray, ext: np.ndarray, bins: np.ndarray) -> np.ndarray:
     return np.minimum((x / (ext / bins)[:, None]).astype(np.int64), (bins - 1)[:, None])
 
 
+def _stable_order(flat: np.ndarray) -> np.ndarray:
+    """The stable argsort of the cell keys ``flat``, from one sort of
+    distinct keys (cell, then row), which needs no stable kind."""
+    return np.argsort(flat * len(flat) + np.arange(len(flat)))
+
+
 def _table(coords: np.ndarray, domain: Domain, r: float):
     """``(bins, order, first, count, ordered, cell)``: the rows of ``coords``
     in cells strictly wider than ``r``, at most about 4 cells per row.  Cell
@@ -40,7 +46,7 @@ def _table(coords: np.ndarray, domain: Domain, r: float):
     bins = bins.astype(np.int64)
     cell = _cells(coords.T, ext, bins)
     flat = np.ravel_multi_index(tuple(cell), tuple(bins))
-    order = np.argsort(flat, kind="stable")
+    order = _stable_order(flat)
     count = np.bincount(flat, minlength=int(bins.prod()) + 1)
     ordered = np.take(coords.T, order, axis=1)
     return bins, order, np.cumsum(count) - count, count, ordered, np.take(cell, order, axis=1)
@@ -130,7 +136,7 @@ def nearest(
     else:
         qx = pattern.coords[queries].T
         qc = _cells(qx, np.asarray(dom.extents), table[0])
-        walk = np.argsort(np.ravel_multi_index(tuple(qc), tuple(table[0])), kind="stable")
+        walk = _stable_order(np.ravel_multi_index(tuple(qc), tuple(table[0])))
         qx, qc, pos = np.take(qx, walk, axis=1), np.take(qc, walk, axis=1), None
     reach = np.broadcast_to(np.inf if reach is None else np.asarray(reach, dtype=float), nq)
     ring = 1

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 
-import numpy as np
-
 from .foliation import check_fractions, foliate, ladder_diagnostic
 from .generators import MODELS, GenSpec, generate
 from .palm import (
@@ -178,8 +176,7 @@ def stats_reports(r: Realization, n_max: int) -> list[StatReport]:
     for n in range(1, n_max + 1):
         images, d, l = r.generation(n)
         reports.append(palm_mean(d, r, f"descendants_mean_n{n}"))
-        cousins = np.where(images >= 0, l, np.nan)
-        reports.append(palm_mean(cousins, r, f"cousins_mean_n{n}"))
+        reports.append(palm_mean(l, r, f"cousins_mean_n{n}", defined=images >= 0))
     reports.extend(evaporation_profile(r, range(1, n_max + 1)))
     reports.append(relative_intensity_report(r))
     return reports
@@ -207,10 +204,14 @@ def write_report_files(out: str | Path | None, stem: str, reports: list[StatRepo
 
 
 def exit_code(reports: list[StatReport]) -> int:
-    """Name on stderr each report that is exactable and has a target but is
-    not exact: an exact identity that failed.  1 if there is one, else 0."""
+    """Name on stderr each report that is exactable, has a target and a
+    value, but is not exact: an exact identity that failed.  1 if there is
+    one, else 0.  A report with no value (an empty torus realization)
+    checked nothing, so it did not fail."""
     failures = [
-        rep.name for rep in reports if rep.exactable and rep.target is not None and not rep.exact
+        rep.name
+        for rep in reports
+        if rep.exactable and rep.target is not None and rep.per_realization and not rep.exact
     ]
     for name in failures:
         sys.stderr.write(f"exact identity failed: {name}\n")
@@ -368,12 +369,12 @@ def cmd_foliate(args: argparse.Namespace) -> int:
     _check_out_dir(args.out)
     pattern = _load_pattern(args.pattern)
     shift_map = evaluate(pattern, _shift_kind(_given(args)))
-    fol = foliate(pattern, shift_map)
+    stable = build_stable_maps(pattern, shift_map, foliate(pattern, shift_map))
+    fol = stable.foliation  # canonically anchored
     out = Path(args.out)
     _write(out / "shiftmap.json", shift_map.to_json())
     _write(out / "foliation.json", fol.to_json())
     _write(out / "components.csv", fol.components_csv())
-    stable = build_stable_maps(pattern, shift_map, fol)
     _write(out / "f_perp.json", stable_to_json(stable.f_perp, "f_perp"))
     _write(out / "h_dense.json", stable_to_json(stable.h_dense, "h_dense"))
     return EXIT_OK

@@ -13,14 +13,21 @@ The structure comes from one whole-array pass of pointer jumping (Wyllie's
 list ranking) in which a dead end is a fixed point, so trees and cyclic
 components go through the same code.  Squaring the successor map finds the
 cycle nodes; jumping with the cycle nodes as terminals gives each point's
-depth and entry node; jumping round the cycles labels each by its least id;
-and jumping to the cycle anchors gives the positions round each cycle.  No
+depth and entry node; jumping round the cycles labels each by its least id,
+which anchors it; and jumping to the anchors gives the positions round each
+cycle.  Components and foils are numbered by counting, not sorting.  No
 Python loop runs over points, cycles or foils.
+
+None of the partition, the sizes or the counts depends on which node
+anchors a cycle.  Only the foliation file, the stable maps and the walk
+estimate on a cycle read the anchor, and ``canonical`` rotates each cycle to
+a translation-covariant one for them.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -83,8 +90,9 @@ def _trees(image: np.ndarray):
     return succ, on_cycle, depth, entry
 
 
-def _step_rank(pattern: PointPattern, cyc: np.ndarray, succ: np.ndarray) -> np.ndarray:
-    """Rank, in tuple order, of the row each cycle node is anchored by.
+def _step_rank(pattern: PointPattern, cyc: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Rank, in tuple order, of the row each cycle node ``cyc`` is anchored
+    by; ``nxt`` holds their successors.
 
     On a window the row is the node's coordinates.  On a torus absolute
     coordinates wrap under translation, so it is the step displacement to
@@ -93,7 +101,7 @@ def _step_rank(pattern: PointPattern, cyc: np.ndarray, succ: np.ndarray) -> np.n
     if pattern.domain.kind != TORUS:
         rows = pattern.coords[cyc]
     else:
-        rows = displacement(pattern, succ[cyc], cyc)
+        rows = displacement(pattern, nxt, cyc)
     return row_ranks(rows)
 
 
@@ -146,6 +154,9 @@ class FoliationResult:
     lists every component's cycle from its anchor, in component order, with
     ``cycle_offsets`` bounding each; a tree whose walks die has its dead end
     there instead (a fixed point of the successor map) and cycle length 0.
+    The anchor is the cycle's least id as ``foliate`` gives it, or the
+    canonical one after ``canonical``; it numbers the foils of its
+    component by key and sets the entry positions.
     """
 
     component_id: np.ndarray
@@ -245,72 +256,167 @@ class FoliationResult:
 
 
 def foliate(pattern: PointPattern, shift_map: ShiftMap) -> FoliationResult:
-    """Full foliation of one evaluated shift."""
+    """Full foliation of one evaluated shift, each cycle anchored at its
+    least id.
+
+    Nothing is sorted: every label is a point id or a position below its
+    component's size, so a presence mask and a running count rank them.
+    The foil partition, sizes, senior foils and component columns do not
+    depend on the anchors; ``canonical`` rotates the cycles to the anchors
+    that the foliation file and the stable maps read."""
     if len(pattern) != len(shift_map):
         raise ConfigError("pattern and shift map sizes differ")
     n = len(shift_map)
     image = shift_map.image
+    ids = np.arange(n, dtype=np.int64)
     succ, on_cycle, depth, entry = _trees(image)
 
     # the cycle nodes (dead ends included) get local indices 0..m-1; each
-    # cycle is labelled by its least id, and the components, found by the
-    # cycle their points enter, are numbered by their least member
+    # cycle is labelled by its least id, which anchors it
     cyc = np.flatnonzero(on_cycle)
+    del on_cycle
     m = len(cyc)
     local = np.empty(n, dtype=np.int64)
     local[cyc] = np.arange(m)
     csucc = local[succ[cyc]]
+    del succ
     _, label = _jump(csucc, cyc, np.minimum, m.bit_length())
-    _, first, comp = np.unique(label[local[entry]], return_index=True, return_inverse=True)
-    comp = np.argsort(np.argsort(first))[comp.reshape(-1)]
-    n_comp = len(first)
+    anchor = cyc == label
+
+    # the components, found by the cycle their points enter, are numbered
+    # by their least member
+    label = label[local[entry]]
+    least = np.full(n, n, dtype=np.int64)
+    np.minimum.at(least, label, ids)
+    least = least[label]
+    del label
+    first = least == ids
+    n_comp = int(first.sum())
+    comp = (np.cumsum(first) - 1)[least]
+    del first, least
+    size = np.bincount(comp, minlength=n_comp)
     ccomp = comp[cyc]
     dead = image[cyc] < 0
     lengths = np.bincount(ccomp[~dead], minlength=n_comp)
     roots = np.full(n_comp, -1, dtype=np.int64)
     roots[ccomp[dead]] = cyc[dead]
 
-    # rotate every cycle to its canonical anchor so entry positions are
-    # deterministic and, on a torus, translation covariant: a cycle node's
-    # position is its number of steps from the anchor
-    anchor = np.zeros(m, dtype=bool)
-    rank = _step_rank(pattern, cyc, succ)
-    anchor[_anchors(rank, csucc, ccomp, int(lengths.max(initial=0)))] = True
+    # a cycle node's position is its number of steps from the anchor
     terminal = np.where(anchor, np.arange(m), csucc)
     _, to_anchor = _jump(terminal, (~anchor).astype(np.int64), np.add, m.bit_length())
+    del terminal, anchor
     clen = np.maximum(lengths[ccomp], 1)
     cpos = (clen - to_anchor) % clen
     entry = cpos[local[entry]]
+    del local, to_anchor
 
+    # a foil is a (component, key) pair, and a key is below its
+    # component's size, so component start + key is below N and ranks the
+    # foils densely in (component, key) order
     plen = lengths[comp]
     key = np.where(plen > 0, (entry - depth) % np.maximum(plen, 1), depth)
-    pairs = comp * (n + 1) + key  # key < n+1 always
-    uniq, foil_id = np.unique(pairs, return_inverse=True)
-    foil_component = (uniq // (n + 1)).astype(np.int64)
-    foil_key = (uniq % (n + 1)).astype(np.int64)
-    foil_size = np.bincount(foil_id, minlength=len(uniq)).astype(np.int64)
+    del plen
+    start = np.cumsum(size) - size
+    code = start[comp] + key
+    present = np.zeros(n, dtype=bool)
+    present[code] = True
+    n_foils = int(present.sum())
+    dense = np.cumsum(present) - 1
+    del present
+    foil_id = dense[code]
+    del code
+    foil_component = np.empty(n_foils, dtype=np.int64)
+    foil_component[foil_id] = comp
+    foil_key = np.empty(n_foils, dtype=np.int64)
+    foil_key[foil_id] = key
+    del key
 
     # the senior foil holds the images: the next key round a cycle, one
     # step nearer the root in a dead-end tree
     flen = lengths[foil_component]
     target = np.where(flen > 0, (foil_key + 1) % np.maximum(flen, 1), foil_key - 1)
-    code = np.searchsorted(uniq, foil_component * (n + 1) + target)
-    senior = np.where((flen > 0) | (foil_key > 0), code, -1)
+    senior = np.where(target >= 0, dense[start[foil_component] + np.maximum(target, 0)], -1)
+    del dense
+
+    # each cycle from its anchor, in component order
+    offsets = np.r_[0, np.cumsum(np.bincount(ccomp, minlength=n_comp))]
+    cycle_nodes = np.empty(m, dtype=np.int64)
+    cycle_nodes[offsets[ccomp] + cpos] = cyc
 
     return FoliationResult(
         component_id=comp,
-        foil_id=foil_id.astype(np.int64),
+        foil_id=foil_id,
         depth_to_cycle=depth,
         entry_position=entry,
-        component_size=np.bincount(comp, minlength=n_comp),
+        component_size=size,
         component_root=roots,
         component_foils=np.bincount(foil_component, minlength=n_comp),
-        cycle_nodes=cyc[np.lexsort((cpos, ccomp))],
-        cycle_offsets=np.r_[0, np.cumsum(np.bincount(ccomp, minlength=n_comp))],
+        cycle_nodes=cycle_nodes,
+        cycle_offsets=offsets,
         foil_component=foil_component,
         foil_key=foil_key,
-        foil_size=foil_size,
+        foil_size=np.bincount(foil_id, minlength=n_foils),
         senior_foil=senior,
+    )
+
+
+def canonical(pattern: PointPattern, fol: FoliationResult) -> FoliationResult:
+    """``fol`` with every cycle rotated to its canonical anchor, as the
+    foliation file, the stable maps and the walk estimate read it.
+
+    The anchor is the node whose sequence of step rows round the cycle is
+    lex least, the least id on a cycle whose rotations tie (``_step_rank``,
+    ``_anchors``), so entry positions are deterministic and, on a torus,
+    translation covariant.  A dead-end tree keeps its dead end.  Rotating a
+    cycle by p positions takes p from its nodes' positions and its foils'
+    keys, which renumbers the foils within their component; the partition,
+    sizes and components are unchanged.  A canonical ``fol`` is returned
+    as it is."""
+    if len(pattern) != fol.n_points:
+        raise ConfigError("pattern and foliation sizes differ")
+    n = fol.n_points
+    lengths = fol.cycle_length
+    comp = fol.component_id
+    pos = fol.entry_position  # a cycle node's own position
+
+    # the nodes of the cycles in id order, so equal rotations go to the least id
+    nodes = fol.cycle_nodes
+    cyc = np.flatnonzero((fol.depth_to_cycle == 0) & (lengths[comp] > 0))
+    ccomp = comp[cyc]
+    clen = lengths[ccomp]
+    nxt = nodes[fol.cycle_offsets[ccomp] + (pos[cyc] + 1) % clen]
+    local = np.empty(n, dtype=np.int64)
+    local[cyc] = np.arange(len(cyc))
+    rank = _step_rank(pattern, cyc, nxt)
+    anchors = cyc[_anchors(rank, local[nxt], ccomp, int(clen.max(initial=0)))]
+    del local, rank, nxt
+
+    shift = np.zeros(fol.n_components, dtype=np.int64)
+    shift[comp[anchors]] = pos[anchors]
+    if not shift.any():
+        return fol
+    period = np.maximum(lengths, 1)
+    entry = (pos - shift[comp]) % period[comp]
+
+    # a component's foils are numbered by key from its first foil, and round
+    # a cycle every key below its length is a foil
+    fc = fol.foil_component
+    key = np.where(lengths[fc] > 0, (fol.foil_key - shift[fc]) % period[fc], fol.foil_key)
+    first = np.cumsum(fol.component_foils) - fol.component_foils
+    renum = first[fc] + key  # the new id of each foil
+    old = np.empty_like(renum)
+    old[renum] = np.arange(len(renum))
+    senior = fol.senior_foil[old]
+    cycle_nodes = np.empty_like(nodes)
+    cycle_nodes[fol.cycle_offsets[comp[nodes]] + entry[nodes]] = nodes
+    return dataclasses.replace(
+        fol,
+        foil_id=renum[fol.foil_id],
+        entry_position=entry,
+        cycle_nodes=cycle_nodes,
+        foil_key=key[old],
+        foil_size=fol.foil_size[old],
+        senior_foil=np.where(senior >= 0, renum[senior], -1),
     )
 
 

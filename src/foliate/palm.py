@@ -4,11 +4,13 @@ relative intensities.
 On a torus with a total map the generation-counting identities are finite
 combinatorial facts, so they are checked at tolerance 1e-12 and flagged
 ``exact``; window runs report the boundary discrepancy instead of claiming
-exactness.  Integer-valued sums are compared in integer arithmetic: power
-sums are exact Python ints over the distinct values.  Float sums over the
-points are correctly rounded (the float ``math.fsum`` gives) without a
-per-point loop: count times integer mantissa is summed exactly per binary
-exponent, and the total is rounded once.
+exactness.  Every sum runs over (distinct value, count) pairs, which
+``np.bincount`` gives for d_n and l_n (integers up to N) without a sort.
+Integer-valued sums are compared in integer arithmetic: power sums are
+exact Python ints over the distinct values.  Float sums, 1/l_n among them,
+are correctly rounded (the float ``math.fsum`` gives) without a per-point
+loop: count times integer mantissa is summed exactly per binary exponent,
+and the total is rounded once.  Each order's tallies are made once.
 
 Each statistic reports on one realization; ``fold_reports`` merges the
 reports of many.
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .foliation import FoliationResult, foliate, next_generation
+from .foliation import FoliationResult, canonical, foliate, next_generation
 from .generators import GenSpec, generate
 from .patterns import TORUS, ConfigError, PointPattern, distances_to
 from .shifts import ShiftKind, ShiftMap, condenser_marks, evaluate
@@ -35,9 +37,24 @@ from .stable import StableMaps, build_stable_maps, foil_cycles, senior_steps
 EXACT_TOL = 1e-12
 
 
-def exact_sum(values: np.ndarray) -> float:
-    """The correctly rounded sum of ``values``, the float ``math.fsum``
-    gives, with no intermediate overflow.
+def _tally(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct values, counts) in ascending order, the pairs
+    ``np.unique(values, return_counts=True)`` gives.  Nonnegative integers
+    no larger than a few times their number, such as d_n and l_n, are
+    counted by one ``np.bincount`` instead of sorted."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iub" and values.size:
+        lo, hi = int(values.min()), int(values.max())
+        if lo >= 0 and hi <= 4 * values.size:
+            counts = np.bincount(values.astype(np.int64, copy=False))
+            u = np.flatnonzero(counts)
+            return u, counts[u]
+    return np.unique(values, return_counts=True)
+
+
+def _fsum_pairs(u: np.ndarray, counts: np.ndarray) -> float:
+    """The correctly rounded sum of ``counts[i]`` copies of each ``u[i]``,
+    the float ``math.fsum`` gives, with no intermediate overflow.
 
     A small superaccumulator (R. M. Neal, arXiv 1505.05571): a finite float
     is an integer mantissa times 2^(e - 53), with ``frexp`` exponent
@@ -46,7 +63,7 @@ def exact_sum(values: np.ndarray) -> float:
     correctly rounded division by 2^1126 gives the float.  A non-finite value
     raises ValueError.
     """
-    u, counts = np.unique(values, return_counts=True)
+    u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise ValueError("exact_sum needs finite values")
     if not len(u):
@@ -60,10 +77,19 @@ def exact_sum(values: np.ndarray) -> float:
     return sum(s << x for s, x in zip(groups, (e[first] + 1073).tolist())) / (1 << 1126)
 
 
-def power_sums(values: np.ndarray, powers: Sequence[int]) -> list[int]:
-    """The exact sums of ``values ** p`` for each p in ``powers``, in Python
-    ints over the distinct integer values (no int64 overflow)."""
-    u, counts = np.unique(values, return_counts=True)
+def exact_sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of ``values``: ``_fsum_pairs`` of their
+    ``_tally``.  Integers are summed exactly as Python ints and rounded
+    once, which is the float ``math.fsum`` gives below 2^53."""
+    u, counts = _tally(values)
+    if u.dtype.kind in "iub":
+        return float(_power_pairs(u, counts, (1,))[0])
+    return _fsum_pairs(u, counts)
+
+
+def _power_pairs(u: np.ndarray, counts: np.ndarray, powers: Sequence[int]) -> list[int]:
+    """The exact sums of ``counts[i]`` copies of ``u[i] ** p`` for each p in
+    ``powers``, in Python ints (no int64 overflow)."""
     pairs = list(zip(u.tolist(), counts.tolist()))
     return [sum(v**p * c for v, c in pairs) for p in powers]
 
@@ -146,6 +172,7 @@ class Realization:
     shift_map: ShiftMap
     foliation: FoliationResult
     _generations: list = field(default_factory=list, repr=False)
+    _tallies: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, pattern: PointPattern, kind: ShiftKind | str) -> "Realization":
@@ -186,6 +213,14 @@ class Realization:
             gens.append(next_generation(self.shift_map.image, images))
         return gens[n - 1]
 
+    def tallies(self, n: int) -> tuple[tuple, tuple]:
+        """The ``_tally`` of d_n over every point and of l_n over the points
+        whose n-fold image is defined, made once per order."""
+        if n not in self._tallies:
+            images, d, l = self.generation(n)
+            self._tallies[n] = (_tally(d), _tally(l[images >= 0]))
+        return self._tallies[n]
+
     @cached_property
     def stable(self) -> StableMaps:
         """The whole pattern's stable maps, read by ``SeniorIntervalKernel``
@@ -203,11 +238,18 @@ def _all_points(r: Realization) -> dict:
     }
 
 
-def palm_mean(values: np.ndarray, r: Realization, name: str) -> StatReport:
+def palm_mean(
+    values: np.ndarray, r: Realization, name: str, defined: np.ndarray | None = None
+) -> StatReport:
     """Average a per-point statistic over the non-censored points of ``r``
-    where it is finite.  With no such point the realization is dropped."""
-    v = np.asarray(values, dtype=float)
-    mask = (~r.shift_map.censored) & np.isfinite(v)
+    where it is ``defined`` (default: where it is finite).  With no such
+    point the realization is dropped."""
+    v = np.asarray(values)
+    mask = ~r.shift_map.censored
+    if defined is not None:
+        mask &= defined
+    elif v.dtype.kind == "f":
+        mask &= np.isfinite(v)
     k = int(mask.sum())
     if k == 0:
         return StatReport(name, [], dropped=1)
@@ -215,22 +257,22 @@ def palm_mean(values: np.ndarray, r: Realization, name: str) -> StatReport:
     return StatReport(name, [mean], n_points_used=k, censoring_values=[r.censoring_fraction])
 
 
-def _images_and_cousins(gen: tuple) -> tuple[int, float]:
+def _images_and_cousins(tallies: tuple, N: int) -> tuple[int, float]:
     """The number of distinct n-fold images (the points with d_n > 0) and
-    the sum of 1/l_n over the points whose n-fold image is defined."""
-    images, d, l = gen
-    return int((d > 0).sum()), exact_sum(1.0 / l[images >= 0])
+    the sum of 1/l_n over the points whose n-fold image is defined, read
+    off the order's tallies."""
+    (ud, cd), (ul, cl) = tallies
+    return N - int(cd[ud == 0].sum()), _fsum_pairs(1.0 / ul, cl)
 
 
-def _identity_values(gen: tuple, N: int) -> dict[str, float]:
-    images, d, l = gen
-    ok = images >= 0
-    if N == 0 or not ok.any():
+def _identity_values(tallies: tuple, N: int) -> dict[str, float]:
+    (ud, cd), (ul, cl) = tallies
+    if N == 0 or not len(ul):
         return {}
-    n_pos, inv_l = _images_and_cousins(gen)
+    n_pos, inv_l = _images_and_cousins(tallies, N)
     inv_l /= N
-    sum_d, sum_d2, sum_d3 = power_sums(d, (1, 2, 3))
-    sum_l, sum_l2 = power_sums(l[ok], (1, 2))
+    sum_d, sum_d2, sum_d3 = _power_pairs(ud, cd, (1, 2, 3))
+    sum_l, sum_l2 = _power_pairs(ul, cl, (1, 2))
     total = float(sum_d)
     cond = (total / n_pos) * inv_l
     return {
@@ -261,7 +303,7 @@ def verify_identities(r: Realization, n_max: int) -> list[StatReport]:
     """
     reports = []
     for n in range(1, n_max + 1):
-        vals = _identity_values(r.generation(n), r.n_points)
+        vals = _identity_values(r.tallies(n), r.n_points)
         for key, target in _IDENTITY_TARGETS.items():
             reports.append(
                 StatReport(
@@ -283,10 +325,10 @@ class ShiftIterateKernel:
         self.name = f"edge_indicator_n{self.n}"
 
     def plus(self, r: Realization) -> np.ndarray:
-        return (r.generation(self.n)[0] >= 0).astype(float)
+        return (r.generation(self.n)[0] >= 0).astype(np.int64)
 
     def minus(self, r: Realization) -> np.ndarray:
-        return r.generation(self.n)[1].astype(float)  # d_n
+        return r.generation(self.n)[1]  # d_n
 
 
 class SeniorIntervalKernel:
@@ -302,11 +344,11 @@ class SeniorIntervalKernel:
     name = "senior_interval"
 
     def plus(self, r: Realization) -> np.ndarray:
-        return senior_steps(r.shift_map, r.foliation, r.stable).astype(float)
+        return senior_steps(r.shift_map, r.stable.foliation, r.stable)
 
     def minus(self, r: Realization) -> np.ndarray:
         st = r.stable
-        fol = r.foliation
+        fol = st.foliation
         n = r.n_points
         first = np.cumsum(fol.foil_size) - fol.foil_size
         slot = first[fol.foil_id] + st.foil_pos  # place in all foils' cycles
@@ -323,7 +365,7 @@ class SeniorIntervalKernel:
 
         diff = marks(lo) - marks(np.minimum(hi, end))
         diff += marks(start[wrap]) - marks((start + hi - end)[wrap])
-        return np.cumsum(diff)[slot].astype(float)
+        return np.cumsum(diff)[slot]
 
 
 def check_mass_transport(kernel, r: Realization) -> StatReport:
@@ -354,7 +396,7 @@ def evaporation_profile(r: Realization, n_list: Sequence[int]) -> list[StatRepor
     for n in n_list:
         p_hat, inv_l = [], []
         if N:
-            images, cousins = _images_and_cousins(r.generation(n))
+            images, cousins = _images_and_cousins(r.tallies(n), N)
             p_hat, inv_l = [float(images) / N], [cousins / N]
         reports.append(
             StatReport(f"survival_fraction_n{n}", p_hat, n=n, exactable=False)
@@ -404,12 +446,15 @@ def relative_intensity(
     if x is None:
         return None
     fol = r.foliation
+    cyclic = fol.component_root[fol.component_id[x]] < 0
+    if mode == "auto":
+        mode = "ratio" if cyclic else "walk"
+    if mode == "walk" and cyclic:
+        fol = canonical(r.pattern, fol)  # the walk's foil cycles start at the anchor
     fid = int(fol.foil_id[x])
     senior = int(fol.senior_foil[fid])
     if senior < 0:
         return None
-    if mode == "auto":
-        mode = "walk" if fol.component_root[fol.foil_component[fid]] >= 0 else "ratio"
     if mode == "ratio":
         return float(fol.foil_size[senior]) / float(fol.foil_size[fid])
     m = int(fol.foil_size[fid])

@@ -119,6 +119,16 @@ def row_ranks(rows: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _is_simple(c: np.ndarray) -> bool:
+    """Whether the rows of ``c`` are distinct.  Distinct first coordinates
+    prove it with one sort of values; only a tie (a grid, or ``-0.0`` next
+    to ``0.0``) ranks the whole rows."""
+    first = np.sort(c[:, 0])
+    if not (first[1:] == first[:-1]).any():
+        return True
+    return row_ranks(c).max() == len(c) - 1
+
+
 @dataclass(frozen=True)
 class PointPattern:
     """A finite simple point configuration on a domain.
@@ -148,7 +158,7 @@ class PointPattern:
             else:
                 if np.any(c < 0.0) or np.any(c > ext):
                     raise PatternError("window coordinates must lie in [0, extent]")
-            if row_ranks(c).max() < len(c) - 1:
+            if not _is_simple(c):
                 raise PatternError("pattern is not simple (duplicate coordinates)")
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)

@@ -342,8 +342,9 @@ def eval_next_row(pattern: PointPattern) -> ShiftMap:
 
     row = lattice[:, 1] - lattice[:, 1].min()
     height = int(row.max()) + 1
-    order = np.lexsort((row, column))
-    code = (column * height + row)[order]
+    code = column * height + row  # distinct, as the points are simple
+    order = np.argsort(code)
+    code = code[order]
     q = np.flatnonzero(occupied[target])  # an empty target column censors
     slot = np.searchsorted(code, target[q] * height + row[q], side="left")
     off_top = (slot == n) | (column[order[np.minimum(slot, n - 1)]] != target[q])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foliation import FoliationResult, _jump
+from .foliation import FoliationResult, _jump, canonical
 from .patterns import ConfigError, PointPattern, displacement
 from .shifts import ShiftMap, json_rows
 
@@ -106,12 +106,14 @@ def build_rls_order(
 class StableMaps:
     """The two canonical dense bijections of one foliation, with each
     point's position in its foil's cycle (``f_perp`` steps from the foil's
-    first member) and in its component's (the royal-line rank)."""
+    first member) and in its component's (the royal-line rank), and the
+    canonically anchored foliation they are built on."""
 
     f_perp: np.ndarray
     h_dense: np.ndarray
     rls: RlsOrder
     foil_pos: np.ndarray
+    foliation: FoliationResult
 
 
 def _cycles_through(order: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,10 +170,16 @@ def build_h_dense(foliation: FoliationResult, rls: RlsOrder) -> np.ndarray:
 def build_stable_maps(
     pattern: PointPattern, shift_map: ShiftMap, foliation: FoliationResult
 ) -> StableMaps:
+    """The stable maps of ``foliation`` rotated to its canonical anchors."""
+    foliation = canonical(pattern, foliation)
     rls = build_rls_order(pattern, shift_map, foliation)
     f_perp, foil_pos = foil_cycles(pattern, foliation, np.arange(foliation.n_points))
     return StableMaps(
-        f_perp=f_perp, h_dense=build_h_dense(foliation, rls), rls=rls, foil_pos=foil_pos
+        f_perp=f_perp,
+        h_dense=build_h_dense(foliation, rls),
+        rls=rls,
+        foil_pos=foil_pos,
+        foliation=foliation,
     )
 
 
@@ -180,7 +188,8 @@ def delta(stable: StableMaps, foliation: FoliationResult, x, y):
     scalar or array ids.
 
     Nonnegative, taken in the step direction; delta(x, y) and -delta(y, x)
-    agree modulo the foil size.
+    agree modulo the foil size.  Only the foils of ``foliation`` are read,
+    so its cycles may be anchored either way.
     """
     foil = foliation.foil_id[x]
     if np.any(foil != foliation.foil_id[y]):

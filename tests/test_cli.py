@@ -16,9 +16,9 @@ from foliate.cli import (
     parse_extents,
     realizations_for,
 )
-from foliate.generators import GenSpec
+from foliate.generators import GenSpec, generate
 from foliate.patterns import ConfigError, Domain, PointPattern
-from foliate.shifts import ShiftKind
+from foliate.shifts import ShiftKind, evaluate
 
 
 def test_generate_writes_pattern(tmp_path):
@@ -439,6 +439,61 @@ def test_reduction_steps_each_order_once(monkeypatch):
             if stats:
                 cli.stats_reports(r, n_max)
             assert len(steps) == (max(n_max, 3) if verify else n_max)
+
+
+def test_reduction_sorts_only_where_an_order_is_read(monkeypatch):
+    calls = {"unique": 0, "lexsort": 0, "argsort": 0}
+
+    def spy(name):
+        fn = getattr(np, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np, name, spy(name))
+    spec = GenSpec("poisson", Domain.torus(40, 40), seed=8, intensity=1.0)
+    pattern = generate(spec)
+    assert calls["unique"] == 0
+    shift_map = evaluate(pattern, "mnn")
+    calls.update(dict.fromkeys(calls, 0))
+    fol = foliation.foliate(pattern, shift_map)
+    assert calls == dict.fromkeys(calls, 0)
+    r = palm.Realization(pattern, shift_map, fol)
+    cli.verify_reports(r, 5)
+    cli.stats_reports(r, 5)
+    assert calls["unique"] == 0
+    # the canonical anchors are read off sorts, and the spies see them
+    foliation.canonical(pattern, fol)
+    assert calls["unique"] > 0 and calls["argsort"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--model", "bernoulli_grid", "--p", "0.0", "--torus", "4x4",
+         "--shift", "next_row"],
+        ["run", "--model", "poisson", "--intensity", "0.001", "--torus", "5x5",
+         "--shift", "mnn", "--realizations", "2"],
+        ["verify", "--pattern", None, "--shift", "mnn"],
+    ],
+    ids=["grid_run", "poisson_run", "verify_pattern"],
+)
+def test_empty_torus_realization_fails_no_identity(tmp_path, capsys, argv):
+    pattern = tmp_path / "empty.json"
+    pattern.write_text(PointPattern(Domain.torus(5, 5), np.zeros((0, 2))).to_json())
+    argv = [str(pattern) if a is None else a for a in argv]
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    if argv[0] == "verify":  # run without --out prints no rows
+        # the identities have no value to check, and the transport sums are 0
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert sum(row[5] == "0" for row in rows) == 15
+        assert all(row[4] == "true" for row in rows if row[5] != "0")
 
 
 def test_ladder_subcommand(tmp_path):

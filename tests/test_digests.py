@@ -51,6 +51,17 @@ COMMANDS = {
         "--shift", "multitype_strip", "--seed", "18", "--realizations", "2",
         "--n-max", "3", "--save-patterns",
     ],
+    # next_row cycles longer than 2: foils numbered from a cycle anchor
+    "grid_next_row_torus": [
+        "run", "--model", "bernoulli_grid", "--p", "0.5", "--torus", "40x60",
+        "--shift", "next_row", "--n-max", "5", "--seed", "21", "--realizations", "3",
+    ],
+    # next_row on a censored window, with the ladder
+    "grid_next_row_window": [
+        "run", "--model", "bernoulli_grid", "--p", "0.6", "--window", "40x40",
+        "--buffer", "2", "--shift", "next_row", "--n-max", "4", "--seed", "22",
+        "--realizations", "2", "--fractions", "0.5,1.0",
+    ],
 }
 
 DIGESTS = {
@@ -117,6 +128,21 @@ DIGESTS = {
         "stats.json": "b624845a9dee7af6559d88c345dbfde9372e8fcf3fc0e8d35d3c3fc7c5de8831",
         "verify.csv": "398a0bf32d02cb0fa8afaff399f2778a147271c1a19d16a888eaee8db5ac6bbd",
         "verify.json": "5dc0b47148419c678a219688643af565cfafbd35fe4f432ac0db1d1bdc5486d0",
+    },
+    "grid_next_row_torus": {
+        "components.csv": "bb271e9a8be5f4c29c3dd71f63a4567760eb54a6d731a937ec1087fa1b8b991e",
+        "stats.csv": "502d4d99b1f6c2c57fa86026c87fa44534b7b27bad487f7a2b753d3d9b76a04a",
+        "stats.json": "10dd7f9cd94701e6455810436df8634ebb4e510d4ac6e71789020cda3e062a56",
+        "verify.csv": "6709abb312a7edde06542bf57cd214733503fcf31f34f86f01fcee128686ef35",
+        "verify.json": "9b4e42aa3eda6423632a58528653dcc0f1b390f042e17885a68937e2bfb230e0",
+    },
+    "grid_next_row_window": {
+        "components.csv": "4aa40b5a92174db0d5197ccd4f1d61026b30b5d090f51eb670a96f67b043bbf4",
+        "ladder.csv": "0ab39f346fbc5dec11af4f07cee06c4a057cb38eb61b619822ff6ad828a892ad",
+        "stats.csv": "1e36032a0b6ee38dbaa876036425f763d3a4c18fe0a39aba04cdf3abf4fb759b",
+        "stats.json": "1b3fe47cea1207158c62f18edefe5cd1e3833f080832fd0af1587f5587554eb4",
+        "verify.csv": "fcd6beb77fa1f4216c0c97d533a96bef7100df96d4b7a79730dcb42e26580b9d",
+        "verify.json": "753ee30629d1fb030761392183ab809262601534f333bdc319292652adcf0f5e",
     },
     # verify --pattern on cluster_multitype_strip's pattern_0000.json
     "cluster_pattern_verify": {

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from foliate.foliation import (
     CLASS_IF,
     CLASS_II,
     CLASS_UNKNOWN,
+    canonical,
     classify,
     foliate,
     ladder_diagnostic,
@@ -175,7 +177,7 @@ def test_foils_match_brute_force(image):
 
 
 def assert_structure_matches_brute(pattern, image):
-    fol = foliate(pattern, make_map(image))
+    fol = canonical(pattern, foliate(pattern, make_map(image)))
     want = brute_structure(pattern, list(image))
     assert fol.component_id.tolist() == want["component"]
     assert fol.depth_to_cycle.tolist() == want["depth"]
@@ -346,7 +348,7 @@ def test_anchors_take_log_many_rounds_on_a_full_grid(monkeypatch):
         return run_starts(g)
 
     monkeypatch.setattr(foliation, "_run_starts", spy)
-    fol = foliate(pat, sm)
+    fol = canonical(pat, foliate(pat, sm))
     # one check of the least windows before each round and one after the last
     assert 1 < len(checks) <= 8 + 1
     assert fol.n_components == 200
@@ -472,3 +474,138 @@ def test_foliation_json_and_csv():
     csv_text = fol.components_csv()
     assert csv_text.splitlines()[0] == "id,size,cycle_length,n_foils,class"
     assert "FF" in csv_text
+
+
+def canonical_cases():
+    """name -> [(pattern, image)]: the brute-force cases above, seeded
+    partial maps with long cycles and dead ends, and next_row on half-filled
+    grid tori."""
+    rng = np.random.default_rng(7)
+    poisson = []
+    for seed in range(40):
+        pat = generate(GenSpec("poisson", Domain.torus(6, 6), seed=seed, intensity=1.0))
+        n = len(pat)
+        image = rng.permutation(n) if seed % 2 else rng.integers(0, n, size=n)
+        if seed % 3 == 0:
+            image[rng.random(n) < 0.2] = -1
+        poisson.append((pat, image))
+    full = generate(GenSpec("bernoulli_grid", Domain.torus(30, 20), seed=3, p=1.0))
+    a = [[k, 0 if k % 2 else 2] for k in range(18)]
+    b = [[2 * k, 6 + (0, 1, 3)[k % 3]] for k in range(9)]
+    c = [[3 * k, 4] for k in range(6)]
+    periodic = PointPattern(Domain.torus(18, 12), a + b + c + [[1, 10], [5, 11]])
+    image = [(k + 1) % 18 for k in range(18)]
+    image += [18 + (k + 1) % 9 for k in range(9)]
+    image += [27 + (k + 1) % 6 for k in range(6)]
+    rng = np.random.default_rng(29)
+    partial = []
+    for n in rng.integers(0, 60, size=60):
+        image_n = rng.integers(-1, n, size=n) if n % 2 else rng.permutation(n)
+        partial.append((random_map_pattern(rng, n), image_n))
+    grids = []
+    for seed in range(4):
+        pat = generate(GenSpec("bernoulli_grid", Domain.torus(24, 30), seed=seed, p=0.5))
+        grids.append((pat, evaluate(pat, "next_row").image))
+    edge = [[], [0], [-1], [-1] * 5, [1, 2, 0, -1, 3], EX_IMAGE]
+    return {
+        "edge_maps": [(random_map_pattern(np.random.default_rng(0), len(im)), im) for im in edge],
+        "poisson_torus_maps": poisson,
+        "full_grid_next_row": [(full, evaluate(full, "next_row").image)],
+        "periodic_torus_cycles": [(periodic, image + [3, 20])],
+        "seeded_partial_maps": partial,
+        "half_grid_next_row": grids,
+    }
+
+
+# SHA-256 over every field of every case's foliation, as foliate gave them
+# when it anchored each cycle canonically itself
+PARENT_FIELD_DIGESTS = {
+    "edge_maps": "db67315a6d458bf53f9fdad4db305569a674235ca80c1a46dbf59a54d7ec756b",
+    "poisson_torus_maps": "9c53aeaf0eb78293abcf5ff85de1d8766c8c6aba827f1e63a6d9057b8f515023",
+    "full_grid_next_row": "885e34b8d046f2a24e325e0ae62b80ccadb0e1458e570dac7e641bb0e7e0a68c",
+    "periodic_torus_cycles": "ef43c215c0bc8def95307d83ef8d38794ca74abf04eedae34e909e22194f7cea",
+    "seeded_partial_maps": "3bd69b472e4bc0663bbce8c40b16246f815e6e80dd0cc4673b112674d8a3b983",
+    "half_grid_next_row": "4e6ddc9b2f4ce1b18a32a0287576d5feca2ff8815e0af282c4f4c883346b60dd",
+}
+
+
+def field_digest(results):
+    h = hashlib.sha256()
+    for fol in results:
+        for f in dataclasses.fields(fol):
+            value = getattr(fol, f.name)
+            assert value.dtype == np.int64, f.name
+            h.update(f.name.encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+    return h.hexdigest()
+
+
+def test_canonical_equals_the_self_anchoring_foliate():
+    for name, cases in canonical_cases().items():
+        results = [canonical(pat, foliate(pat, make_map(image))) for pat, image in cases]
+        assert field_digest(results) == PARENT_FIELD_DIGESTS[name], name
+
+
+def test_canonical_returns_a_canonical_foliation_as_it_is():
+    pat = generate(GenSpec("bernoulli_grid", Domain.torus(24, 30), seed=1, p=0.5))
+    fol = canonical(pat, foliate(pat, evaluate(pat, "next_row")))
+    assert canonical(pat, fol) is fol
+
+
+def test_canonical_rejects_the_foliation_of_another_pattern():
+    pat, fol = make_fol(EX_IMAGE)
+    with pytest.raises(ConfigError):
+        canonical(random_map_pattern(np.random.default_rng(0), 5), fol)
+
+
+def assert_same_partition(cheap, canon):
+    """Everything but the anchors agrees: foils as sets, every size, the
+    senior foils, the component columns and the classes."""
+    assert foil_sets(cheap) == foil_sets(canon)
+    # the canonical id of each cheap foil, read through any member
+    renum = np.empty(cheap.n_foils, dtype=np.int64)
+    renum[cheap.foil_id] = canon.foil_id
+    assert np.array_equal(renum[cheap.foil_id], canon.foil_id)
+    assert np.array_equal(cheap.foil_size, canon.foil_size[renum])
+    assert np.array_equal(cheap.foil_component, canon.foil_component[renum])
+    senior = cheap.senior_foil
+    assert np.array_equal(np.where(senior >= 0, renum[senior], -1), canon.senior_foil[renum])
+    for name in (
+        "component_id", "depth_to_cycle", "component_size", "component_root",
+        "component_foils", "cycle_offsets", "cycle_length",
+    ):
+        assert np.array_equal(getattr(cheap, name), getattr(canon, name)), name
+    for c in range(cheap.n_components):
+        lo, hi = cheap.cycle_offsets[c], cheap.cycle_offsets[c + 1]
+        assert set(cheap.cycle_nodes[lo:hi].tolist()) == set(canon.cycle_nodes[lo:hi].tolist())
+    assert classify(cheap) == classify(canon)
+
+
+@st.composite
+def torus_maps(draw):
+    # points scattered on a torus, so the canonical anchor is seldom the
+    # least id; permutations give long cycles, the rest trees and dead ends
+    n = draw(st.integers(min_value=0, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pat = PointPattern(Domain.torus(7, 5), rng.random((n, 2)) * [7, 5])
+    if draw(st.booleans()):
+        image = rng.permutation(n)
+    else:
+        image = np.asarray([draw(st.integers(-1, n - 1)) for _ in range(n)], dtype=np.int64)
+    return pat, image
+
+
+@given(torus_maps())
+@settings(max_examples=200, deadline=None)
+def test_cheap_and_canonical_foliations_agree_on_random_maps(case):
+    pat, image = case
+    cheap = foliate(pat, make_map(image))
+    assert_same_partition(cheap, canonical(pat, cheap))
+
+
+@given(st.integers(0, 2**16), st.sampled_from([0.3, 0.5, 0.8, 1.0]))
+@settings(max_examples=30, deadline=None)
+def test_cheap_and_canonical_foliations_agree_on_grid_tori(seed, p):
+    pat = generate(GenSpec("bernoulli_grid", Domain.torus(16, 12), seed=seed, p=p))
+    cheap = foliate(pat, evaluate(pat, "next_row"))
+    assert_same_partition(cheap, canonical(pat, cheap))

@@ -16,13 +16,14 @@ from foliate.palm import (
     SeniorIntervalKernel,
     ShiftIterateKernel,
     StatReport,
+    _power_pairs,
+    _tally,
     check_mass_transport,
     condenser_intensity_reports,
     evaporation_profile,
     exact_sum,
     fold_reports,
     palm_mean,
-    power_sums,
     relative_intensity,
     relative_intensity_report,
     reports_csv,
@@ -468,16 +469,31 @@ def test_exact_sum_past_the_float_range_raises():
         exact_sum(np.asarray([1e308, 1e308]))
 
 
+@given(
+    st.one_of(
+        with_repeats(st.integers(0, 60)),
+        with_repeats(st.integers(-3, 60)),
+        with_repeats(st.integers(0, 10**6)),
+    )
+)
+def test_tally_is_unique_with_counts(values):
+    # small nonnegative integers are counted by bincount, the rest sorted
+    for arr in (np.asarray(values, dtype=np.int64), np.asarray(values) % 2 == 0):
+        u, counts = _tally(arr)
+        want_u, want_counts = np.unique(arr, return_counts=True)
+        assert u.tolist() == want_u.tolist() and counts.tolist() == want_counts.tolist()
+
+
 @given(with_repeats(st.integers(-(2**40), 2**40)))
 def test_power_sums_are_object_sums(values):
     arr = np.asarray(values, dtype=np.int64)
-    assert power_sums(arr, (1, 2, 3)) == [
+    assert _power_pairs(*_tally(arr), (1, 2, 3)) == [
         int((arr.astype(object) ** p).sum()) for p in (1, 2, 3)
     ]
 
 
 def test_power_sums_past_int64():
     arr = np.asarray([3_000_000, 3_000_000, -5, 2**40], dtype=np.int64)
-    cubes = power_sums(arr, (3,))[0]
+    cubes = _power_pairs(*_tally(arr), (3,))[0]
     assert cubes == 2 * 3_000_000**3 - 125 + 2**120
     assert cubes > np.iinfo(np.int64).max

@@ -15,7 +15,7 @@ from oracles import (
     translate,
 )
 
-from foliate.foliation import foliate
+from foliate.foliation import canonical, foliate
 from foliate.generators import GenSpec, generate
 from foliate.palm import Realization, SeniorIntervalKernel, relative_intensity
 from foliate.patterns import ConfigError, Domain
@@ -267,7 +267,7 @@ def test_foil_order_follows_f_perp(case):
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_foil_cycles_of_whole_foils_match_all_points(case):
     pat, sm = oracle_case(case)
-    fol = foliate(pat, sm)
+    fol = canonical(pat, foliate(pat, sm))
     rng = np.random.default_rng(78)
     st_maps = build_stable_maps(pat, sm, fol)
     for picked in (
