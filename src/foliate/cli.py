@@ -92,12 +92,51 @@ def build_realization(spec: ExperimentSpec, index: int) -> Realization:
     return Realization.from_spec(gen, spec.shift)
 
 
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
+def _read_text(path: str) -> str:
+    """The text of a file, or "" when it is missing or unreadable."""
     try:
-        return len(os.sched_getaffinity(0))
+        return Path(path).read_text()
+    except (OSError, ValueError):
+        return ""
+
+
+def cpu_quota() -> int | None:
+    """floor(quota / period), at least 1, of this process's cgroup CPU
+    quota, found through ``/proc/self/cgroup``: ``cpu.max`` under cgroup
+    v2, ``cpu.cfs_quota_us`` and ``cpu.cfs_period_us`` under v1.  Each is
+    read in the cgroup's own directory and at its hierarchy's mount root:
+    a container without a cgroup namespace lists a host path in
+    ``/proc/self/cgroup`` but has its own cgroup mounted at the root.  None
+    when no quota is set (``max`` or -1) or none can be read."""
+    quotas = []
+    for line in _read_text("/proc/self/cgroup").splitlines():
+        controllers, _, path = line.partition(":")[2].partition(":")
+        if not controllers:  # v2: one unified hierarchy
+            files = ("cpu.max",)
+        elif "cpu" in controllers.split(","):
+            files = ("cpu.cfs_quota_us", "cpu.cfs_period_us")
+        else:
+            continue
+        root = os.path.join("/sys/fs/cgroup", controllers)
+        for group in (os.path.join(root, path.lstrip("/")), root):
+            fields = " ".join(_read_text(os.path.join(group, f)) for f in files).split()
+            try:
+                quota, period = (int(f) for f in fields)
+            except ValueError:  # "max", missing, or not two numbers
+                continue
+            if quota > 0 and period > 0:
+                quotas.append(max(quota // period, 1))
+    return min(quotas, default=None)
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its CPU affinity,
+    capped by its cgroup's CPU quota when it has one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, cpu_quota() or cpus)
 
 
 def _send_share(conn: Any, reduce_share: Callable[[range], list], share: range) -> None:

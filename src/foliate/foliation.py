@@ -19,16 +19,16 @@ cycle.  Components and foils are numbered by counting, not sorting.  No
 Python loop runs over points, cycles or foils.
 
 None of the partition, the sizes or the counts depends on which node
-anchors a cycle.  Only the foliation file, the stable maps and the walk
-estimate on a cycle read the anchor, and ``canonical`` rotates each cycle to
-a translation-covariant one for them.
+anchors a cycle: the anchor only sets the entry positions, from which one
+numbering pass (``_number``) numbers the foils.  Only the foliation file,
+the stable maps and the walk estimate on a cycle read the anchor, and
+``canonical`` numbers the foils again from translation-covariant anchors
+for them.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
-import functools
 import io
 import itertools
 import json
@@ -133,20 +133,6 @@ def _run_starts(g: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ComponentInfo:
-    id: int
-    size: int
-    cycle: tuple[int, ...]
-    root: int
-    censored: bool
-    n_foils: int
-
-    @property
-    def cycle_length(self) -> int:
-        return len(self.cycle)
-
-
-@dataclass(frozen=True)
 class FoliationResult:
     """Components, foils and per-point walk data for one realization.
 
@@ -189,32 +175,22 @@ class FoliationResult:
     def cycle_length(self) -> np.ndarray:
         return np.where(self.component_root >= 0, 0, np.diff(self.cycle_offsets))
 
-    def _rows(self):
-        """(id, size, cycle, root, foil count) per component, from the
-        columns; a tree's cycle is empty."""
-        nodes = self.cycle_nodes.tolist()
-        bounds = zip(self.cycle_offsets[:-1].tolist(), self.cycle_length.tolist())
-        cycles = [nodes[start : start + length] for start, length in bounds]
-        return zip(
-            range(self.n_components),
-            self.component_size.tolist(),
-            cycles,
-            self.component_root.tolist(),
-            self.component_foils.tolist(),
-        )
-
-    @functools.cached_property
-    def components(self) -> tuple[ComponentInfo, ...]:
-        """One record per component, built on first use.
-
-        The program reads the columns; the benchmark tracer's component
-        counter is the only reader of these records outside the tests."""
-        return tuple(
-            ComponentInfo(c, size, tuple(cycle), root, root >= 0, foils)
-            for c, size, cycle, root, foils in self._rows()
-        )
+    @property
+    def components(self) -> range:
+        """The component ids."""
+        return range(self.n_components)
 
     def to_json(self) -> str:
+        nodes = self.cycle_nodes.tolist()
+        bounds = zip(self.cycle_offsets[:-1].tolist(), self.cycle_length.tolist())
+        rows = zip(
+            self.components,
+            self.component_size.tolist(),
+            [nodes[start : start + length] for start, length in bounds],
+            self.component_root.tolist(),
+            self.component_foils.tolist(),
+            classify(self),
+        )
         obj = {
             "schema_version": 1,
             "per_point": {
@@ -234,7 +210,7 @@ class FoliationResult:
                     "n_foils": foils,
                     "class": cls,
                 }
-                for (c, size, cycle, root, foils), cls in zip(self._rows(), classify(self))
+                for c, size, cycle, root, foils, cls in rows
             ],
         }
         return json.dumps(obj)
@@ -262,8 +238,9 @@ def foliate(pattern: PointPattern, shift_map: ShiftMap) -> FoliationResult:
     Nothing is sorted: every label is a point id or a position below its
     component's size, so a presence mask and a running count rank them.
     The foil partition, sizes, senior foils and component columns do not
-    depend on the anchors; ``canonical`` rotates the cycles to the anchors
-    that the foliation file and the stable maps read."""
+    depend on the anchors; ``canonical`` numbers the foils again, by the
+    same ``_number``, from the anchors that the foliation file and the
+    stable maps read."""
     if len(pattern) != len(shift_map):
         raise ConfigError("pattern and shift map sizes differ")
     n = len(shift_map)
@@ -304,15 +281,24 @@ def foliate(pattern: PointPattern, shift_map: ShiftMap) -> FoliationResult:
     # a cycle node's position is its number of steps from the anchor
     terminal = np.where(anchor, np.arange(m), csucc)
     _, to_anchor = _jump(terminal, (~anchor).astype(np.int64), np.add, m.bit_length())
-    del terminal, anchor
+    del terminal, anchor, csucc, cyc, dead
     clen = np.maximum(lengths[ccomp], 1)
-    cpos = (clen - to_anchor) % clen
-    entry = cpos[local[entry]]
-    del local, to_anchor
+    entry = ((clen - to_anchor) % clen)[local[entry]]
+    del local, to_anchor, clen, ccomp
+    return _number(comp, size, lengths, roots, depth, entry)
 
-    # a foil is a (component, key) pair, and a key is below its
-    # component's size, so component start + key is below N and ranks the
-    # foils densely in (component, key) order
+
+def _number(comp, size, lengths, roots, depth, entry) -> FoliationResult:
+    """The foliation of a structure (each point's component and depth,
+    each component's size, cycle length and dead end) whose points enter
+    their cycles at the positions ``entry``.  The positions only number
+    the foils; the foils themselves are fixed by the structure.
+
+    Nothing is sorted: a foil is a (component, key) pair, and a key is
+    below its component's size, so component start + key is below N and a
+    presence mask and a running count rank the foils densely in
+    (component, key) order."""
+    n = len(comp)
     plen = lengths[comp]
     key = np.where(plen > 0, (entry - depth) % np.maximum(plen, 1), depth)
     del plen
@@ -336,12 +322,14 @@ def foliate(pattern: PointPattern, shift_map: ShiftMap) -> FoliationResult:
     flen = lengths[foil_component]
     target = np.where(flen > 0, (foil_key + 1) % np.maximum(flen, 1), foil_key - 1)
     senior = np.where(target >= 0, dense[start[foil_component] + np.maximum(target, 0)], -1)
-    del dense
+    del dense, flen, target
 
-    # each cycle from its anchor, in component order
-    offsets = np.r_[0, np.cumsum(np.bincount(ccomp, minlength=n_comp))]
-    cycle_nodes = np.empty(m, dtype=np.int64)
-    cycle_nodes[offsets[ccomp] + cpos] = cyc
+    # each cycle from its anchor, in component order; a dead end is its
+    # tree's one node at depth 0
+    cyc = np.flatnonzero(depth == 0)
+    offsets = np.r_[0, np.cumsum(np.maximum(lengths, 1))]
+    cycle_nodes = np.empty(len(cyc), dtype=np.int64)
+    cycle_nodes[offsets[comp[cyc]] + entry[cyc]] = cyc
 
     return FoliationResult(
         component_id=comp,
@@ -350,7 +338,7 @@ def foliate(pattern: PointPattern, shift_map: ShiftMap) -> FoliationResult:
         entry_position=entry,
         component_size=size,
         component_root=roots,
-        component_foils=np.bincount(foil_component, minlength=n_comp),
+        component_foils=np.bincount(foil_component, minlength=len(size)),
         cycle_nodes=cycle_nodes,
         cycle_offsets=offsets,
         foil_component=foil_component,
@@ -361,17 +349,17 @@ def foliate(pattern: PointPattern, shift_map: ShiftMap) -> FoliationResult:
 
 
 def canonical(pattern: PointPattern, fol: FoliationResult) -> FoliationResult:
-    """``fol`` with every cycle rotated to its canonical anchor, as the
+    """``fol`` with every cycle anchored at its canonical node, as the
     foliation file, the stable maps and the walk estimate read it.
 
     The anchor is the node whose sequence of step rows round the cycle is
     lex least, the least id on a cycle whose rotations tie (``_step_rank``,
     ``_anchors``), so entry positions are deterministic and, on a torus,
-    translation covariant.  A dead-end tree keeps its dead end.  Rotating a
-    cycle by p positions takes p from its nodes' positions and its foils'
-    keys, which renumbers the foils within their component; the partition,
-    sizes and components are unchanged.  A canonical ``fol`` is returned
-    as it is."""
+    translation covariant.  A dead-end tree keeps its dead end.  Moving the
+    anchor p steps on takes p from every entry position of its component,
+    and ``_number`` numbers the foils from those positions as ``foliate``
+    does; the partition, sizes and components are unchanged.  A canonical
+    ``fol`` is returned as it is."""
     if len(pattern) != fol.n_points:
         raise ConfigError("pattern and foliation sizes differ")
     n = fol.n_points
@@ -380,44 +368,22 @@ def canonical(pattern: PointPattern, fol: FoliationResult) -> FoliationResult:
     pos = fol.entry_position  # a cycle node's own position
 
     # the nodes of the cycles in id order, so equal rotations go to the least id
-    nodes = fol.cycle_nodes
     cyc = np.flatnonzero((fol.depth_to_cycle == 0) & (lengths[comp] > 0))
     ccomp = comp[cyc]
     clen = lengths[ccomp]
-    nxt = nodes[fol.cycle_offsets[ccomp] + (pos[cyc] + 1) % clen]
+    nxt = fol.cycle_nodes[fol.cycle_offsets[ccomp] + (pos[cyc] + 1) % clen]
     local = np.empty(n, dtype=np.int64)
     local[cyc] = np.arange(len(cyc))
     rank = _step_rank(pattern, cyc, nxt)
     anchors = cyc[_anchors(rank, local[nxt], ccomp, int(clen.max(initial=0)))]
-    del local, rank, nxt
+    del local, rank, nxt, cyc, ccomp, clen
 
     shift = np.zeros(fol.n_components, dtype=np.int64)
     shift[comp[anchors]] = pos[anchors]
     if not shift.any():
         return fol
-    period = np.maximum(lengths, 1)
-    entry = (pos - shift[comp]) % period[comp]
-
-    # a component's foils are numbered by key from its first foil, and round
-    # a cycle every key below its length is a foil
-    fc = fol.foil_component
-    key = np.where(lengths[fc] > 0, (fol.foil_key - shift[fc]) % period[fc], fol.foil_key)
-    first = np.cumsum(fol.component_foils) - fol.component_foils
-    renum = first[fc] + key  # the new id of each foil
-    old = np.empty_like(renum)
-    old[renum] = np.arange(len(renum))
-    senior = fol.senior_foil[old]
-    cycle_nodes = np.empty_like(nodes)
-    cycle_nodes[fol.cycle_offsets[comp[nodes]] + entry[nodes]] = nodes
-    return dataclasses.replace(
-        fol,
-        foil_id=renum[fol.foil_id],
-        entry_position=entry,
-        cycle_nodes=cycle_nodes,
-        foil_key=key[old],
-        foil_size=fol.foil_size[old],
-        senior_foil=np.where(senior >= 0, renum[senior], -1),
-    )
+    entry = (pos - shift[comp]) % np.maximum(lengths, 1)[comp]
+    return _number(comp, fol.component_size, lengths, fol.component_root, fol.depth_to_cycle, entry)
 
 
 def next_generation(

@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
 TORUS = "torus"
 WINDOW = "window"
+
+# how far a grid point may lie from its lattice site: generated grids and
+# their crops are off by float rounding only, a few ulps of the extent (at
+# most 5.7e-14 at extent 1000), so this sits seven orders of magnitude
+# above that at extent 1000 and six below the lattice step of 1
+LATTICE_TOLERANCE = 1e-6
 
 
 class ConfigError(ValueError):
@@ -121,12 +128,35 @@ def row_ranks(rows: np.ndarray) -> np.ndarray:
 
 def _is_simple(c: np.ndarray) -> bool:
     """Whether the rows of ``c`` are distinct.  Distinct first coordinates
-    prove it with one sort of values; only a tie (a grid, or ``-0.0`` next
-    to ``0.0``) ranks the whole rows."""
+    prove it with one sort of values; only a tie (a shared first coordinate,
+    or ``-0.0`` next to ``0.0``) ranks the whole rows.  Grids prove it by
+    their lattice sites instead (``_check_lattice``)."""
     first = np.sort(c[:, 0])
     if not (first[1:] == first[:-1]).any():
         return True
     return row_ranks(c).max() == len(c) - 1
+
+
+def _check_lattice(c: np.ndarray, domain: Domain, shift) -> None:
+    """Refuse grid coordinates ``c`` with ``PatternError`` unless each lies
+    within ``LATTICE_TOLERANCE`` of a site of the lattice shifted by
+    ``shift``, every site fits int64 (as ``lattice_coords`` casts them) and,
+    on a torus, lies in [0, extent), and no two points share a site.
+    Distinct sites prove the pattern simple."""
+    sites = []
+    for k, u in enumerate(shift):
+        x = c[:, k] - u
+        site = np.rint(x)
+        if np.abs(x - site).max() > LATTICE_TOLERANCE:
+            raise PatternError("grid points must lie on the lattice shifted by grid_shift")
+        lo, hi = site.min(), site.max()
+        if max(-lo, hi) >= 2.0**63:
+            raise PatternError("grid lattice sites must fit 64-bit integers")
+        if domain.kind == TORUS and (lo < 0.0 or hi >= domain.extents[k]):
+            raise PatternError("grid lattice sites must lie in [0, extent) on a torus")
+        sites.append(site)
+    if row_ranks(np.stack(sites, axis=1)).max() != len(c) - 1:
+        raise PatternError("two grid points share a lattice site")
 
 
 @dataclass(frozen=True)
@@ -158,7 +188,9 @@ class PointPattern:
             else:
                 if np.any(c < 0.0) or np.any(c > ext):
                     raise PatternError("window coordinates must lie in [0, extent]")
-            if not _is_simple(c):
+            if "grid_shift" in self.metadata:
+                _check_lattice(c, self.domain, self.metadata["grid_shift"])
+            elif not _is_simple(c):
                 raise PatternError("pattern is not simple (duplicate coordinates)")
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
@@ -190,7 +222,11 @@ class PointPattern:
         obj = json.loads(text)
         dom = obj["domain"]
         domain = Domain(dom["kind"], tuple(dom["extents"]), dom.get("buffer", 0.0))
-        coords = np.asarray(obj["points"], dtype=float)
+        points = obj["points"]
+        # JSON numbers load as int or float; a bool, string, null or list is refused
+        if not set(map(type, chain.from_iterable(points))) <= {int, float}:
+            raise PatternError("points must be arrays of numbers")
+        coords = np.asarray(points, dtype=float)
         if coords.size == 0:
             coords = coords.reshape(0, int(obj["dimension"]))
         meta = _metadata_from_jsonable(obj.get("metadata", {}), domain.dimension)
@@ -247,7 +283,8 @@ def lattice_coords(pattern: PointPattern) -> np.ndarray | None:
     """Integer lattice coordinates of a grid pattern, None otherwise.
 
     Exact: recovered by subtracting the stored shift and rounding, so they
-    are immune to the float noise of absolute positions.
+    are immune to the float noise of absolute positions.  The pattern has
+    checked that they fit int64 and are distinct (``_check_lattice``).
     """
     if "grid_shift" not in pattern.metadata:
         return None

@@ -408,6 +408,52 @@ def test_run_builds_no_whole_pattern_stable_maps(tmp_path, monkeypatch):
     assert calls == {"build_stable_maps": 1, "build_rls_order": 1}
 
 
+ROOT1 = "/sys/fs/cgroup/cpu,cpuacct/"
+V1 = ROOT1 + "docker/ab/"
+
+
+@pytest.mark.parametrize(
+    "files, quota",
+    [
+        # cgroup v2: cpu.max holds "quota period"
+        ({"/sys/fs/cgroup/jobs/cpu.max": "250000 100000\n"}, 2),
+        ({"/sys/fs/cgroup/jobs/cpu.max": "50000 100000\n"}, 1),
+        ({"/sys/fs/cgroup/jobs/cpu.max": "max 100000\n"}, None),
+        ({"/sys/fs/cgroup/jobs/cpu.max": "garbled\n"}, None),
+        # cgroup v1: the cpu controller's two files
+        ({V1 + "cpu.cfs_quota_us": "300000\n", V1 + "cpu.cfs_period_us": "100000\n"}, 3),
+        ({V1 + "cpu.cfs_quota_us": "-1\n", V1 + "cpu.cfs_period_us": "100000\n"}, None),
+        ({V1 + "cpu.cfs_quota_us": "300000\n"}, None),
+        # a container without a cgroup namespace: its own cgroup is the mount root
+        ({ROOT1 + "cpu.cfs_quota_us": "200000\n", ROOT1 + "cpu.cfs_period_us": "100000\n"}, 2),
+        ({"/sys/fs/cgroup/cpu.max": "100000 100000\n"}, 1),
+        # both, as on a hybrid host: the smaller quota holds
+        (
+            {
+                "/sys/fs/cgroup/jobs/cpu.max": "400000 100000",
+                V1 + "cpu.cfs_quota_us": "300000",
+                V1 + "cpu.cfs_period_us": "100000",
+            },
+            3,
+        ),
+        ({}, None),
+    ],
+)
+def test_cpu_quota_reads_the_cgroup_files(monkeypatch, files, quota):
+    cgroup = "12:cpu,cpuacct:/docker/ab\n4:memory:/elsewhere\n0::/jobs\n"
+    files = {"/proc/self/cgroup": cgroup, **files}
+    monkeypatch.setattr(cli, "_read_text", lambda path: files.get(path, ""))
+    assert cli.cpu_quota() == quota
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4, 5}, raising=False)
+    assert cli.usable_cpus() == min(6, quota or 6)
+
+
+def test_cpu_quota_without_a_cgroup_file_is_none(monkeypatch, tmp_path):
+    assert cli._read_text(str(tmp_path / "missing")) == cli._read_text(str(tmp_path)) == ""
+    monkeypatch.setattr(cli, "_read_text", lambda path: "")
+    assert cli.cpu_quota() is None
+
+
 def test_realizations_for_returns_each_reduction_in_index_order(monkeypatch):
     spec = ExperimentSpec(
         gen=GenSpec("poisson", Domain.torus(20, 20), seed=8, intensity=1.0),
@@ -633,15 +679,20 @@ def test_foliate_on_missing_pattern_is_config_error(tmp_path, capsys):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
-def _pattern_file(points, extents=(10.0, 10.0), metadata=None) -> dict:
+def _pattern_file(points, extents=(10.0, 10.0), metadata=None, kind="window") -> dict:
     obj = {
         "dimension": 2,
-        "domain": {"kind": "window", "extents": extents, "buffer": 0.0},
+        "domain": {"kind": kind, "extents": extents, "buffer": 0.0},
         "points": points,
     }
     if metadata is not None:
         obj["metadata"] = metadata
     return obj
+
+
+def _grid_file(points, extents=(4.0, 4.0), kind="torus") -> dict:
+    """A grid pattern file on the unshifted lattice."""
+    return _pattern_file(points, extents, {"grid_shift": [0.0, 0.0]}, kind)
 
 
 def _cluster_file(**arrays) -> dict:
@@ -656,6 +707,9 @@ def _cluster_file(**arrays) -> dict:
     [
         ("mnn", _pattern_file([[1.0, 1.0], [2.0]])),
         ("mnn", _pattern_file([[1.0, 1.0], [2.0, "two"]])),
+        ("mnn", _pattern_file([["1", 2]], extents=(5.0, 5.0), kind="torus")),
+        ("mnn", _pattern_file([[True, False]], extents=(5.0, 5.0), kind="torus")),
+        ("mnn", _pattern_file([[True, 1.5], [2.0, 2.0]], extents=(5.0, 5.0), kind="torus")),
         ("mnn", _pattern_file([[1.0, 1.0], [2.0, 2.0]], extents=None)),
         (
             "multitype_strip",
@@ -683,10 +737,18 @@ def _cluster_file(**arrays) -> dict:
         ("next_row", _pattern_file([[1.5, 1.5], [2.5, 1.5]], metadata={"grid_shift": [1e300, 0.5]})),
         ("mnn", '{"points": ' + "[" * 10**5 + "]" * 10**5 + "}"),
         ("mnn", _pattern_file([[10**400, 1.0], [2.0, 2.0]])),
+        ("next_row", _grid_file([[3.9, 2.0], [0.0, 2.0]])),
+        ("next_row", _grid_file([[1.0, 2.0], [1.2, 2.0], [2.0, 2.0]])),
+        ("next_row", _grid_file([[1.0, 2.0], [1.0 + 1e-9, 2.0], [2.0, 2.0]])),
+        ("next_row", _grid_file([[4.0 - 1e-9, 2.0], [0.0, 2.0]])),
+        ("next_row", _grid_file([[1.5e19, 1.0], [0.0, 1.0]], extents=(2e19, 4.0), kind="window")),
     ],
     ids=[
         "ragged_points",
         "non_numeric_coordinate",
+        "numeric_string_coordinate",
+        "boolean_coordinates",
+        "boolean_among_float_coordinates",
         "null_extents",
         "cluster_type_missing",
         "short_cluster_arrays",
@@ -698,6 +760,11 @@ def _cluster_file(**arrays) -> dict:
         "grid_shift_past_one",
         "deeply_nested_points",
         "coordinate_past_float",
+        "grid_point_off_the_lattice",
+        "grid_points_off_one_site",
+        "grid_points_sharing_a_site",
+        "grid_site_on_the_torus_extent",
+        "grid_site_past_int64",
     ],
 )
 def test_foliate_on_bad_pattern_file_is_config_error(tmp_path, capsys, shift, obj):

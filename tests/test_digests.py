@@ -157,6 +157,14 @@ DIGESTS = {
         "h_dense.json": "b05a91a2d7ca6f140fde2963b9c4fa9432187923513725cd661a8cbdf975652d",
         "shiftmap.json": "e644e58594812c65592680555086546eee6e78b73c6213d63303458d3966aa31",
     },
+    # mnn on a torus: 2-cycles whose canonical anchor is set by the step rows
+    "mnn_torus_foliate": {
+        "components.csv": "94c4afb8a40cb93e5bb3bd62e47cfbcdcffbe7979a5016c5ae90d73247573e95",
+        "f_perp.json": "b29b207d715bc18d56b0e29f5ccb3a80e36ff8e99fc7eed380576afe15de80b1",
+        "foliation.json": "53e69159768a77637d98db998194eeb246e395d2ee1b65a1ce016eb9051a81b3",
+        "h_dense.json": "de25c9f39b70af1fb5e4344183d79f7631041ab8ca8f21ff016530713e66b8b7",
+        "shiftmap.json": "f1b4504f8ddf6c404bd542d46540ad22196e99145ae9d43112322321794a58ff",
+    },
 }
 
 
@@ -193,6 +201,11 @@ def test_window_foliate_strip_digests(tmp_path):
         "--seed", "19",
     ]
     assert foliate_digests(tmp_path, window, "strip") == DIGESTS["strip_window_foliate"]
+
+
+def test_torus_foliate_mnn_digests(tmp_path):
+    torus = ["--model", "poisson", "--intensity", "1", "--torus", "20x20", "--seed", "20"]
+    assert foliate_digests(tmp_path, torus, "mnn") == DIGESTS["mnn_torus_foliate"]
 
 
 def test_verify_cluster_pattern_digests(tmp_path):

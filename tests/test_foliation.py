@@ -46,6 +46,13 @@ def make_fol(image):
     return pat, foliate(pat, make_map(image))
 
 
+def cycles(fol):
+    """Each component's cycle from its anchor, read from the columns; a
+    dead-end tree's is empty."""
+    parts = np.split(fol.cycle_nodes, fol.cycle_offsets[1:-1])
+    return [tuple(p.tolist()[:length]) for p, length in zip(parts, fol.cycle_length.tolist())]
+
+
 def foil_sets(fol):
     return frozenset(frozenset(m.tolist()) for m in groups(fol.foil_id, fol.foil_size))
 
@@ -82,10 +89,9 @@ def test_build_components_identity():
 
 def test_find_cycles_example():
     _, fol = make_fol(EX_IMAGE)
-    comp = fol.components[0]
-    assert set(comp.cycle) == {1, 2}
+    assert set(cycles(fol)[0]) == {1, 2}
     assert sorted(fol.cycle_nodes.tolist()) == [1, 2]
-    assert comp.cycle_length == 2
+    assert fol.cycle_length[0] == 2
     assert fol.depth_to_cycle[0] == 1
     assert fol.depth_to_cycle[3] == 1
     assert fol.depth_to_cycle[1] == 0
@@ -93,10 +99,10 @@ def test_find_cycles_example():
 
 def test_find_cycles_pure_cycle_and_fixed_point():
     _, fol = make_fol([1, 2, 0])
-    assert fol.components[0].cycle_length == 3
+    assert fol.cycle_length[0] == 3
     assert np.all(fol.depth_to_cycle == 0)
     _, fol2 = make_fol([0])
-    assert fol2.components[0].cycle_length == 1
+    assert fol2.cycle_length[0] == 1
 
 
 def test_foils_example_against_oracle():
@@ -117,7 +123,7 @@ def test_foils_star_with_loop():
     _, fol = make_fol(image)
     assert foil_sets(fol) == brute_foils(image)
     assert foil_sets(fol) == frozenset({frozenset({0, 1, 2})})
-    assert fol.components[0].n_foils == fol.components[0].cycle_length == 1
+    assert fol.component_foils[0] == fol.cycle_length[0] == 1
 
 
 def walk(image, m):
@@ -171,9 +177,9 @@ def test_foils_match_brute_force(image):
     pat, fol = make_fol(image)
     assert foil_sets(fol) == brute_foils(image)
     assert component_sets(fol.component_id) == brute_components(image)
-    for comp in fol.components:
-        assert comp.n_foils == comp.cycle_length
-        assert set(comp.cycle) == set(brute_cycle(image, comp.cycle[0]))
+    assert np.array_equal(fol.component_foils, fol.cycle_length)
+    for cycle in cycles(fol):
+        assert set(cycle) == set(brute_cycle(image, cycle[0]))
 
 
 def assert_structure_matches_brute(pattern, image):
@@ -182,9 +188,8 @@ def assert_structure_matches_brute(pattern, image):
     assert fol.component_id.tolist() == want["component"]
     assert fol.depth_to_cycle.tolist() == want["depth"]
     assert fol.entry_position.tolist() == want["entry"]
-    assert [c.cycle for c in fol.components] == want["cycles"]
-    assert [c.root for c in fol.components] == want["roots"]
-    assert [c.censored for c in fol.components] == [r >= 0 for r in want["roots"]]
+    assert cycles(fol) == want["cycles"]
+    assert fol.component_root.tolist() == want["roots"]
     assert fol.foil_key[fol.foil_id].tolist() == want["key"]
     foils = list(zip(fol.foil_component.tolist(), fol.foil_key.tolist()))
     assert sorted(foils) == sorted(want["senior"])
@@ -279,8 +284,8 @@ def test_structure_matches_brute_force_on_full_grid_next_row():
     # rotation, so the least id is the anchor
     pat = generate(GenSpec("bernoulli_grid", Domain.torus(30, 20), seed=3, p=1.0))
     fol = assert_structure_matches_brute(pat, evaluate(pat, "next_row").image.tolist())
-    assert all(c.cycle_length > 1 for c in fol.components)
-    assert all(c.cycle[0] == min(c.cycle) for c in fol.components)
+    assert (fol.cycle_length > 1).all()
+    assert all(cycle[0] == min(cycle) for cycle in cycles(fol))
 
 
 def test_structure_matches_brute_force_on_periodic_torus_cycles():
@@ -374,8 +379,8 @@ def test_counting_identities_random_total_maps(image):
 @settings(max_examples=100, deadline=None)
 def test_cycle_restriction_is_bijection(image):
     _, fol = make_fol(image)
-    for comp in fol.components:
-        cyc = set(comp.cycle)
+    for cycle in cycles(fol):
+        cyc = set(cycle)
         images = {image[x] for x in cyc}
         assert images == cyc
 
@@ -391,7 +396,7 @@ def test_censored_component_flag_and_unknown_class():
     image = [1, -1, 3, 3]
     _, fol = make_fol(image)
     classes = classify(fol)
-    by_root = {fol.components[c].root: classes[c] for c in range(len(fol.components))}
+    by_root = dict(zip(fol.component_root.tolist(), classes))
     assert by_root[1] == CLASS_UNKNOWN  # dead-end tree is censored
     assert by_root[-1] == CLASS_FF  # the 3 -> 3 loop with son 2
 
@@ -425,9 +430,8 @@ def test_next_row_torus_winding_refines_columns():
     # into that many foils, all still inside one column
     pat = generate(GenSpec("bernoulli_grid", Domain.torus(10, 100), seed=54, p=0.5))
     fol = foliate(pat, evaluate(pat, "next_row"))
-    for comp in fol.components:
-        assert comp.cycle_length % 10 == 0
-        assert comp.n_foils == comp.cycle_length
+    assert (fol.cycle_length % 10 == 0).all()
+    assert np.array_equal(fol.component_foils, fol.cycle_length)
 
 
 def strip_foliation(pattern):

@@ -145,6 +145,13 @@ def test_pattern_rejects_duplicates():
         PointPattern(Domain.window(5, 5), [[0.0, 1.0], [-0.0, 1.0]])
 
 
+def test_grid_pattern_rejects_points_sharing_a_site():
+    dom, meta = Domain.torus(100, 4), {"grid_shift": (0.5, 0.0)}
+    assert len(PointPattern(dom, [[0.5, 1.0], [1.5, 1.0], [90.5, 1.0]], meta)) == 3
+    with pytest.raises(PatternError):
+        PointPattern(dom, [[0.5, 1.0], [0.5 + 1e-9, 1.0], [90.5, 1.0]], meta)
+
+
 def test_row_ranks_match_unique_inverse():
     rng = np.random.default_rng(5)
     signs = rng.choice([-1.0, 1.0], size=(200, 2))
@@ -245,6 +252,14 @@ def test_serialization_writes_each_coordinate_as_a_float():
     points = json.dumps([[float(v) for v in row] for row in pat.coords])
     assert f'"points": {points}' in pat.to_json()
     assert np.array_equal(PointPattern.from_json(pat.to_json()).coords, pat.coords)
+
+
+def test_integer_coordinates_load_as_floats_even_past_64_bits():
+    text = GOLDEN.replace("[1.0, 2.0]", "[1, 2]").replace("5.0, 5.0", f"{2**70}, 5")
+    text = text.replace("[3.0, 4.5]", f"[{2**64 + 2**12}, 4.5]")
+    pat = PointPattern.from_json(text)
+    assert pat.coords.dtype == float
+    assert pat.coords.tolist() == [[1.0, 2.0], [float(2**64 + 2**12), 4.5]]
 
 
 def test_serialization_field_order_is_fixed():

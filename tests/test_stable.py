@@ -107,7 +107,7 @@ def test_rls_example_ranks():
 def test_rls_pure_cycle_follows_cycle_order():
     pat, sm, fol = make_case([1, 2, 0])
     rls = build_rls_order(pat, sm, fol)
-    anchor = fol.components[0].cycle[0]
+    anchor = fol.cycle_nodes[fol.cycle_offsets[0]]
     assert rls.rank[anchor] == 0
     assert sorted(rls.rank.tolist()) == [0, 1, 2]
 

@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Byte-identity check at 10⁶ points: run the two large `run` commands and
-compare the SHA-256 of their ten result files with the pinned values.
+"""Byte-identity check at large N: run four large commands and compare the
+SHA-256 of their twenty result files with the pinned values.
 
-Both commands draw one Poisson realization of intensity 1 on a 1000×1000
-domain (N = 998,344 at seed 3): `mnn` on a torus, and `strip` on a window
-with buffer 10.  Each takes a few seconds and about 400 MB.
+Two `run` commands draw one Poisson realization of intensity 1 on a
+1000×1000 domain (N = 998,344 at seed 3): `mnn` on a torus, and `strip` on
+a window with buffer 10.  Each takes a few seconds and about 400 MB.  Two
+`generate` + `foliate` commands write the canonical foliation and stable
+maps that `run` never writes, at about 2.5·10⁵ points: `next_row` on a
+Bernoulli grid torus of 1000×500 sites (p 0.5), and `mnn` on a Poisson
+torus of 500×500.  Each takes one or two seconds and under 250 MB.
 
     python3 tools/large_hashes.py
 
-Exits 0 when both commands exit 0 and every file hashes equal, and 1
+Exits 0 when every command exits 0 and every file hashes equal, and 1
 otherwise, naming each differing, missing or extra file.  It runs the
 source tree next to this script.
 """
@@ -27,9 +31,26 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 RUN = ["run", "--model", "poisson", "--intensity", "1", "--n-max", "5", "--jobs", "1", "--seed", "3"]
 
+
+def foliate(flags: list[str], shift: str) -> list[list[str]]:
+    """`generate` with the model and domain ``flags`` and seed 3 into
+    ``{pattern}``, then `foliate --shift shift` on that file."""
+    return [
+        ["generate", *flags, "--seed", "3", "--out", "{pattern}"],
+        ["foliate", "--pattern", "{pattern}", "--shift", shift],
+    ]
+
+
+# each command's steps; the last writes the hashed files into its --out
 COMMANDS = {
-    "mnn_torus": RUN + ["--torus", "1000x1000", "--shift", "mnn"],
-    "strip_window": RUN + ["--window", "1000x1000", "--buffer", "10", "--shift", "strip"],
+    "mnn_torus": [RUN + ["--torus", "1000x1000", "--shift", "mnn"]],
+    "strip_window": [RUN + ["--window", "1000x1000", "--buffer", "10", "--shift", "strip"]],
+    "grid_next_row_foliate": foliate(
+        ["--model", "bernoulli_grid", "--p", "0.5", "--torus", "1000x500"], "next_row"
+    ),
+    "mnn_torus_foliate": foliate(
+        ["--model", "poisson", "--intensity", "1", "--torus", "500x500"], "mnn"
+    ),
 }
 
 HASHES = {
@@ -47,16 +68,37 @@ HASHES = {
         "verify.csv": "1cdd752143948924754741e8adb11f839e53e9d3d19759bb61a7ea4acaf7a5df",
         "verify.json": "37758e124c749b276a89ab2a337165d14ab0ddb36cf83ecde091e0058ae126a1",
     },
+    "grid_next_row_foliate": {
+        "components.csv": "1fa392f7b3cbabb9ae92ffc61420fa90813b9e8682ab0ab69592f5543ad8f613",
+        "f_perp.json": "0916a7789b377b5df95ab5429926b52374f3a0bf4ed639c35cb74043ae254d64",
+        "foliation.json": "6a6fcc3e7e5c9c84adaf9c0835b38923ad834bed0e0b4576abb5a39d8ce23110",
+        "h_dense.json": "469e5e9a9f25cada03c6cf4d8b758c24d0444333dcb836cc420a97b976e967dd",
+        "shiftmap.json": "427a47863d21f616b6920986db57dda8b1d06af8435db61ec3ee36fe08406f34",
+    },
+    "mnn_torus_foliate": {
+        "components.csv": "54f07209a4849de2c0ce0d03e49c1ff1616deff1a8bde35cd9e05b4bfe290c9d",
+        "f_perp.json": "85a933b7978f7a3e8f75b579a996dfff4659b9e2c66ea681464937483887bd43",
+        "foliation.json": "85cf8dd5823080058dcfa29927293bc0357236b4ef7471c2e78426dda474840f",
+        "h_dense.json": "d033b09a7631c72818e125d96c1bb22f0cb11dcfcc9ee112a952b686259d2bcb",
+        "shiftmap.json": "34e6191de6476dab3d3bfdaecd3f5670a262684edfa08eaa1d40d04378db6237",
+    },
 }
 
 
 def run(name: str, out: Path) -> list[str]:
-    """Run one command into ``out``; the names of the files whose hash
-    differs from the pinned one, or that are missing or extra."""
+    """Run one command's steps, the last into ``out``; the names of the
+    files whose hash differs from the pinned one, or that are missing or
+    extra."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "foliate.cli", *COMMANDS[name], "--out", str(out)]
+    pattern = str(out.parent / f"{name}.pattern.json")
+    steps = [[a.replace("{pattern}", pattern) for a in step] for step in COMMANDS[name]]
+    steps[-1] += ["--out", str(out)]
     t0 = time.monotonic()
-    code = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path)).returncode
+    for argv in steps:
+        argv = [sys.executable, "-m", "foliate.cli", *argv]
+        code = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path)).returncode
+        if code:
+            break
     print(f"{name}: exit {code}, {time.monotonic() - t0:.1f} s")
     files = out.iterdir() if out.is_dir() else []
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
@@ -72,7 +114,7 @@ def main() -> int:
             bad += [f"{name}/{f}" for f in run(name, Path(tmp) / name)]
     for f in bad:
         print(f"differs: {f}")
-    print("all ten hashes equal" if not bad else f"{len(bad)} file(s) differ")
+    print("all twenty hashes equal" if not bad else f"{len(bad)} file(s) differ")
     return 1 if bad else 0
 
 
