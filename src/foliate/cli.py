@@ -32,7 +32,7 @@ from .palm import (
     verify_identities,
 )
 from .patterns import TORUS, WINDOW, ConfigError, Domain, PointPattern
-from .shifts import SHIFT_NAMES, ShiftKind, evaluate
+from .shifts import SHIFT_NAMES, ShiftKind, decimal_table, evaluate
 
 EXIT_OK = 0
 EXIT_EXACT_FAILURE = 1
@@ -223,11 +223,14 @@ def stats_reports(r: Realization, n_max: int) -> list[StatReport]:
 
 def _write(path: Path, text: str) -> None:
     """Write ``text`` to ``path``, making its directory; a path that cannot
-    be written (``--out`` naming a regular file) is a config error."""
+    be written (``--out`` naming a regular file) is a config error.  The
+    text goes out 1 MiB at a time: a larger write would be encoded whole,
+    holding a second copy of it."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            for start in range(0, len(text), 1 << 20):
+                fh.write(text[start : start + (1 << 20)])
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -296,6 +299,8 @@ SETTINGS: dict[str, Callable[[Any], Any]] = {
 GEN_SETTINGS = (
     "model", "seed", "intensity", "p", "parent_intensity", "mark_circle_radius", "mark_intensity"
 )
+# the settings verify reads with --pattern: the file is the realization
+PATTERN_SETTINGS = ("shift", "ball_radius", "condenser_metric", "n_max", "out")
 # the ExperimentSpec field of each run setting
 RUN_FIELDS = {
     "realizations": "n_realizations",
@@ -337,13 +342,18 @@ def read_config(path: str | Path) -> dict[str, str]:
     return out
 
 
-def _given(args: argparse.Namespace) -> dict[str, Any]:
+def _given(args: argparse.Namespace, read: Iterable[str] = SETTINGS) -> dict[str, Any]:
     """The settings given, each from its flag, else the ``--config`` file,
     converted by ``SETTINGS``.  Only ``None`` counts as unset, so an
-    explicit 0 is kept; a value that does not convert is a config error."""
+    explicit 0 is kept; a value that does not convert, or a setting outside
+    ``read`` (those the command reads), is a config error."""
     conf = read_config(args.config) if getattr(args, "config", None) else {}
     flags = {key: val for key, val in vars(args).items() if key in SETTINGS and val is not None}
-    return {key: convert(val, SETTINGS[key], key) for key, val in {**conf, **flags}.items()}
+    given = {**conf, **flags}
+    unread = [key for key in given if key not in read]
+    if unread:
+        raise ConfigError(f"setting not read by this command: {', '.join(unread)}")
+    return {key: convert(val, SETTINGS[key], key) for key, val in given.items()}
 
 
 def _pick(given: dict[str, Any], keys: Iterable[str]) -> dict[str, Any]:
@@ -411,17 +421,18 @@ def cmd_foliate(args: argparse.Namespace) -> int:
     stable = build_stable_maps(pattern, shift_map, foliate(pattern, shift_map))
     fol = stable.foliation  # canonically anchored
     out = Path(args.out)
-    _write(out / "shiftmap.json", shift_map.to_json())
-    _write(out / "foliation.json", fol.to_json())
+    decimals = decimal_table(len(pattern))
+    _write(out / "shiftmap.json", shift_map.to_json(decimals))
+    _write(out / "foliation.json", fol.to_json(decimals))
     _write(out / "components.csv", fol.components_csv())
-    _write(out / "f_perp.json", stable_to_json(stable.f_perp, "f_perp"))
-    _write(out / "h_dense.json", stable_to_json(stable.h_dense, "h_dense"))
+    _write(out / "f_perp.json", stable_to_json(stable.f_perp, "f_perp", decimals))
+    _write(out / "h_dense.json", stable_to_json(stable.h_dense, "h_dense", decimals))
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.pattern:
-        given = _given(args)
+        given = _given(args, PATTERN_SETTINGS)
         n_max = given.get("n_max", ExperimentSpec.n_max)
         if n_max < 1:
             raise ConfigError("n_max must be >= 1")

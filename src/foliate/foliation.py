@@ -180,7 +180,21 @@ class FoliationResult:
         """The component ids."""
         return range(self.n_components)
 
-    def to_json(self) -> str:
+    def to_json(self, decimals: np.ndarray) -> str:
+        """The per-point columns and one object per component, in the bytes
+        ``json.dumps`` gives; the columns are joined from ``decimals``
+        (``shifts.decimal_table`` of at least the point count)."""
+        if len(decimals) <= self.n_points:
+            raise ValueError("the decimal table is shorter than the columns")
+        columns = {
+            "component": self.component_id,
+            "foil": self.foil_id,
+            "depth_to_cycle": self.depth_to_cycle,
+            "entry_position": self.entry_position,
+        }
+        per_point = ", ".join(
+            f'"{key}": [{", ".join(decimals[col].tolist())}]' for key, col in columns.items()
+        )
         nodes = self.cycle_nodes.tolist()
         bounds = zip(self.cycle_offsets[:-1].tolist(), self.cycle_length.tolist())
         rows = zip(
@@ -191,29 +205,26 @@ class FoliationResult:
             self.component_foils.tolist(),
             classify(self),
         )
-        obj = {
-            "schema_version": 1,
-            "per_point": {
-                "component": self.component_id.tolist(),
-                "foil": self.foil_id.tolist(),
-                "depth_to_cycle": self.depth_to_cycle.tolist(),
-                "entry_position": self.entry_position.tolist(),
-            },
-            "components": [
-                {
-                    "id": c,
-                    "size": size,
-                    "cycle": cycle,
-                    "cycle_length": len(cycle),
-                    "root": root,
-                    "censored": root >= 0,
-                    "n_foils": foils,
-                    "class": cls,
-                }
-                for c, size, cycle, root, foils, cls in rows
-            ],
-        }
-        return json.dumps(obj)
+        objects = (
+            {
+                "id": c,
+                "size": size,
+                "cycle": cycle,
+                "cycle_length": len(cycle),
+                "root": root,
+                "censored": root >= 0,
+                "n_foils": foils,
+                "class": cls,
+            }
+            for c, size, cycle, root, foils, cls in rows
+        )
+        # dumped a block of objects at a time, so that they are never all held
+        blocks = iter(lambda: list(itertools.islice(objects, 4096)), [])
+        components = ", ".join(json.dumps(block)[1:-1] for block in blocks)
+        return (
+            f'{{"schema_version": 1, "per_point": {{{per_point}}}, '
+            f'"components": [{components}]}}'
+        )
 
     def components_csv(self) -> str:
         """One row per component; the columns are ints and a class name,

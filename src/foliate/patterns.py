@@ -222,13 +222,16 @@ class PointPattern:
         obj = json.loads(text)
         dom = obj["domain"]
         domain = Domain(dom["kind"], tuple(dom["extents"]), dom.get("buffer", 0.0))
-        points = obj["points"]
+        points = obj.pop("points")
+        flat = list(chain.from_iterable(points))
         # JSON numbers load as int or float; a bool, string, null or list is refused
-        if not set(map(type, chain.from_iterable(points))) <= {int, float}:
+        if not set(map(type, flat)) <= {int, float}:
             raise PatternError("points must be arrays of numbers")
-        coords = np.asarray(points, dtype=float)
-        if coords.size == 0:
-            coords = coords.reshape(0, int(obj["dimension"]))
+        n, d = len(points), domain.dimension
+        if not set(map(len, points)) <= {d}:
+            raise PatternError(f"every point must have {d} coordinates")
+        del points  # the row lists go before the array is built; flat holds the numbers
+        coords = np.array(flat, dtype=float).reshape(n, d)
         meta = _metadata_from_jsonable(obj.get("metadata", {}), domain.dimension)
         return cls(domain, coords, meta)
 

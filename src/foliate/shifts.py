@@ -83,19 +83,41 @@ class ShiftMap:
         n = len(self)
         return float(self.censored.sum() / n) if n else 0.0
 
-    def to_json(self) -> str:
-        """The rows ``{"id", "image" (null when censored), "censored"}``."""
-        return json_rows(self.image)
+    def to_json(self, decimals: np.ndarray) -> str:
+        """The rows ``{"id", "image" (null when censored), "censored"}``;
+        ``decimals`` is ``decimal_table(n)`` for some n >= the point count."""
+        return json_rows(self.image, decimals)
 
 
-def json_rows(image: np.ndarray, tail: str = "") -> str:
+def decimal_table(n: int) -> np.ndarray:
+    """The decimal strings of 0..n-1, then "-1", which index -1 reads, as
+    an object array: gathering it with an integer column in [-1, n) gives
+    the column's JSON texts without a Python int per entry."""
+    return np.array([*map(str, range(n)), "-1"], dtype=object)
+
+
+def json_rows(image: np.ndarray, decimals: np.ndarray, tail: str = "") -> str:
     """The rows ``{"id", "image", "censored"}`` plus the members ``tail``
     adds, in the bytes ``json.dumps`` gives; a negative image is censored
-    (image null).  One f-string per row measured fastest; a censored row is
-    written with image -1, then its members are replaced in the text."""
+    (image null).  Each row's texts are gathered from ``decimals`` (a
+    ``decimal_table`` of at least ``len(image)``) and the rows are joined
+    once; a censored row is written with image -1, then its members are
+    replaced in the text."""
+    n = len(image)
+    if len(decimals) <= n:
+        raise ValueError("the decimal table is shorter than the column")
+    if n == 0:
+        return "[]"
     end = f', "censored": false{tail}}}'
-    rows = (f'{{"id": {i}, "image": {v}{end}' for i, v in enumerate(image.tolist()))
-    text = "[" + ", ".join(rows) + "]"
+    # the opening, then per row: id, ', "image": ', image, and the row end,
+    # which runs into the next row
+    parts = [end + ', {"id": '] * (4 * n + 1)
+    parts[0] = '[{"id": '
+    parts[1::4] = decimals[:n].tolist()
+    parts[2::4] = [', "image": '] * n
+    parts[3::4] = decimals[image].tolist()
+    parts[-1] = end + "]"
+    text = "".join(parts)
     if (image < 0).any():
         text = text.replace('-1, "censored": false', 'null, "censored": true')
     return text

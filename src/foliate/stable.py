@@ -211,9 +211,10 @@ def senior_steps(
     return out
 
 
-def stable_to_json(table: np.ndarray, role: str) -> str:
-    """The rows ``{"id", "image", "censored": false, "role"}`` of a bijection."""
-    return json_rows(table, f', "role": {json.dumps(role)}')
+def stable_to_json(table: np.ndarray, role: str, decimals: np.ndarray) -> str:
+    """The rows ``{"id", "image", "censored": false, "role"}`` of a
+    bijection, written from ``decimals`` (``shifts.decimal_table``)."""
+    return json_rows(table, decimals, f', "role": {json.dumps(role)}')
 
 
 def foil_windings(

@@ -645,6 +645,29 @@ def test_verify_pattern_takes_shift_from_config(tmp_path):
     assert (by_config / "verify.csv").read_bytes() == (by_flag / "verify.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--jobs", "0"],
+        ["--realizations", "0"],
+        ["--seed", "-5"],
+        ["--window", "3x3"],
+        ["--intensity", "-1"],
+    ],
+    ids=["jobs", "realizations", "seed", "window", "intensity"],
+)
+def test_verify_pattern_refuses_a_setting_it_does_not_read(tmp_path, capsys, flags):
+    pattern = tmp_path / "p.json"
+    gen = ["generate", "--model", "poisson", "--intensity", "1", "--window", "20x20"]
+    assert main(gen + ["--seed", "5", "--out", str(pattern)]) == EXIT_OK
+    out = tmp_path / "out"
+    argv = ["verify", "--pattern", str(pattern), "--shift", "strip", "--out", str(out)]
+    assert main(argv + flags) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "not read" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_experiment_spec_validation():
     gen = GenSpec("poisson", Domain.torus(10, 10), seed=0, intensity=1.0)
     with pytest.raises(ConfigError):
@@ -742,6 +765,7 @@ def _cluster_file(**arrays) -> dict:
         ("next_row", _grid_file([[1.0, 2.0], [1.0 + 1e-9, 2.0], [2.0, 2.0]])),
         ("next_row", _grid_file([[4.0 - 1e-9, 2.0], [0.0, 2.0]])),
         ("next_row", _grid_file([[1.5e19, 1.0], [0.0, 1.0]], extents=(2e19, 4.0), kind="window")),
+        ("mnn", _pattern_file([[1.0, 2.0, 3.0], [4.0]])),
     ],
     ids=[
         "ragged_points",
@@ -765,6 +789,7 @@ def _cluster_file(**arrays) -> dict:
         "grid_points_sharing_a_site",
         "grid_site_on_the_torus_extent",
         "grid_site_past_int64",
+        "ragged_points_of_a_whole_count",
     ],
 )
 def test_foliate_on_bad_pattern_file_is_config_error(tmp_path, capsys, shift, obj):

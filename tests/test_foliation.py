@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,7 @@ from foliate.foliation import (
 )
 from foliate.generators import GenSpec, generate
 from foliate.patterns import ConfigError, Domain, PointPattern
-from foliate.shifts import ShiftMap, evaluate
+from foliate.shifts import ShiftMap, decimal_table, evaluate
 
 # the running example: a -> b, b -> c, c -> b, d -> b  (ids 0..3)
 EX_IMAGE = [1, 2, 1, 1]
@@ -470,9 +471,7 @@ def test_ladder_rejects_the_foliation_of_another_pattern():
 
 def test_foliation_json_and_csv():
     _, fol = make_fol(EX_IMAGE)
-    import json
-
-    obj = json.loads(fol.to_json())
+    obj = json.loads(fol.to_json(decimal_table(fol.n_points)))
     assert obj["per_point"]["component"] == [0, 0, 0, 0]
     assert obj["components"][0]["cycle_length"] == 2
     csv_text = fol.components_csv()
@@ -548,6 +547,70 @@ def test_canonical_equals_the_self_anchoring_foliate():
     for name, cases in canonical_cases().items():
         results = [canonical(pat, foliate(pat, make_map(image))) for pat, image in cases]
         assert field_digest(results) == PARENT_FIELD_DIGESTS[name], name
+
+
+def dict_built_json(fol):
+    """``json.dumps`` of the foliation file's object built from lists and
+    dicts: the byte oracle of ``FoliationResult.to_json``."""
+    nodes = fol.cycle_nodes.tolist()
+    bounds = zip(fol.cycle_offsets[:-1].tolist(), fol.cycle_length.tolist())
+    rows = zip(
+        fol.components,
+        fol.component_size.tolist(),
+        [nodes[start : start + length] for start, length in bounds],
+        fol.component_root.tolist(),
+        fol.component_foils.tolist(),
+        classify(fol),
+    )
+    obj = {
+        "schema_version": 1,
+        "per_point": {
+            "component": fol.component_id.tolist(),
+            "foil": fol.foil_id.tolist(),
+            "depth_to_cycle": fol.depth_to_cycle.tolist(),
+            "entry_position": fol.entry_position.tolist(),
+        },
+        "components": [
+            {
+                "id": c,
+                "size": size,
+                "cycle": cycle,
+                "cycle_length": len(cycle),
+                "root": root,
+                "censored": root >= 0,
+                "n_foils": foils,
+                "class": cls,
+            }
+            for c, size, cycle, root, foils, cls in rows
+        ],
+    }
+    return json.dumps(obj)
+
+
+def test_foliation_json_equals_the_dict_built_json():
+    """On every canonical case (the empty and one-point patterns, dead ends,
+    several components), least-id and canonically anchored, from a table
+    of the point count and from a longer one; and on 9000 fixed points and
+    dead ends, whose components are dumped in three blocks."""
+    n = 9000
+    many = (random_map_pattern(np.random.default_rng(0), n), np.where(np.arange(n) % 3, -1, 0))
+    many = [many, (many[0], np.arange(n))]
+    def sha(text):  # a failure then prints two digests, not a diff of long texts
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    for cases in [*canonical_cases().values(), many]:
+        for pat, image in cases:
+            fol = foliate(pat, make_map(image))
+            for result in (fol, canonical(pat, fol)):
+                want = sha(dict_built_json(result))
+                assert sha(result.to_json(decimal_table(len(pat)))) == want
+                assert sha(result.to_json(decimal_table(len(pat) + 2))) == want
+
+
+def test_foliation_json_refuses_a_short_table():
+    _, fol = make_fol(EX_IMAGE)
+    with pytest.raises(ValueError):
+        fol.to_json(decimal_table(3))
 
 
 def test_canonical_returns_a_canonical_foliation_as_it_is():

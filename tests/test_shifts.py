@@ -23,12 +23,14 @@ from foliate.shifts import (
     ShiftKind,
     ShiftMap,
     condenser_marks,
+    decimal_table,
     eval_condenser,
     eval_mnn,
     eval_multitype_strip,
     eval_next_row,
     eval_strip,
     evaluate,
+    json_rows,
 )
 
 
@@ -563,7 +565,7 @@ def test_multitype_requires_annotations():
 
 
 def test_shiftmap_serialization_roundtrip():
-    text = ShiftMap(np.array([1, 0, -1])).to_json()
+    text = ShiftMap(np.array([1, 0, -1])).to_json(decimal_table(3))
     assert json.loads(text) == [
         {"id": 0, "image": 1, "censored": False},
         {"id": 1, "image": 0, "censored": False},
@@ -594,7 +596,33 @@ WRITER_MAPS = [
 
 @pytest.mark.parametrize("sm", WRITER_MAPS, ids=["empty", "fixed", "all_censored", "mixed"])
 def test_shiftmap_json_bytes_and_shuffled_roundtrip(sm):
-    assert sm.to_json() == _dict_rows_json(sm)
+    assert sm.to_json(decimal_table(len(sm))) == _dict_rows_json(sm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(0, 60),
+    role=st.sampled_from([None, "f_perp", 'a "quoted" role']),
+)
+def test_json_rows_equals_dict_rows(data, n, role):
+    """A random partial map's rows, with or without a role tail, are
+    json.dumps of the dict rows, from a table of n or more."""
+    image = data.draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    decimals = decimal_table(n + data.draw(st.integers(0, 3)))
+    rows = [
+        {"id": i, "image": None if v < 0 else v, "censored": v < 0} for i, v in enumerate(image)
+    ]
+    tail = ""
+    if role is not None:
+        tail = f', "role": {json.dumps(role)}'
+        rows = [{**row, "role": role} for row in rows]
+    assert json_rows(np.array(image, dtype=np.int64), decimals, tail) == json.dumps(rows)
+
+
+def test_json_rows_refuses_a_short_table():
+    with pytest.raises(ValueError):
+        json_rows(np.array([1, 0]), decimal_table(1))
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from foliate.foliation import canonical, foliate
 from foliate.generators import GenSpec, generate
 from foliate.palm import Realization, SeniorIntervalKernel, relative_intensity
 from foliate.patterns import ConfigError, Domain
-from foliate.shifts import ShiftMap, evaluate
+from foliate.shifts import ShiftMap, decimal_table, evaluate
 from foliate.stable import (
     _preorder,
     build_rls_order,
@@ -400,7 +400,7 @@ def test_order_preservation_on_censored_condenser():
 def test_stable_serialization():
     pat, sm, fol = make_case(EX_IMAGE)
     st_maps = build_stable_maps(pat, sm, fol)
-    rows = json.loads(stable_to_json(st_maps.f_perp, "f_perp"))
+    rows = json.loads(stable_to_json(st_maps.f_perp, "f_perp", decimal_table(len(pat))))
     assert rows[0]["role"] == "f_perp"
     assert all(not row["censored"] for row in rows)
 
@@ -416,7 +416,7 @@ def test_stable_json_bytes(table, role):
         {"id": int(i), "image": int(table[i]), "censored": False, "role": role}
         for i in range(len(table))
     ]
-    assert stable_to_json(table, role) == json.dumps(rows)
+    assert stable_to_json(table, role, decimal_table(len(table))) == json.dumps(rows)
 
 
 def test_foil_order_window_is_plain_lex():

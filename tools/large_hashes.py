@@ -12,6 +12,7 @@ torus of 500×500.  Each takes one or two seconds and under 250 MB.
 
     python3 tools/large_hashes.py
 
+Prints each step's exit status, wall time and max RSS (from ``os.wait4``).
 Exits 0 when every command exits 0 and every file hashes equal, and 1
 otherwise, naming each differing, missing or extra file.  It runs the
 source tree next to this script.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import subprocess
 import sys
 import tempfile
 import time
@@ -93,13 +93,17 @@ def run(name: str, out: Path) -> list[str]:
     pattern = str(out.parent / f"{name}.pattern.json")
     steps = [[a.replace("{pattern}", pattern) for a in step] for step in COMMANDS[name]]
     steps[-1] += ["--out", str(out)]
-    t0 = time.monotonic()
+    env = dict(os.environ, PYTHONPATH=path)
     for argv in steps:
-        argv = [sys.executable, "-m", "foliate.cli", *argv]
-        code = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path)).returncode
+        t0 = time.monotonic()
+        pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "foliate.cli", *argv], env)
+        _, status, usage = os.wait4(pid, 0)
+        code = os.waitstatus_to_exitcode(status)
+        seconds = time.monotonic() - t0
+        rss = usage.ru_maxrss / 1024  # KiB on Linux
+        print(f"{name} {argv[0]}: exit {code}, {seconds:.2f} s, max RSS {rss:.1f} MB", flush=True)
         if code:
             break
-    print(f"{name}: exit {code}, {time.monotonic() - t0:.1f} s")
     files = out.iterdir() if out.is_dir() else []
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
     want = HASHES[name]
